@@ -25,7 +25,6 @@ from .tower import (
     commutes,
     cyclic_decompose,
     equals,
-    extend_tower,
     gen_elem,
     gromov2,
     height,
@@ -39,7 +38,6 @@ from .tower import (
     multiply,
     pow_elem,
     primitive_root,
-    strip_periodic,
     validate_tower,
     verify_phi_conjugation,
 )

@@ -98,7 +98,8 @@ def surface_nonorientable(n: int) -> GroupTower:
 def free_product(ta: GroupTower, tb: GroupTower) -> GroupTower:
     """Disjoint union of two towers; lengths embed both factors.  Letter
     names colliding with symbols or letters of the first factor get a prime
-    appended."""
+    appended.  Each letter is attached again through extend_hnn, in level
+    order and without rotation."""
     off = len(ta.symbols)
     taken = set(ta.symbols) | set(ta.letters) | set(ta.aliases)
     sym_map = {}
@@ -137,7 +138,8 @@ def free_product(ta: GroupTower, tb: GroupTower) -> GroupTower:
         src = [remap(merged, x, offset, letters) for x in sl.source_gens]
         tgt = [remap(merged, x, offset, letters) for x in sl.target_gens]
         nm = letters.get(sl.name, sl.name)
-        merged = T.extend_tower(merged, nm, src, tgt, level=sl.level)
+        merged = extend_hnn(merged, nm, src, tgt, level=sl.level,
+                            auto_rotate=False)
     aliases = dict(ta.aliases)
     for nm, e in tb.aliases.items():
         aliases[name_map[nm]] = remap(merged, e, off, name_map)

@@ -1,8 +1,10 @@
-"""HNN extension layer: admissible pairs, attached elements, extension API.
+"""HNN extension layer: admissible pairs and the one tower constructor.
 
 A stable letter z with z^{-1} A z = B can be adjoined when the top axis
 generators (u, v) of (A, B) form an admissible pair: both cyclically reduced,
-neither a proper power, equal length, and u not conjugate to v^{-1}.  The
+neither a proper power, equal length, and u not conjugate to v^{-1}.
+`extend_hnn` is the only way to add a letter: it checks the pair once, then
+the per-generator axis conditions, the level and the whole tower.  The
 connecting element realizing z has a u-periodic head and v-periodic tail, so
 adjacency between blocks only behaves well when no letter's tail period
 cancels into another's head period; `extend_hnn` repairs such misalignments
@@ -15,22 +17,21 @@ from dataclasses import dataclass
 
 from . import tower as T
 from .tower import (
-    AbelianSubgroup,
     Elem,
     GroupTower,
+    StableLetter,
     TowerRejection,
-    equals,
+    commutes,
     height,
     invert,
     is_conjugate,
     is_cyclically_reduced,
     length,
-    letter_elem,
     multiply,
     primitive_root,
+    validate_tower,
     veq,
 )
-from .tower import verify_phi_conjugation  # re-exported  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -57,14 +58,6 @@ class AdmissibilityReport:
         return None
 
 
-@dataclass(frozen=True)
-class AttachmentRecord:
-    letter: str
-    sign: int
-    side: str  # "left" | "right"
-    witness: Elem  # the signed letter as an element
-
-
 def check_admissible(t: GroupTower, u: Elem, v: Elem) -> AdmissibilityReport:
     if T.is_identity(u) or T.is_identity(v):
         raise ValueError("axis generators must be nontrivial")
@@ -76,49 +69,44 @@ def check_admissible(t: GroupTower, u: Elem, v: Elem) -> AdmissibilityReport:
     return AdmissibilityReport(cr, tuple(pp), eqlen, nci)
 
 
-def find_attached(t: GroupTower, C: AbelianSubgroup, c: Elem,
-                  side: str) -> list[AttachmentRecord]:
-    """Signed stable letters above C's height that conjugate C without
-    raising its height and concatenate with c (right) or c^{-1} (left)
-    without cancellation."""
-    out = []
-    probe = c if side == "right" else invert(t, c)
-    for sl, sign in t.signed_letters():
-        if sl.level <= height(t, c):
-            continue
-        w = letter_elem(t, sl.name, sign)
-        conj = multiply(t, multiply(t, invert(t, w), c), w)
-        if height(t, conj) != height(t, c):
-            continue
-        ok, _ = T._additive(t, probe, w)
-        if ok:
-            out.append(AttachmentRecord(sl.name, sign, side, w))
-    return out
-
-
-def unattached_conjugate(t: GroupTower, A: AbelianSubgroup, u: Elem,
-                         side: str) -> tuple[AbelianSubgroup, Elem, Elem]:
-    """Follow attached letters until reaching a conjugate representative of
-    (A, u) with no side-attached element; returns it with the accumulated
-    conjugator g (new axis = g^{-1} A g)."""
-    conj = T.EPS
-    seen = {u.key}
-    cur_gens = list(A.gens)
-    cur_u = u
-    for _ in range(1 + 2 * len(t.letters) * (len(t.letters) + 1)):
-        att = find_attached(t, AbelianSubgroup(tuple(cur_gens)), cur_u, side)
-        if not att:
-            return AbelianSubgroup(tuple(cur_gens)), cur_u, conj
-        w = att[0].witness
-        wi = invert(t, w)
-        cur_gens = [multiply(t, multiply(t, wi, x), w) for x in cur_gens]
-        cur_u = multiply(t, multiply(t, wi, cur_u), w)
-        conj = multiply(t, conj, w)
-        if cur_u.key in seen:
-            raise T.EngineError(
-                "attached-element walk cycled; tower is invalid")
-        seen.add(cur_u.key)
-    raise T.EngineError("attached-element walk did not terminate")
+def _attach(t: GroupTower, name: str, source_gens: tuple,
+            target_gens: tuple, level, aliases) -> GroupTower:
+    """Attach a stable letter conjugating <source_gens> onto <target_gens>
+    whose top pair has passed check_admissible: the remaining generators'
+    axis conditions, the level, then validate_tower on the result."""
+    for gens in (source_gens, target_gens):
+        hts = [height(t, x) for x in gens]
+        if any(h == 0 for h in hts):
+            raise TowerRejection("axis-trivial-generator")
+        if sorted(set(hts)) != hts:
+            raise TowerRejection("centralizer-not-graded",
+                                 f"heights {hts} must strictly increase")
+        for i, x in enumerate(gens):
+            # the top generator's reducedness belongs to check_admissible
+            if i < len(gens) - 1 and not is_cyclically_reduced(t, x):
+                raise TowerRejection("centralizer-not-cyclically-reduced")
+            for y in gens[i + 1:]:
+                if not commutes(t, x, y):
+                    raise TowerRejection("centralizer-not-abelian")
+    for a, b in zip(source_gens[:-1], target_gens[:-1]):
+        if not veq(length(t, a), length(t, b)):
+            raise TowerRejection(
+                "phi-length-mismatch",
+                f"|phi(a)|={length(t, b)} differs from |a|={length(t, a)}")
+    u, v = source_gens[-1], target_gens[-1]
+    top = t.rank
+    if level is None:
+        level = top + 1
+    if level <= max(height(t, u), height(t, v)):
+        raise TowerRejection("level-too-low")
+    if level != top + 1 and not any(sl.level == level
+                                    for sl in t.letters.values()):
+        raise TowerRejection("level-gap", f"level {level} would leave a gap")
+    sl = StableLetter(name, level, source_gens, target_gens)
+    t2 = GroupTower(t.symbols, list(t.letters.values()) + [sl],
+                    {**t.aliases, **(aliases or {})})
+    validate_tower(t2)
+    return t2
 
 
 def _rotation_conjugators(t: GroupTower, w: Elem) -> list[Elem]:
@@ -134,11 +122,14 @@ def extend_hnn(t: GroupTower, name: str, source_gens, target_gens,
                auto_rotate: bool = True) -> GroupTower:
     """Adjoin a stable letter z with z^{-1} source z = target.
 
-    Validates admissibility and all structural tower conditions.  When the
-    raw axes produce a junction misalignment (a tail period cancelling into
-    a head period) and auto_rotate is set, conjugate representatives of the
-    axes are tried; callers wanting the original letter back can alias it as
-    the rotated letter times the rotation conjugator.
+    This is the only constructor of stable letters.  It checks the axis
+    rank, then admissibility of the top pair (once), then the remaining
+    structural tower conditions.  When the raw axes produce a junction
+    misalignment (a tail period cancelling into a head period) and
+    auto_rotate is set, conjugate representatives of the axes are tried;
+    rotations keep the pair admissible, so it is not checked again.  Callers
+    wanting the original letter back can alias it as the rotated letter
+    times the rotation conjugator.
     """
     source_gens = tuple(source_gens)
     target_gens = tuple(target_gens)
@@ -146,13 +137,11 @@ def extend_hnn(t: GroupTower, name: str, source_gens, target_gens,
         raise TowerRejection("axis-mismatch",
                              "source and target need equal positive rank")
     u, v = source_gens[-1], target_gens[-1]
-    rep = check_admissible(t, u, v)
-    fail = rep.failing_condition()
+    fail = check_admissible(t, u, v).failing_condition()
     if fail is not None:
         raise TowerRejection(fail)
     try:
-        return T.extend_tower(t, name, source_gens, target_gens,
-                              level=level, aliases=aliases)
+        return _attach(t, name, source_gens, target_gens, level, aliases)
     except TowerRejection as exc:
         if not auto_rotate or exc.condition not in (
                 "junction-misalignment", "orientation-clash"):
@@ -168,8 +157,7 @@ def extend_hnn(t: GroupTower, name: str, source_gens, target_gens,
             tg = tuple(multiply(t, multiply(t, cti, x), ct)
                        for x in target_gens)
             try:
-                return T.extend_tower(t, name, sg, tg,
-                                      level=level, aliases=aliases)
+                return _attach(t, name, sg, tg, level, aliases)
             except TowerRejection:
                 continue
     raise first

@@ -62,15 +62,6 @@ def veq(a, b) -> bool:
     return vcmp(a, b) == 0
 
 
-def vpos(a) -> bool:
-    """a > 0 in right-lex order."""
-    return vcmp(a, ()) > 0
-
-
-def vnonneg(a) -> bool:
-    return vcmp(a, ()) >= 0
-
-
 def vheight(a) -> int:
     """Index (1-based) of the most significant nonzero coordinate; 0 for 0."""
     for i in range(len(a) - 1, -1, -1):
@@ -84,12 +75,6 @@ def vat(a, level: int) -> int:
     if level < 1:
         raise ValueError("height is 1-based")
     return a[level - 1] if level <= len(a) else 0
-
-
-def vtop(a) -> int:
-    """Most significant coordinate (0 for the zero vector)."""
-    h = vheight(a)
-    return a[h - 1] if h else 0
 
 
 def vhalf(a) -> tuple[int, ...]:

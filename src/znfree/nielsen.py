@@ -14,7 +14,7 @@ re-verified from the log alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import tower as T
 from .tower import Elem, EPS

@@ -25,7 +25,7 @@ makes every length/height computation exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .lamvec import (
     vadd,
@@ -175,11 +175,6 @@ class GroupTower:
     def letters_by_level(self):
         return sorted(self.letters.values(), key=lambda s: (s.level, s.name))
 
-    def signed_letters(self):
-        for sl in self.letters_by_level():
-            yield sl, 1
-            yield sl, -1
-
 
 def base_tower(symbols) -> GroupTower:
     return GroupTower(symbols)
@@ -227,11 +222,6 @@ def offset_periods(t: GroupTower, blk: Block) -> tuple:
     """Per-component elements whose signed powers the offsets count."""
     sl = t.letters[blk.letter]
     return sl.target_gens if blk.sign > 0 else sl.source_gens
-
-
-def offset_period(t: GroupTower, blk: Block) -> Elem:
-    """The most significant offset period (the block's top axis image)."""
-    return offset_periods(t, blk)[-1]
 
 
 def block_material(t: GroupTower, blk: Block, exps=None) -> Elem:
@@ -327,19 +317,6 @@ def lam_len(t: GroupTower, g: Elem) -> int:
     return vat(lenvec(g), t.rank)
 
 
-def ends_with(t: GroupTower, g: Elem, p: Elem) -> tuple[bool, Elem]:
-    """Does g = g' o p (no cancellation)?  Returns (flag, g*p^{-1})."""
-    stripped = multiply(t, g, invert(t, p))
-    ok = veq(lenvec(stripped), vsub(lenvec(g), lenvec(p)))
-    return ok, stripped
-
-
-def begins_with(t: GroupTower, g: Elem, p: Elem) -> tuple[bool, Elem]:
-    stripped = multiply(t, invert(t, p), g)
-    ok = veq(lenvec(stripped), vsub(lenvec(g), lenvec(p)))
-    return ok, stripped
-
-
 def _additive(t, a: Elem, b: Elem) -> tuple[bool, Elem]:
     prod = multiply(t, a, b)
     return veq(lenvec(prod), vadd(lenvec(a), lenvec(b))), prod
@@ -396,26 +373,16 @@ def phi_of(t: GroupTower, sl: StableLetter, a: Elem) -> Elem:
     return gens_power(t, sl.target_gens, exps)
 
 
-def phi_inv_of(t: GroupTower, sl: StableLetter, b: Elem) -> Elem:
-    exps = abelian_exponents(t, sl.target_gens, b)
-    if exps is None:
-        raise TowerError(f"{b!r} is not in the target axis of {sl.name}")
-    return gens_power(t, sl.source_gens, exps)
-
-
 def _britton_pass(t, parts) -> bool:
     changed = False
     i = 1
     while i + 2 < len(parts):
         b1, mid, b2 = parts[i], parts[i + 1], parts[i + 2]
         if b1.letter == b2.letter and b1.sign == -b2.sign:
-            sl = t.letters[b1.letter]
-            if b1.sign < 0:
-                exps = abelian_exponents(t, sl.source_gens, mid)
-                out_gens = sl.target_gens
-            else:
-                exps = abelian_exponents(t, sl.target_gens, mid)
-                out_gens = sl.source_gens
+            # a pinch: mid in b2's left axis slides through b2 into its
+            # right axis, and b1 b2 cancels
+            in_gens, out_gens = _axes(t, b2)
+            exps = abelian_exponents(t, in_gens, mid)
             if exps is not None:
                 exps = [e + d1 + d2
                         for e, d1, d2 in zip(exps, b1.offset, b2.offset)]
@@ -431,6 +398,8 @@ def _britton_pass(t, parts) -> bool:
 
 
 def _axes(t, blk: Block):
+    """(left axis, right axis) of a block: a o blk = blk o a' with a in the
+    left axis and a' its image in the right axis."""
     sl = t.letters[blk.letter]
     if blk.sign > 0:
         return sl.source_gens, sl.target_gens
@@ -460,13 +429,16 @@ def _block_as_axis(t, blk: Block, gens):
     return exps
 
 
-def _peel_suffix(t, e, gens):
-    """Split e = e' o (axis material); returns (e', exponents over gens).
+def _peel(t, e, gens, right: bool):
+    """Split axis material over gens off one end of e: e = e' o (material)
+    when right is set, e = (material) o e' otherwise.  Returns (e',
+    exponents over gens).
 
     The peel is structural (inspects canonical parts and literal word
-    suffixes), never a pure length test: length arithmetic cannot tell a
+    ends), never a pure length test: length arithmetic cannot tell a
     genuine trailing axis power from the periodic tail of a nested block."""
     exps = [0] * len(gens)
+    outer = -1 if right else 0  # the outermost element part
     changed = True
     while changed and not is_identity(e):
         changed = False
@@ -476,79 +448,36 @@ def _peel_suffix(t, e, gens):
             e = EPS
             break
         if e.level == 1:
+            w = e.word
             for i, c in enumerate(gens):
                 if c.level != 1 or not c.word:
                     continue
                 n = len(c.word)
-                if e.word[-n:] == c.word:
-                    e = word_elem(e.word[:-n])
+                end, rest = (w[-n:], w[:-n]) if right else (w[:n], w[n:])
+                if end == c.word:
                     exps[i] += 1
-                    changed = True
-                    break
-                if e.word[-n:] == W.w_inv(c.word):
-                    e = word_elem(e.word[:-n])
+                elif end == W.w_inv(c.word):
                     exps[i] -= 1
-                    changed = True
-                    break
-            continue
-        last = e.parts[-1]
-        if is_identity(last):
-            contrib = _block_as_axis(t, e.parts[-2], gens)
-            if contrib is None:
-                break
-            exps = _vexadd(exps, contrib)
-            rest = e.parts[:-2]
-            e = rest[0] if len(rest) == 1 else build(t, e.level, list(rest))
-            changed = True
-            continue
-        sub, sexps = _peel_suffix(t, last, gens)
-        if any(sexps):
-            e = build(t, e.level, list(e.parts[:-1]) + [sub])
-            exps = _vexadd(exps, sexps)
-            changed = True
-    return e, exps
-
-
-def _peel_prefix(t, e, gens):
-    """Split e = (axis material) o e'; returns (e', exponents over gens)."""
-    exps = [0] * len(gens)
-    changed = True
-    while changed and not is_identity(e):
-        changed = False
-        whole = abelian_exponents(t, gens, e)
-        if whole is not None:
-            exps = _vexadd(exps, whole)
-            e = EPS
-            break
-        if e.level == 1:
-            for i, c in enumerate(gens):
-                if c.level != 1 or not c.word:
+                else:
                     continue
-                n = len(c.word)
-                if e.word[:n] == c.word:
-                    e = word_elem(e.word[n:])
-                    exps[i] += 1
-                    changed = True
-                    break
-                if e.word[:n] == W.w_inv(c.word):
-                    e = word_elem(e.word[n:])
-                    exps[i] -= 1
-                    changed = True
-                    break
+                e = word_elem(rest)
+                changed = True
+                break
             continue
-        first = e.parts[0]
-        if is_identity(first):
-            contrib = _block_as_axis(t, e.parts[1], gens)
+        if is_identity(e.parts[outer]):
+            contrib = _block_as_axis(t, e.parts[-2 if right else 1], gens)
             if contrib is None:
                 break
             exps = _vexadd(exps, contrib)
-            rest = e.parts[2:]
+            rest = e.parts[:-2] if right else e.parts[2:]
             e = rest[0] if len(rest) == 1 else build(t, e.level, list(rest))
             changed = True
             continue
-        sub, sexps = _peel_prefix(t, first, gens)
+        sub, sexps = _peel(t, e.parts[outer], gens, right)
         if any(sexps):
-            e = build(t, e.level, [sub] + list(e.parts[1:]))
+            parts = list(e.parts)
+            parts[outer] = sub
+            e = build(t, e.level, parts)
             exps = _vexadd(exps, sexps)
             changed = True
     return e, exps
@@ -572,7 +501,7 @@ def _margin_pass(t, parts) -> bool:
         off = list(blk.offset)
         for _ in range(_GUARD):
             e = parts[bi - 1]
-            e2, pex = _peel_suffix(t, e, lgens)
+            e2, pex = _peel(t, e, lgens, right=True)
             if any(pex):
                 parts[bi - 1] = e2
                 off = _vexadd(off, pex)
@@ -603,7 +532,7 @@ def _margin_pass(t, parts) -> bool:
             if nxt is None:
                 return False
             nlg, _ = _axes(t, nxt)
-            _, nex = _peel_suffix(t, e, nlg)
+            _, nex = _peel(t, e, nlg, right=True)
             if any(nex):
                 return True
             nadd, _ = _additive(t, e, head_period(t, nxt))
@@ -624,7 +553,7 @@ def _margin_pass(t, parts) -> bool:
                     off[j] -= 1 if off[j] > 0 else -1
                     changed = True
                     break  # let the next block's left margin take it first
-            e2, pex = _peel_prefix(t, e, rgens)
+            e2, pex = _peel(t, e, rgens, right=False)
             if any(pex):
                 parts[bi + 1] = e2
                 off = _vexadd(off, pex)
@@ -696,8 +625,8 @@ def com(t: GroupTower, g: Elem, h: Elem) -> Elem:
     while True:
         a = pg[2 * i]
         b = ph[2 * i]
-        Ba = pg[2 * i + 1] if 2 * i + 1 < len(pg) else None
-        Bb = ph[2 * i + 1] if 2 * i + 1 < len(ph) else None
+        Ba = _block_after(pg, i)
+        Bb = _block_after(ph, i)
         if equals(t, a, b):
             if Ba is None:
                 return g
@@ -731,12 +660,13 @@ def com(t: GroupTower, g: Elem, h: Elem) -> Elem:
                     t, Ba, [x - y for x, y in zip(Ba.offset, share)])
                 gb = block_material(
                     t, Bb, [x - y for x, y in zip(Bb.offset, share)])
-                ext = _com_ext(t,
-                               _mat(t, pg, i + 1, ga),
-                               _mat(t, ph, i + 1, gb))
-                out.append(ext)
+                sa = _stream(t, multiply(t, ga, pg[2 * i + 2]),
+                             _block_after(pg, i + 1))
+                sb = _stream(t, multiply(t, gb, ph[2 * i + 2]),
+                             _block_after(ph, i + 1))
+                out.append(_com_ext(t, sa, sb))
                 return build(t, L, out)
-            ext = _com_ext(t, _mat_head(t, Ba), _mat_head(t, Bb))
+            ext = _com_ext(t, _stream(t, EPS, Ba), _stream(t, EPS, Bb))
             out.append(multiply(t, a, ext))
             return build(t, L, out)
         w0 = com(t, a, b)
@@ -748,53 +678,36 @@ def com(t: GroupTower, g: Elem, h: Elem) -> Elem:
         if is_identity(ra):
             if Ba is None:
                 return g
-            ext = _com_ext(t, _mat_head(t, Ba), _mat_rem(t, ph, i, rb))
+            ext = _com_ext(t, _stream(t, EPS, Ba), _stream(t, rb, Bb))
         else:
             if Bb is None:
                 return h
-            ext = _com_ext(t, _mat_rem(t, pg, i, ra), _mat_head(t, Bb))
+            ext = _com_ext(t, _stream(t, ra, Ba), _stream(t, EPS, Bb))
         out.append(multiply(t, w0, ext))
         return build(t, L, out)
 
 
-def _mat_head(t, blk: Block):
-    """Materializer for the periodic head of a block (never exact)."""
-    p = head_period(t, blk)
-
-    def mk(K):
-        return pow_elem(t, p, K), False, lenvec(p)
-
-    return mk
+def _block_after(parts, ei):
+    """The block following element index ei of a parts list, or None."""
+    bi = 2 * ei + 1
+    return parts[bi] if bi < len(parts) else None
 
 
-def _mat(t, parts, ei, prefix: Elem):
-    """Materializer for prefix followed by the stream at element index ei."""
-    e = parts[2 * ei]
-    blk = parts[2 * ei + 1] if 2 * ei + 1 < len(parts) else None
-    base = multiply(t, prefix, e)
+def _stream(t, base: Elem, blk):
+    """Materializer for base followed by the periodic head of blk; exact
+    (base alone) when blk is None."""
     if blk is None:
         def mk_exact(K):
             return base, True, None
         return mk_exact
     p = head_period(t, blk)
+    if is_identity(base):
+        def mk_head(K):
+            return pow_elem(t, p, K), False, lenvec(p)
+        return mk_head
 
     def mk(K):
         return multiply(t, base, pow_elem(t, p, K)), False, lenvec(p)
-
-    return mk
-
-
-def _mat_rem(t, parts, ei, rem: Elem):
-    """Materializer for a partial element remainder before block ei."""
-    blk = parts[2 * ei + 1] if 2 * ei + 1 < len(parts) else None
-    if blk is None:
-        def mk_exact(K):
-            return rem, True, None
-        return mk_exact
-    p = head_period(t, blk)
-
-    def mk(K):
-        return multiply(t, rem, pow_elem(t, p, K)), False, lenvec(p)
 
     return mk
 
@@ -970,42 +883,6 @@ def commutes(t: GroupTower, g: Elem, h: Elem) -> bool:
     return equals(t, multiply(t, g, h), multiply(t, h, g))
 
 
-def strip_periodic(t: GroupTower, g: Elem, p: Elem, side: str) -> tuple[Elem, int]:
-    """Strip the maximal signed power of p from one end of g.
-
-    Returns (g', k) with g = g' o p^k (side="right") or g = p^k o g'
-    (side="left"); k is negative when inverse copies were stripped.
-    """
-    if is_identity(p):
-        raise ValueError("period must be nontrivial")
-    probe = begins_with if side == "left" else ends_with
-    count = 0
-    pinv = invert(t, p)
-    for _ in range(_GUARD):
-        ok, stripped = probe(t, g, p)
-        if ok:
-            g = stripped
-            count += 1
-            continue
-        ok, stripped = probe(t, g, pinv)
-        if ok:
-            g = stripped
-            count -= 1
-            continue
-        return g, count
-    raise EngineError("periodic strip did not stabilize")
-
-
-def first_letter(t: GroupTower, g: Elem):
-    """First base-layer letter of g's word (signed int), None for identity."""
-    if g.level == 1:
-        return g.word[0] if g.word else None
-    a = g.parts[0]
-    if not is_identity(a):
-        return first_letter(t, a)
-    return first_letter(t, head_period(t, g.parts[1]))
-
-
 # ---------------------------------------------------------------------------
 # centralizers
 
@@ -1047,59 +924,7 @@ def subgroup_gens(t: GroupTower, sub: AbelianSubgroup):
 
 
 # ---------------------------------------------------------------------------
-# tower construction and validation
-
-
-def extend_tower(t: GroupTower, name: str, source_gens, target_gens,
-                 level: int | None = None, aliases=None) -> GroupTower:
-    """Attach a stable letter conjugating <source_gens> onto <target_gens>.
-
-    Raises TowerRejection with a structural condition name when the data
-    cannot carry a free regular Z^n length function.
-    """
-    source_gens = tuple(source_gens)
-    target_gens = tuple(target_gens)
-    if not source_gens or len(source_gens) != len(target_gens):
-        raise TowerRejection("axis-mismatch",
-                             "source and target need equal positive rank")
-    for gens in (source_gens, target_gens):
-        hts = [height(t, x) for x in gens]
-        if any(h == 0 for h in hts):
-            raise TowerRejection("axis-trivial-generator")
-        if sorted(set(hts)) != hts:
-            raise TowerRejection("centralizer-not-graded",
-                                 f"heights {hts} must strictly increase")
-        for i, x in enumerate(gens):
-            if not is_cyclically_reduced(t, x):
-                raise TowerRejection("centralizer-not-cyclically-reduced")
-            for y in gens[i + 1:]:
-                if not commutes(t, x, y):
-                    raise TowerRejection("centralizer-not-abelian")
-    for a, b in zip(source_gens, target_gens):
-        if not veq(length(t, a), length(t, b)):
-            raise TowerRejection(
-                "phi-length-mismatch",
-                f"|phi(a)|={length(t, b)} differs from |a|={length(t, a)}")
-    u, v = source_gens[-1], target_gens[-1]
-    for w in (u, v):
-        _, k = primitive_root(t, w)
-        if k != 1:
-            raise TowerRejection("admissible-pair: proper-power")
-    if is_conjugate(t, u, invert(t, v)):
-        raise TowerRejection("admissible-pair: conjugate-to-inverse")
-    top = t.rank
-    if level is None:
-        level = top + 1
-    if level <= max(height(t, u), height(t, v)):
-        raise TowerRejection("level-too-low")
-    if level != top + 1 and not any(sl.level == level
-                                    for sl in t.letters.values()):
-        raise TowerRejection("level-gap", f"level {level} would leave a gap")
-    sl = StableLetter(name, level, source_gens, target_gens)
-    t2 = GroupTower(t.symbols, list(t.letters.values()) + [sl],
-                    {**t.aliases, **(aliases or {})})
-    validate_tower(t2)
-    return t2
+# tower validation
 
 
 def validate_tower(t: GroupTower) -> None:
@@ -1150,7 +975,7 @@ def validate_tower(t: GroupTower) -> None:
                 ui, uj = tops[i][1], tops[j][1]
                 if equals(t, ui, uj):
                     continue
-                if is_conjugate(t, ui, uj) and not equals(t, ui, uj):
+                if is_conjugate(t, ui, uj):
                     raise TowerRejection(
                         "centralizer-conflict",
                         "conjugate but unequal axes at one level")

@@ -78,3 +78,55 @@ def test_stacked_extension():
     assert t2.rank == 3
     assert T.length(t2, gen_elem(t2, "w")) == (0, 0, 1)
     assert T.verify_phi_conjugation(t2) == []
+
+
+def test_rejection_order_admissible_before_centralizer():
+    # rank-2 axes in a free group are never graded (both heights are 1), so
+    # each pair below also fails centralizer-not-graded; the admissible-pair
+    # condition on the top generators is reported first
+    t0 = free_ab()
+    a, b = gen_elem(t0, "a"), gen_elem(t0, "b")
+    a2, b2 = multiply(t0, a, a), multiply(t0, b, b)
+    ai = invert(t0, a)
+    for src, tgt, cond in (
+            ([b, a], [b, ai], "admissible-pair: conjugate-to-inverse"),
+            ([a, a2], [b, b2], "admissible-pair: proper-power")):
+        with pytest.raises(TowerRejection) as ei:
+            extend_hnn(t0, "z", src, tgt)
+        assert ei.value.condition == cond
+    with pytest.raises(TowerRejection) as ei:
+        extend_hnn(t0, "z", [b, a], [a, b])
+    assert ei.value.condition == "centralizer-not-graded"
+
+
+def test_rejection_order_rank_and_identity():
+    t0 = free_ab()
+    a, b = gen_elem(t0, "a"), gen_elem(t0, "b")
+    with pytest.raises(TowerRejection) as ei:
+        extend_hnn(t0, "z", [a], [a, invert(t0, a)])
+    assert ei.value.condition == "axis-mismatch"
+    for src, tgt in (([T.EPS], [a]), ([a], [T.EPS])):
+        with pytest.raises(ValueError):
+            extend_hnn(t0, "z", src, tgt)
+    with pytest.raises(TowerRejection) as ei:
+        extend_hnn(t0, "z", [T.EPS, a], [T.EPS, b])
+    assert ei.value.condition == "axis-trivial-generator"
+
+
+def test_admissibility_checked_once_across_rotations(monkeypatch):
+    # the raw nonorientable axes misalign, so extend_hnn retries rotations;
+    # the pair's admissibility is still checked only once
+    from znfree import hnn
+    calls = []
+    real = hnn.check_admissible
+    monkeypatch.setattr(hnn, "check_admissible",
+                        lambda *a: calls.append(a) or real(*a))
+    t0 = factory.free_tower(["x2", "x3"])
+    x2, x3 = gen_elem(t0, "x2"), gen_elem(t0, "x3")
+    q = multiply(t0, invert(t0, x3), x2)
+    with pytest.raises(TowerRejection) as ei:
+        extend_hnn(t0, "x1", [q], [multiply(t0, x2, x3)], auto_rotate=False)
+    assert ei.value.condition == "junction-misalignment"
+    t = extend_hnn(t0, "x1", [q], [multiply(t0, x2, x3)])
+    assert "x1" in t.letters
+    assert len(calls) == 2

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from znfree import axioms, tower as T
+from znfree import axioms, factory, tower as T
 from znfree.axioms import SampleSpec, sample_elements
 from znfree.wordexpr import parse_word, render
 
@@ -174,3 +174,28 @@ def test_pow_elem(all_towers):
                 acc = T.multiply(t, acc, g)
             assert T.equals(t, T.pow_elem(t, g, -2),
                             T.invert(t, T.pow_elem(t, g, 2)))
+
+
+def test_peel_splits_axis_material(all_towers, fa3, t1):
+    # the peel factors e = gens_power(exps) o e' (left end) or
+    # e = e' o gens_power(exps) (right end) over each letter's two axes;
+    # in the free product, z3's axis meets level-2 elements whose two outer
+    # blocks differ
+    fp = factory.free_product(fa3, t1)
+    peeled = {False: 0, True: 0}
+    for t in list(all_towers.values()) + [fp]:
+        gs = sample_elements(t, SampleSpec(seed=6, samples=12))
+        for sl in t.letters.values():
+            for gens in (sl.source_gens, sl.target_gens):
+                for g in gs:
+                    c = gens[len(g.key) % len(gens)]
+                    cands = (g, T.multiply(t, g, c),
+                             T.multiply(t, T.pow_elem(t, c, -2), g))
+                    for e in cands:
+                        for right in (False, True):
+                            rest, exps = T._peel(t, e, gens, right=right)
+                            mat = T.gens_power(t, gens, exps)
+                            pair = (rest, mat) if right else (mat, rest)
+                            assert T.equals(t, e, T.multiply(t, *pair))
+                            peeled[right] += any(exps)
+    assert peeled[False] and peeled[True]
