@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .lamvec import vadd, vcmp, veq, vhalf, vsub
+from .lamvec import vadd, vcmp, veq, vhalf
 from . import tower as T
 from .tower import Elem, GroupTower
 from .wordexpr import render

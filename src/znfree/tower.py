@@ -21,6 +21,15 @@ kept here are fully reduced:
 
 With these constraints lengths are additive over the parts, which is what
 makes every length/height computation exact.
+
+A block's head, tail and offset periods are its letter's axis generators or
+their inverses, constants of the tower.  Each GroupTower keeps a private
+table, letter name -> (inverses of source_gens, inverses of target_gens),
+that `_inverse_axes` fills for a letter on first use; towers are never
+changed after construction, so an entry never goes stale.  The table is
+never filled in `GroupTower.__init__`: construction runs before
+`validate_tower`, and inverting the axes of an invalid tower could raise
+EngineError before the tower's named TowerRejection.
 """
 
 from __future__ import annotations
@@ -171,6 +180,7 @@ class GroupTower:
             self.letters[sl.name] = sl
         self.rank = max([1] + [sl.level for sl in self.letters.values()])
         self.aliases = dict(aliases or {})
+        self._inverse_axes: dict[str, tuple[tuple, tuple]] = {}
 
     def letters_by_level(self):
         return sorted(self.letters.values(), key=lambda s: (s.level, s.name))
@@ -206,22 +216,41 @@ def letter_elem(t: GroupTower, name: str, sign: int = 1) -> Elem:
 # periods of a signed letter
 
 
+def _inverse_axes(t: GroupTower, name: str) -> tuple[tuple, tuple]:
+    """(inverses of source_gens, inverses of target_gens) of a letter, from
+    the tower's table; computed on first use."""
+    inv = t._inverse_axes.get(name)
+    if inv is None:
+        sl = t.letters[name]
+        inv = (tuple(invert(t, a) for a in sl.source_gens),
+               tuple(invert(t, b) for b in sl.target_gens))
+        t._inverse_axes[name] = inv
+    return inv
+
+
 def head_period(t: GroupTower, blk: Block) -> Elem:
     """Period of the infinite head the block's value begins with."""
-    sl = t.letters[blk.letter]
-    return sl.u if blk.sign > 0 else invert(t, sl.v)
+    if blk.sign > 0:
+        return t.letters[blk.letter].u
+    return _inverse_axes(t, blk.letter)[1][-1]
 
 
 def tail_period(t: GroupTower, blk: Block) -> Elem:
     """Period word appended at the block's tail (read forward)."""
-    sl = t.letters[blk.letter]
-    return sl.v if blk.sign > 0 else invert(t, sl.u)
+    if blk.sign > 0:
+        return t.letters[blk.letter].v
+    return _inverse_axes(t, blk.letter)[0][-1]
 
 
 def offset_periods(t: GroupTower, blk: Block) -> tuple:
     """Per-component elements whose signed powers the offsets count."""
     sl = t.letters[blk.letter]
     return sl.target_gens if blk.sign > 0 else sl.source_gens
+
+
+def _inverse_offset_periods(t: GroupTower, blk: Block) -> tuple:
+    """The inverses of offset_periods(t, blk), in the same order."""
+    return _inverse_axes(t, blk.letter)[1 if blk.sign > 0 else 0]
 
 
 def block_material(t: GroupTower, blk: Block, exps=None) -> Elem:
@@ -317,7 +346,12 @@ def lam_len(t: GroupTower, g: Elem) -> int:
     return vat(lenvec(g), t.rank)
 
 
-def _additive(t, a: Elem, b: Elem) -> tuple[bool, Elem]:
+def _additive(t, a: Elem, b: Elem) -> tuple[bool, Elem | None]:
+    """Whether lengths add in a*b, and the product when they do not (None
+    may stand for the product when they do)."""
+    if a.level == 1 and b.level == 1 and (
+            not a.word or not b.word or a.word[-1] != -b.word[0]):
+        return True, None  # reduced words: only the junction can cancel
     prod = multiply(t, a, b)
     return veq(lenvec(prod), vadd(lenvec(a), lenvec(b))), prod
 
@@ -525,6 +559,7 @@ def _margin_pass(t, parts) -> bool:
         tp = tail_period(t, blk)
         off = list(blk.offset)
         pers = offset_periods(t, blk)
+        ipers = _inverse_offset_periods(t, blk)
         nxt = parts[bi + 2] if bi + 2 < len(parts) else None
 
         def _right_claims(e):
@@ -546,7 +581,7 @@ def _margin_pass(t, parts) -> bool:
             # right of the junction (rightward flow)
             j = next((i for i in range(len(off)) if off[i]), None)
             if j is not None:
-                unit = pers[j] if off[j] > 0 else invert(t, pers[j])
+                unit = pers[j] if off[j] > 0 else ipers[j]
                 addu, produ = _additive(t, unit, e)
                 if not addu and _right_claims(produ):
                     parts[bi + 1] = produ
@@ -951,7 +986,8 @@ def validate_tower(t: GroupTower) -> None:
     # head/tail periods of any lower letter, otherwise neighbors with
     # matching infinite periodic tails defeat margin stabilization
     def _directions(sl):
-        return [sl.u, invert(t, sl.u), sl.v, invert(t, sl.v)]
+        inv_src, inv_tgt = _inverse_axes(t, sl.name)
+        return [sl.u, inv_src[-1], sl.v, inv_tgt[-1]]
 
     for sl in t.letters.values():
         for lower in t.letters.values():

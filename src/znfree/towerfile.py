@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 
-from . import tower as T
 from .hnn import extend_hnn
 from .tower import GroupTower, base_tower
 from .wordexpr import parse_word, render

@@ -3,9 +3,12 @@
 import random
 
 import pytest
+from hypothesis import example, given, strategies as st
 
-from znfree import axioms, factory, tower as T
+from znfree import axioms, factory, tower as T, words as Wd
 from znfree.axioms import SampleSpec, sample_elements
+from znfree.hnn import extend_hnn
+from znfree.lamvec import vadd
 from znfree.wordexpr import parse_word, render
 
 
@@ -199,3 +202,80 @@ def test_peel_splits_axis_material(all_towers, fa3, t1):
                             assert T.equals(t, e, T.multiply(t, *pair))
                             peeled[right] += any(exps)
     assert peeled[False] and peeled[True]
+
+
+def test_inverse_axis_table(all_towers, fa3, t1):
+    # every period a block reads from the tower's table is the fresh value,
+    # and the same object on every call
+    towers = {**all_towers, "fa5": factory.free_abelian(5),
+              "fp": factory.free_product(fa3, t1)}
+    for tname, t in towers.items():
+        for name, sl in t.letters.items():
+            for sign in (1, -1):
+                blk = T.Block(name, sign, T.zero_offset(t, name))
+                where = f"{tname}: letter {name}, sign {sign:+d}"
+                head = sl.u if sign > 0 else T.invert(t, sl.v)
+                tail = sl.v if sign > 0 else T.invert(t, sl.u)
+                assert T.head_period(t, blk).key == head.key, f"{where}, head"
+                assert T.tail_period(t, blk).key == tail.key, f"{where}, tail"
+                assert T.head_period(t, blk) is T.head_period(t, blk), (
+                    f"{where}, head recomputed")
+                assert T.tail_period(t, blk) is T.tail_period(t, blk), (
+                    f"{where}, tail recomputed")
+                side = "target" if sign > 0 else "source"
+                pers = T.offset_periods(t, blk)
+                inv = T._inverse_offset_periods(t, blk)
+                assert len(inv) == len(pers), f"{where}, {side} side"
+                for j, (p, q) in enumerate(zip(pers, inv)):
+                    assert q.key == T.invert(t, p).key, (
+                        f"{where}, inverse of {side} generator {j}")
+                    assert T._inverse_offset_periods(t, blk)[j] is q, (
+                        f"{where}, inverse of {side} generator {j} "
+                        "recomputed")
+
+
+def test_inverse_axis_table_per_tower():
+    # an extension gets its own table; using it leaves the parent's alone
+    fa3 = factory.free_abelian(3)
+    axis = [T.gen_elem(fa3, s) for s in ("a", "z2", "z3")]
+    fa4 = extend_hnn(fa3, "z4", axis, axis)
+    assert fa4._inverse_axes is not fa3._inverse_axes
+    before = dict(fa3._inverse_axes)
+    gs = sample_elements(fa4, SampleSpec(seed=7, samples=20))
+    for g, h in zip(gs, gs[1:]):
+        T.multiply(fa4, T.invert(fa4, g), h)
+    for name in fa4.letters:
+        T.head_period(fa4, T.Block(name, -1, T.zero_offset(fa4, name)))
+    assert set(fa4._inverse_axes) == set(fa4.letters)
+    assert fa3._inverse_axes.keys() == before.keys()
+    for name, inv in before.items():
+        assert fa3._inverse_axes[name] is inv, f"parent entry {name} replaced"
+
+
+def _reduced(seq):
+    w = Wd.EPS
+    for x in seq:
+        w = Wd.w_mul(w, (x,))
+    return w
+
+
+reduced_words = st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]),
+                         max_size=8).map(_reduced)
+word_pairs = st.one_of(st.tuples(reduced_words, reduced_words),
+                       reduced_words.map(lambda w: (w, Wd.w_inv(w))))
+F3 = factory.free_tower(["a", "b", "c"])
+
+
+@given(word_pairs)
+@example(((), ()))
+@example(((), (1,)))
+@example(((1,), (-1,)))
+@example(((1,), (2,)))
+@example(((1, 2), (-2, -1)))
+def test_additive_on_words(pair):
+    a, b = (T.word_elem(w) for w in pair)
+    add, prod = T._additive(F3, a, b)
+    full = T.multiply(F3, a, b)
+    assert add == (T.lenvec(full) == vadd(T.lenvec(a), T.lenvec(b)))
+    if not add:
+        assert prod.key == full.key
