@@ -55,7 +55,6 @@ from .hnn import AdmissibilityReport, check_admissible, extend_hnn
 from .nielsen import (
     GenSet,
     Inapplicable,
-    ReduceOptions,
     ball,
     is_reduced,
     lambda_weight,

@@ -10,11 +10,18 @@ the centralizer elements needed for the conjugation-closure condition.
 Every move records a witness: each removed generator is expressed as an
 explicit product over the surviving set, so subgroup preservation can be
 re-verified from the log alone.
+
+The searches over weight-zero multipliers h have one owner each, read by
+both the reduction loop and is_reduced: _shared_heads yields the (b) records
+(the mu candidates), _self_overlaps the self-overlaps, whose partial ones
+are (c) records and eta candidates and whose total ones feed the closure and
+(d).  When the loop's last pass finds no (d) record either, its result is
+certified: GenSet.reduced_at holds the h-radius at which (a)-(d) are known
+to hold (None on every new set), and pregroup trusts it.  is_reduced never
+reads it, so it stays an independent check of reduce_genset.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from . import tower as T
 from .tower import Elem, EPS
@@ -43,6 +50,7 @@ class GenSet:
             seen[gi.key] = gi
         self.elements = tuple(sorted(seen.values(), key=lambda g: render(t, g)))
         self.witness_log = list(witness_log or [])
+        self.reduced_at = None  # see the module docstring
 
     def __iter__(self):
         return iter(self.elements)
@@ -301,119 +309,130 @@ def nu(Y: GenSet, f: Elem) -> GenSet:
 # the reduction loop
 
 
-@dataclass
-class ReduceOptions:
-    h_radius: int = 3
-    max_augment: int = 8
+H_RADIUS = 3  # radius of the weight-zero multiplier ball
+_MAX_AUGMENT = 8
 
 
-def _find_mu(Y, hs):
+def _shared_heads(Y, hs, f):
+    """(g, h), g != f positive, with com(f, h*g) of positive weight."""
     t = Y.tower
-    pos = Y.positive()
-    best = None
-    for f in pos:
-        for g in pos:
-            if f.key == g.key:
-                continue
-            for h in hs:
-                hg = T.multiply(t, h, g)
-                u = T.com(t, f, hg)
-                if T.lam_len(t, u) > 0:
-                    key = (render(t, f), render(t, g), render(t, h))
-                    if best is None or key < best[0]:
-                        best = (key, f, g, h)
-    return best
-
-
-def _find_nu(Y):
-    t = Y.tower
-    best = None
-    for f in Y.pair_reps(Y.positive()):
-        if not T.is_cyclically_reduced(t, f):
-            key = render(t, f)
-            if best is None or key < best[0]:
-                best = (key, f)
-    return best
-
-
-def _find_eta(Y, hs):
-    t = Y.tower
-    best = None
-    for f in Y.positive():
+    for g in Y.positive():
+        if g.key == f.key:
+            continue
         for h in hs:
-            u = T.com(t, f, T.multiply(t, h, f))
-            if 0 < T.lam_len(t, u) < T.lam_len(t, f):
-                key = (render(t, f), render(t, h))
-                if best is None or key < best[0]:
-                    best = (key, f, h)
-    return best
+            if T.lam_len(t, T.com(t, f, T.multiply(t, h, g))) > 0:
+                yield g, h
 
 
-def _augment_closure(Y: GenSet, hs, opts) -> GenSet:
-    """Add the centralizer elements making condition (d) hold: whenever a
-    positive generator is weight-preservingly conjugated by some h of the
-    weight-zero subgroup, keep the conjugation inside that subgroup."""
+def _self_overlaps(Y, hs):
+    """(f, h, u), f positive, with u = com(f, h*f) of positive weight; h = 1
+    is skipped, as it overlaps f totally and conjugates it trivially."""
     t = Y.tower
-    added = []
-    zero = Y.zero()
+    out = []
     for f in Y.positive():
-        fi = T.invert(t, f)
         for h in hs:
             if T.is_identity(h):
                 continue
             u = T.com(t, f, T.multiply(t, h, f))
-            if T.lam_len(t, u) != T.lam_len(t, f) or T.lam_len(t, u) == 0:
-                continue
-            x = T.multiply(t, T.multiply(t, fi, h), f)
-            if T.lam_len(t, x) != 0:
-                continue
-            if subgroup_contains(t, zero + added, x, opts.h_radius):
-                continue
-            cen = T.centralizer(t, h)
-            for c in T.subgroup_gens(t, cen):
-                if T.lam_len(t, c) == 0:
-                    added.append(c)
-                    added.append(T.multiply(t, T.multiply(t, fi, c), f))
+            if T.lam_len(t, u) > 0:
+                out.append((f, h, u))
+    return out
+
+
+def _find_mu(Y, hs):
+    t = Y.tower
+    return min(((f, g, h) for f in Y.positive()
+                for g, h in _shared_heads(Y, hs, f)),
+               key=lambda c: [render(t, x) for x in c], default=None)
+
+
+def _find_nu(Y):
+    t = Y.tower
+    return min((f for f in Y.pair_reps(Y.positive())
+                if not T.is_cyclically_reduced(t, f)),
+               key=lambda f: render(t, f), default=None)
+
+
+def _find_eta(t, overlaps):
+    return min(((f, h) for f, h, u in overlaps
+                if T.lam_len(t, u) < T.lam_len(t, f)),
+               key=lambda c: [render(t, x) for x in c], default=None)
+
+
+def _escapes(t, zero, f, h, h_radius):
+    """f^-1 * h * f, or None when it lies in <zero>."""
+    x = T.multiply(t, T.multiply(t, T.invert(t, f), h), f)
+    if T.lam_len(t, x) == 0 and subgroup_contains(t, zero, x, h_radius):
+        return None
+    return x
+
+
+def _augment_closure(Y: GenSet, overlaps, h_radius):
+    """Add the centralizer elements making condition (d) hold: whenever a
+    positive generator is weight-preservingly conjugated by some h of the
+    weight-zero subgroup, keep the conjugation inside that subgroup.
+    Returns the enlarged set, or Y and whether (d) already held."""
+    t = Y.tower
+    added = []
+    zero = Y.zero()
+    held = True
+    for f, h, u in overlaps:
+        if T.lam_len(t, u) != T.lam_len(t, f):
+            continue
+        x = _escapes(t, zero + added, f, h, h_radius)
+        if x is None:
+            continue
+        held = False
+        if T.lam_len(t, x) != 0:
+            continue
+        fi = T.invert(t, f)
+        for c in T.subgroup_gens(t, T.centralizer(t, h)):
+            if T.lam_len(t, c) == 0:
+                added.append(c)
+                added.append(T.multiply(t, T.multiply(t, fi, c), f))
     if not added:
-        return Y
+        return Y, held
     entry = {"op": "augment",
              "params": [],
              "witnesses": [],
              "added": [render(t, x) for x in added]}
-    return Y.replace([], added, entry)
+    return Y.replace([], added, entry), False
 
 
-def reduce_genset(t, Y, options: ReduceOptions | None = None) -> GenSet:
+def reduce_genset(t, Y, h_radius: int = H_RADIUS) -> GenSet:
     """Apply the three moves to exhaustion, then close the weight-zero part.
 
     Halts within (initial weight)^2 move applications; a failure to do so is
-    an internal error, never silent looping."""
+    an internal error, never silent looping.  The result is certified when
+    the last pass, which finds nothing to do, finds no (d) record either."""
     if not isinstance(Y, GenSet):
         Y = GenSet(t, Y)
-    opts = options or ReduceOptions()
     bound = max(1, lambda_weight(Y)) ** 2
     steps = 0
     augments = 0
     while True:
-        hs = ball(t, Y.zero(), opts.h_radius)
+        hs = ball(t, Y.zero(), h_radius)
         cand = _find_mu(Y, hs)
         if cand is not None:
-            Y = mu(Y, cand[1], cand[2], cand[3])
+            Y = mu(Y, *cand)
         else:
             cand = _find_nu(Y)
             if cand is not None:
-                Y = nu(Y, cand[1])
+                Y = nu(Y, cand)
             else:
-                cand = _find_eta(Y, hs)
+                overlaps = _self_overlaps(Y, hs)
+                cand = _find_eta(t, overlaps)
                 if cand is not None:
-                    Y = eta(Y, cand[1], cand[2])
+                    Y = eta(Y, *cand)
                 else:
-                    Y2 = _augment_closure(Y, hs, opts)
+                    Y2, held = _augment_closure(Y, overlaps, h_radius)
                     if Y2 is Y:
+                        if held:
+                            Y.reduced_at = h_radius
                         return Y
                     Y = Y2
                     augments += 1
-                    if augments > opts.max_augment:
+                    if augments > _MAX_AUGMENT:
                         raise T.EngineError(
                             "closure augmentation did not stabilize")
                     continue
@@ -423,7 +442,7 @@ def reduce_genset(t, Y, options: ReduceOptions | None = None) -> GenSet:
                 f"reduction exceeded its step bound ({bound})")
 
 
-def is_reduced(t, Y, h_radius: int = 3) -> list[str]:
+def is_reduced(t, Y, h_radius: int = H_RADIUS) -> list[str]:
     """Violations of the reducedness conditions (empty list = reduced).
 
     (a) every positive generator is cyclically reduced; (b) distinct
@@ -431,45 +450,27 @@ def is_reduced(t, Y, h_radius: int = 3) -> list[str]:
     weight-zero multiplier; (c) a positive-weight self-overlap is total;
     (d) total self-overlaps conjugate back into the weight-zero subgroup.
     The weight-zero multipliers h are enumerated in a ball, so (b)-(d) are
-    sound but bounded."""
+    sound but bounded.  Always a full scan: Y.reduced_at is not read."""
     if not isinstance(Y, GenSet):
         Y = GenSet(t, Y)
-    lam = lambda x: T.lam_len(t, x)  # noqa: E731
     out = []
-    pos = Y.positive()
     zero = Y.zero()
     hs = ball(t, zero, h_radius)
-    for f in Y.pair_reps(pos):
+    for f in Y.pair_reps(Y.positive()):
         if not T.is_cyclically_reduced(t, f):
             out.append(f"(a) not cyclically reduced: {render(t, f)}")
-    for f in pos:
-        for g in pos:
-            if f.key == g.key:
-                continue
-            for h in hs:
-                u = T.com(t, f, T.multiply(t, h, g))
-                if lam(u) > 0:
-                    out.append(
-                        f"(b) shared head: f={render(t, f)} g={render(t, g)}"
-                        f" h={render(t, h)}")
-                    break
-            else:
-                continue
+    for f in Y.positive():
+        for g, h in _shared_heads(Y, hs, f):
+            out.append(f"(b) shared head: f={render(t, f)} g={render(t, g)}"
+                       f" h={render(t, h)}")
             break
-    for f in pos:
-        fi = T.invert(t, f)
-        for h in hs:
-            u = T.com(t, f, T.multiply(t, h, f))
-            if lam(u) == 0:
-                continue
-            if lam(u) != lam(f):
-                out.append(f"(c) partial self-overlap: f={render(t, f)} "
-                           f"h={render(t, h)}")
-                continue
-            x = T.multiply(t, T.multiply(t, fi, h), f)
-            if not subgroup_contains(t, zero, x, h_radius):
-                out.append(f"(d) conjugate escapes the weight-zero part: "
-                           f"f={render(t, f)} h={render(t, h)}")
+    for f, h, u in _self_overlaps(Y, hs):
+        if T.lam_len(t, u) != T.lam_len(t, f):
+            out.append(f"(c) partial self-overlap: f={render(t, f)} "
+                       f"h={render(t, h)}")
+        elif _escapes(t, zero, f, h, h_radius) is not None:
+            out.append(f"(d) conjugate escapes the weight-zero part: "
+                       f"f={render(t, f)} h={render(t, h)}")
     return out
 
 

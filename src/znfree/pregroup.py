@@ -42,12 +42,12 @@ class LevelSplit:
 def _require_reduced(t, Z):
     if not isinstance(Z, N.GenSet):
         Z = N.GenSet(t, Z)
-    if getattr(Z, "_checked_reduced", False):
-        return Z
-    bad = N.is_reduced(t, Z)
-    if bad:
-        raise T.TowerRejection("generating-set-not-reduced", "; ".join(bad))
-    Z._checked_reduced = True
+    if Z.reduced_at != N.H_RADIUS:
+        bad = N.is_reduced(t, Z, N.H_RADIUS)
+        if bad:
+            raise T.TowerRejection("generating-set-not-reduced",
+                                   "; ".join(bad))
+        Z.reduced_at = N.H_RADIUS
     return Z
 
 
@@ -62,12 +62,6 @@ def _top_parts(t, x: Elem):
 def _skeleton(t, x):
     return [(p.letter, p.sign) for p in _top_parts(t, x)
             if isinstance(p, T.Block)]
-
-
-def _left_cross_gens(t, blk: T.Block):
-    """Axis generators that commute across the block from the left."""
-    sl = t.letters[blk.letter]
-    return sl.source_gens if blk.sign > 0 else sl.target_gens
 
 
 @dataclass
@@ -95,17 +89,17 @@ def decompose(t, Z, x: Elem, radius: int = 8) -> Decomposition | None:
     sk = _skeleton(t, x)
     px = _top_parts(t, x)
     p0 = px[0]
+    # axis generators that commute across the first block from the left
+    gens = T._axes(t, next(p for p in px if isinstance(p, T.Block)))[0]
+    cands = sorted(itertools.product(range(-radius, radius + 1),
+                                     repeat=len(gens)),
+                   key=lambda e: sum(abs(v) for v in e))
     for f in Z.positive():
         if T.lam_len(t, f) != lam or _skeleton(t, f) != sk:
             continue
         q0 = _top_parts(t, f)[0]
-        blk1 = next(p for p in px if isinstance(p, T.Block))
-        gens = _left_cross_gens(t, blk1)
         base = T.multiply(t, p0, T.invert(t, q0))
         fi = T.invert(t, f)
-        ranges = [range(-radius, radius + 1)] * len(gens)
-        cands = sorted(itertools.product(*ranges),
-                       key=lambda e: sum(abs(v) for v in e))
         for exps in cands:
             w = EPS
             for e, a in zip(exps, gens):

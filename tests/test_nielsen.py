@@ -71,6 +71,18 @@ def test_is_reduced_reports_violations(t1):
     assert any(v.startswith("(a)") for v in N.is_reduced(t1, Y2))
     Y3 = gens(t1, "a*z", "b*z", "a", "b")
     assert any(v.startswith("(b)") for v in N.is_reduced(t1, Y3))
+    bad = N.is_reduced(t1, gens(t1, "z*z", "a"))
+    assert len(bad) == 6
+    assert all(v.startswith("(c) partial self-overlap: f=z*z h=")
+               for v in bad)
+    assert bad[0] == "(c) partial self-overlap: f=z*z h=a"
+
+
+def test_eta_move_through_reduce(t1):
+    R = N.reduce_genset(t1, gens(t1, "z^-1*a*z^-1", "b^-2"))
+    assert [e["op"] for e in R.witness_log] == ["eta", "mu", "augment"]
+    assert N.is_reduced(t1, R) == []
+    assert N.verify_witnesses(t1, R)
 
 
 def test_canonical_sets_are_reduced(t1, t_ab, fa3, surf2, ns3):
@@ -83,6 +95,47 @@ def test_canonical_sets_are_reduced(t1, t_ab, fa3, surf2, ns3):
     ]
     for t, ss in cases:
         assert N.is_reduced(t, gens(t, *ss)) == []
+
+
+def test_reduce_certifies_its_radius(t1, t_ab, fa3, surf2, ns3):
+    cases = [
+        (t1, ["a", "b", "z"]),
+        (t_ab, ["a", "z"]),
+        (fa3, ["a", "z2", "z3"]),
+        (surf2, ["x2", "x3", "x4", "x1"]),
+        (ns3, ["x2", "x3", "x1r"]),
+        (t1, ["z^-1*a*z^-1", "b^-2"]),
+    ]
+    for t, ss in cases:
+        Y = gens(t, *ss)
+        assert Y.reduced_at is None
+        for h_radius in (2, N.H_RADIUS):
+            R = N.reduce_genset(t, Y, h_radius=h_radius)
+            assert R.reduced_at == h_radius, ss
+            assert N.is_reduced(t, R, h_radius) == [], ss
+
+
+def test_new_sets_carry_no_certificate(t1):
+    R = N.reduce_genset(t1, gens(t1, "a*z", "b*z"))
+    assert R.reduced_at == N.H_RADIUS
+    assert N.GenSet(t1, R).reduced_at is None
+    assert R.replace([], [W(t1, "a")], {"op": "test"}).reduced_at is None
+
+
+def test_reduce_without_closure_is_not_certified(t1, monkeypatch):
+    # with no centralizer elements to add, the closure step adds nothing
+    # while (d) still fails: the loop stops, but certifies nothing
+    monkeypatch.setattr(T, "subgroup_gens", lambda t, cen: [])
+    R = N.reduce_genset(t1, gens(t1, "a", "z"))
+    assert [e["op"] for e in R.witness_log] == []
+    assert R.reduced_at is None
+    assert any(v.startswith("(d)") for v in N.is_reduced(t1, R))
+
+
+def test_is_reduced_ignores_the_certificate(t1):
+    Y = gens(t1, "a", "z")
+    Y.reduced_at = N.H_RADIUS
+    assert any(v.startswith("(d)") for v in N.is_reduced(t1, Y))
 
 
 def test_subgroup_contains_exact_base(t1):

@@ -27,9 +27,58 @@ def test_membership_examples(t1):
 
 def test_membership_requires_reduced(t1):
     Z = zset(t1, "a", "z")  # missing b: not reduced
-    with pytest.raises(TowerRejection) as ei:
-        P.pz_membership(t1, Z, W(t1, "a"))
-    assert ei.value.condition == "generating-set-not-reduced"
+    for _ in range(2):  # a failed scan leaves no certificate behind
+        with pytest.raises(TowerRejection) as ei:
+            P.pz_membership(t1, Z, W(t1, "a"))
+        assert ei.value.condition == "generating-set-not-reduced"
+        assert Z.reduced_at is None
+
+
+def _count_scans(monkeypatch):
+    calls = []
+    real = N.is_reduced
+
+    def counting(t, Y, h_radius=N.H_RADIUS):
+        calls.append(h_radius)
+        return real(t, Y, h_radius)
+
+    monkeypatch.setattr(N, "is_reduced", counting)
+    return calls
+
+
+def _use_pieces(t, Z):
+    P.split_level(t, Z)
+    P.pz_membership(t, Z, W(t, "a*z*b"))
+    P.pz_product_defined(t, Z, W(t, "z*b"), W(t, "b^-1*z^-1"))
+    P.reduce_psequence(t, Z, P.PSequence([W(t, "z"), W(t, "a*z")]))
+
+
+def test_certified_set_is_not_scanned(t1, monkeypatch):
+    R = N.reduce_genset(t1, zset(t1, "a*z", "b*z"))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("is_reduced ran on a certified set")
+
+    monkeypatch.setattr(N, "is_reduced", refuse)
+    _use_pieces(t1, R)
+
+
+def test_uncertified_set_is_scanned_once(t1, monkeypatch):
+    calls = _count_scans(monkeypatch)
+    Z = zset(t1, "a", "b", "z")
+    _use_pieces(t1, Z)
+    _use_pieces(t1, Z)
+    assert calls == [N.H_RADIUS]
+    assert Z.reduced_at == N.H_RADIUS
+
+
+def test_other_radius_is_scanned_again(t1, monkeypatch):
+    R = N.reduce_genset(t1, zset(t1, "a*z", "b*z"), h_radius=2)
+    assert R.reduced_at == 2
+    calls = _count_scans(monkeypatch)
+    _use_pieces(t1, R)
+    assert calls == [N.H_RADIUS]
+    assert R.reduced_at == N.H_RADIUS
 
 
 def test_product_defined_examples(t1):
