@@ -15,7 +15,14 @@ The searches over weight-zero multipliers h have one owner each, read by
 both the reduction loop and is_reduced: _shared_heads yields the (b) records
 (the mu candidates), _self_overlaps the self-overlaps, whose partial ones
 are (c) records and eta candidates and whose total ones feed the closure and
-(d).  When the loop's last pass finds no (d) record either, its result is
+(d).  Each pass of the loop, and each is_reduced call, multiplies every
+positive generator g by every multiplier h once, into one table that both
+scanners read.  Whether com(f, h*g) has positive weight is decided by
+tower._heads_meet from the first margin and block of the two normal forms,
+so the (b) scan builds no com at all and the overlap scan builds one only
+for each positive-weight overlap, whose head u it keeps.
+
+When the loop's last pass finds no (d) record either, its result is
 certified: GenSet.reduced_at holds the h-radius at which (a)-(d) are known
 to hold (None on every new set), and pregroup trusts it.  is_reduced never
 reads it, so it stays an independent check of reduce_genset.
@@ -313,36 +320,41 @@ H_RADIUS = 3  # radius of the weight-zero multiplier ball
 _MAX_AUGMENT = 8
 
 
-def _shared_heads(Y, hs, f):
+def _products(Y, hs):
+    """{g.key: [(h, h*g) for h in hs]} over the positive generators g: the
+    one product table that a pass's scans read."""
+    t = Y.tower
+    return {g.key: [(h, T.multiply(t, h, g)) for h in hs]
+            for g in Y.positive()}
+
+
+def _shared_heads(Y, prods, f):
     """(g, h), g != f positive, with com(f, h*g) of positive weight."""
     t = Y.tower
     for g in Y.positive():
         if g.key == f.key:
             continue
-        for h in hs:
-            if T.lam_len(t, T.com(t, f, T.multiply(t, h, g))) > 0:
+        for h, hg in prods[g.key]:
+            if T._heads_meet(t, f, hg):
                 yield g, h
 
 
-def _self_overlaps(Y, hs):
+def _self_overlaps(Y, prods):
     """(f, h, u), f positive, with u = com(f, h*f) of positive weight; h = 1
     is skipped, as it overlaps f totally and conjugates it trivially."""
     t = Y.tower
     out = []
     for f in Y.positive():
-        for h in hs:
-            if T.is_identity(h):
-                continue
-            u = T.com(t, f, T.multiply(t, h, f))
-            if T.lam_len(t, u) > 0:
-                out.append((f, h, u))
+        for h, hf in prods[f.key]:
+            if not T.is_identity(h) and T._heads_meet(t, f, hf):
+                out.append((f, h, T.com(t, f, hf)))
     return out
 
 
-def _find_mu(Y, hs):
+def _find_mu(Y, prods):
     t = Y.tower
     return min(((f, g, h) for f in Y.positive()
-                for g, h in _shared_heads(Y, hs, f)),
+                for g, h in _shared_heads(Y, prods, f)),
                key=lambda c: [render(t, x) for x in c], default=None)
 
 
@@ -411,8 +423,8 @@ def reduce_genset(t, Y, h_radius: int = H_RADIUS) -> GenSet:
     steps = 0
     augments = 0
     while True:
-        hs = ball(t, Y.zero(), h_radius)
-        cand = _find_mu(Y, hs)
+        prods = _products(Y, ball(t, Y.zero(), h_radius))
+        cand = _find_mu(Y, prods)
         if cand is not None:
             Y = mu(Y, *cand)
         else:
@@ -420,7 +432,7 @@ def reduce_genset(t, Y, h_radius: int = H_RADIUS) -> GenSet:
             if cand is not None:
                 Y = nu(Y, cand)
             else:
-                overlaps = _self_overlaps(Y, hs)
+                overlaps = _self_overlaps(Y, prods)
                 cand = _find_eta(t, overlaps)
                 if cand is not None:
                     Y = eta(Y, *cand)
@@ -455,16 +467,16 @@ def is_reduced(t, Y, h_radius: int = H_RADIUS) -> list[str]:
         Y = GenSet(t, Y)
     out = []
     zero = Y.zero()
-    hs = ball(t, zero, h_radius)
+    prods = _products(Y, ball(t, zero, h_radius))
     for f in Y.pair_reps(Y.positive()):
         if not T.is_cyclically_reduced(t, f):
             out.append(f"(a) not cyclically reduced: {render(t, f)}")
     for f in Y.positive():
-        for g, h in _shared_heads(Y, hs, f):
+        for g, h in _shared_heads(Y, prods, f):
             out.append(f"(b) shared head: f={render(t, f)} g={render(t, g)}"
                        f" h={render(t, h)}")
             break
-    for f, h, u in _self_overlaps(Y, hs):
+    for f, h, u in _self_overlaps(Y, prods):
         if T.lam_len(t, u) != T.lam_len(t, f):
             out.append(f"(c) partial self-overlap: f={render(t, f)} "
                        f"h={render(t, h)}")

@@ -722,6 +722,28 @@ def com(t: GroupTower, g: Elem, h: Elem) -> Elem:
         return build(t, L, out)
 
 
+def _heads_meet(t: GroupTower, g: Elem, h: Elem) -> bool:
+    """Whether com(t, g, h) has positive top weight, without building it."""
+    # At rank 1 the weight is the word length, so the heads meet when both
+    # words start with the same letter.  Above it the top weight counts the
+    # top-level blocks, and as in Britton's normal form (Lyndon-Schupp IV.2)
+    # the first margin and the first block decide whether a common initial
+    # segment holds one.  com keeps a top block only when both elements lie
+    # at the top level, their first margins are equal and their first
+    # blocks have the same letter and sign: it then keeps that block, or a
+    # shared part of it, whose length has top coordinate 1.  Every other
+    # branch of com (a lower-level element, different margins, or a
+    # different letter or sign) ends in a lower-level common extension, of
+    # top weight 0.
+    if t.rank == 1:
+        return bool(g.word) and g.word[:1] == h.word[:1]
+    if g.level != t.rank or h.level != t.rank:
+        return False
+    bg, bh = g.parts[1], h.parts[1]
+    return (bg.letter == bh.letter and bg.sign == bh.sign
+            and g.parts[0].key == h.parts[0].key)
+
+
 def _block_after(parts, ei):
     """The block following element index ei of a parts list, or None."""
     bi = 2 * ei + 1

@@ -1,5 +1,7 @@
 """Generating-set reduction moves and the reduction loop."""
 
+import sys
+
 import pytest
 
 from znfree import nielsen as N, tower as T
@@ -136,6 +138,45 @@ def test_is_reduced_ignores_the_certificate(t1):
     Y = gens(t1, "a", "z")
     Y.reduced_at = N.H_RADIUS
     assert any(v.startswith("(d)") for v in N.is_reduced(t1, Y))
+
+
+def test_scan_builds_com_only_for_self_overlaps(t1, t_ab, fa3, surf2, ns3,
+                                                monkeypatch):
+    # the (b) scan and the overlap filter use the head test; com is built
+    # once per positive-weight self-overlap, for its u
+    cases = [
+        (t1, ["a", "b", "z"]),
+        (t_ab, ["a", "z"]),
+        (fa3, ["a", "z2", "z3"]),
+        (surf2, ["x2", "x3", "x4", "x1"]),
+        (ns3, ["x2", "x3", "x1r"]),
+        (t1, ["z^-1*a*z^-1", "b^-2"]),
+        (t1, ["a*z", "b*z", "a", "b"]),  # has (b) records
+    ]
+    real = T.com
+    calls = []
+    overlaps = 0
+
+    def counting(t, g, h):
+        if sys._getframe(1).f_globals["__name__"] == N.__name__:
+            calls.append((g.key, h.key))
+        return real(t, g, h)
+
+    for t, ss in cases:
+        Y = gens(t, *ss)
+        want = [(f.key, hf.key)
+                for f in Y.positive()
+                for h in N.ball(t, Y.zero(), N.H_RADIUS)
+                if not T.is_identity(h)
+                for hf in [T.multiply(t, h, f)]
+                if T.lam_len(t, T.com(t, f, hf)) > 0]
+        calls.clear()
+        monkeypatch.setattr(T, "com", counting)
+        N.is_reduced(t, Y)
+        monkeypatch.setattr(T, "com", real)
+        assert calls == want, ss
+        overlaps += len(want)
+    assert overlaps
 
 
 def test_subgroup_contains_exact_base(t1):

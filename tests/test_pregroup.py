@@ -25,6 +25,24 @@ def test_membership_examples(t1):
     assert not P.pz_membership(t1, Z, W(t1, "z^2"))
 
 
+def test_decompose_searches_the_left_axis(t1):
+    # in x = h1 * a^k * f * h2 the a^k slides through f's first block
+    # (a*z = z*b) into x's normal form; f = z*z*b has a second block, so
+    # only the candidate a^k over the first block's left axis rebuilds h1
+    f = W(t1, "z*a*z")
+    Z = zset(t1, "z*a*z")
+    for h1 in (T.EPS, W(t1, "b")):
+        for k in (-3, -1, 2):
+            for h2 in (T.EPS, W(t1, "a"), W(t1, "b^-1")):
+                h1k = T.multiply(t1, h1, W(t1, f"a^{k}"))
+                x = T.multiply(t1, T.multiply(t1, h1k, f), h2)
+                d = P.decompose(t1, Z, x)
+                assert d is not None, render(t1, x)
+                assert d.f.key == f.key
+                assert d.h1.key == h1k.key, render(t1, x)
+                assert d.h2.key == h2.key, render(t1, x)
+
+
 def test_membership_requires_reduced(t1):
     Z = zset(t1, "a", "z")  # missing b: not reduced
     for _ in range(2):  # a failed scan leaves no certificate behind

@@ -1,10 +1,12 @@
-"""Frozen reduction answers: one sha256 over a seeded corpus of small sets.
+"""Frozen reduction answers: sha256 digests over seeded corpora of small sets.
 
-For about a dozen random generating sets on each of t1, surf2 and ns3 (each
-of top weight at most 4), the digest covers the violations `is_reduced`
-reports for the input, the reduced set in its order, and every witness-log
-entry: its op, its parameters, its rendered witnesses and the elements an
-augmentation added.  A refactor of the reduction must leave it as it is.
+For about a dozen random generating sets on each tower of a corpus (each of
+top weight at most 4), a digest covers the violations `is_reduced` reports
+for the input, the reduced set in its order, and every witness-log entry:
+its op, its parameters, its rendered witnesses and the elements an
+augmentation added.  One corpus holds t1, surf2 and ns3; the other holds
+the free group F(a, b), whose weight-zero ball is the identity alone, and
+t_ab.  A refactor of the reduction must leave both digests as they are.
 """
 
 import hashlib
@@ -15,11 +17,17 @@ from znfree.wordexpr import render
 
 REDUCE_DIGEST = (
     "d60d1e05a1b4f272357d548f30cefac9c51db080457be8a8d016610815644c47")
+FREE_AB_DIGEST = (
+    "45f8dfea85dccee4b00ae437450a0a6f7b6dc2c05f02cb11e5bce9694de1185f")
 
 TOWERS = [
     ("t1", factory.t1),
     ("surf2", lambda: factory.surface_orientable(2)),
     ("ns3", lambda: factory.surface_nonorientable(3)),
+]
+FREE_AB_TOWERS = [
+    ("free2", lambda: factory.free_tower(["a", "b"])),
+    ("t_ab", factory.t_ab),
 ]
 SETS_PER_TOWER = 12
 MAX_WEIGHT = 4
@@ -51,9 +59,9 @@ def corpus(t, name):
     return out
 
 
-def reduction_digest() -> str:
+def reduction_digest(towers=TOWERS) -> str:
     h = hashlib.sha256()
-    for name, make in TOWERS:
+    for name, make in towers:
         t = make()
         h.update(name.encode())
         for Y in corpus(t, name):
@@ -69,3 +77,7 @@ def reduction_digest() -> str:
 
 def test_reduction_digest_frozen():
     assert reduction_digest() == REDUCE_DIGEST
+
+
+def test_free_ab_reduction_digest_frozen():
+    assert reduction_digest(FREE_AB_TOWERS) == FREE_AB_DIGEST

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import example, given, strategies as st
 
-from znfree import axioms, factory, tower as T, words as Wd
+from znfree import axioms, factory, nielsen as N, tower as T, words as Wd
 from znfree.axioms import SampleSpec, sample_elements
 from znfree.hnn import extend_hnn
 from znfree.lamvec import vadd
@@ -63,6 +63,43 @@ def test_com_is_head(all_towers):
                 rem = T.multiply(t, T.invert(t, u), x)
                 assert T.length(t, x) == tuple(
                     a + b for a, b in zip(T.length(t, u), T.length(t, rem)))
+
+
+def _two_top_letters():
+    """F(a, b, c) with z: a -> b and y: c -> a, both at level 2."""
+    t = factory.free_tower(["a", "b", "c"])
+    t = extend_hnn(t, "z", [T.gen_elem(t, "a")], [T.gen_elem(t, "b")])
+    return extend_hnn(t, "y", [T.gen_elem(t, "c")], [T.gen_elem(t, "a")],
+                      level=2)
+
+
+def test_heads_meet_is_positive_com(all_towers, fa3, t1):
+    # the head test reads the first margin and block only; it must agree
+    # with the weight of the full com on sampled positive pairs and on
+    # pairs (f, h*g) with h of weight zero, as the reducedness scans use it
+    towers = {"free2": factory.free_tower(["a", "b"]), **all_towers,
+              "fa4": factory.free_abelian(4), "fa5": factory.free_abelian(5),
+              "fp": factory.free_product(fa3, t1),
+              "two": _two_top_letters()}
+    rng = random.Random(9)
+    for name, t in towers.items():
+        zero = [T.gen_elem(t, s) for s in t.symbols] + [
+            T.letter_elem(t, n) for n, sl in t.letters.items()
+            if sl.level < t.rank]
+        hs = N.ball(t, zero, 2) if t.rank > 1 else [T.EPS]
+        pos = [g for g in sample_elements(t, SampleSpec(seed=8, samples=30))
+               if T.lam_len(t, g) > 0]
+        assert not T._heads_meet(t, T.EPS, T.EPS), name
+        met = {False: 0, True: 0}
+        for _ in range(40):
+            f, g, h = rng.choice(pos), rng.choice(pos), rng.choice(hs)
+            for x in (g, T.multiply(t, h, g), T.multiply(t, h, f), h):
+                want = T.lam_len(t, T.com(t, f, x)) > 0
+                for pair in ((f, x), (x, f)):
+                    assert T._heads_meet(t, *pair) == want, (
+                        f"{name}: " + " ".join(render(t, y) for y in pair))
+                met[want] += 1
+        assert met[False] and met[True], name
 
 
 def test_gromov_matches_com(all_towers):
