@@ -15,12 +15,15 @@ The searches over weight-zero multipliers h have one owner each, read by
 both the reduction loop and is_reduced: _shared_heads yields the (b) records
 (the mu candidates), _self_overlaps the self-overlaps, whose partial ones
 are (c) records and eta candidates and whose total ones feed the closure and
-(d).  Each pass of the loop, and each is_reduced call, multiplies every
-positive generator g by every multiplier h once, into one table that both
-scanners read.  Whether com(f, h*g) has positive weight is decided by
-tower._heads_meet from the first margin and block of the two normal forms,
-so the (b) scan builds no com at all and the overlap scan builds one only
-for each positive-weight overlap, whose head u it keeps.
+(d).  Each pass of the loop, and each is_reduced call, reads the head of
+h*g for every positive generator g and every multiplier h once, into one
+table that both scanners read.  com(f, h*g) has positive weight exactly when
+the heads of f and h*g (tower._head: the first margin and the first block)
+are equal, and the head of h*g is read off h times g's first margin
+(tower._product_head), so the (b) scan builds no product and no com at all.
+The overlap scan builds h*f and its com only for each positive-weight
+overlap, whose head u it keeps, and the (d) test follows f's pinch chain
+(tower._weight_zero_conjugate) instead of building f^-1*h*f.
 
 When the loop's last pass finds no (d) record either, its result is
 certified: GenSet.reduced_at holds the h-radius at which (a)-(d) are known
@@ -321,33 +324,37 @@ _MAX_AUGMENT = 8
 
 
 def _products(Y, hs):
-    """{g.key: [(h, h*g) for h in hs]} over the positive generators g: the
-    one product table that a pass's scans read."""
+    """{g.key: [(h, head of h*g) for h in hs]} over the positive generators
+    g: the one table that a pass's scans read.  Each head is read off h*m0,
+    with m0 g's first margin, settled against g's first block
+    (tower._product_head); no h*g is built."""
     t = Y.tower
-    return {g.key: [(h, T.multiply(t, h, g)) for h in hs]
+    return {g.key: [(h, T._product_head(t, h, g)) for h in hs]
             for g in Y.positive()}
 
 
 def _shared_heads(Y, prods, f):
     """(g, h), g != f positive, with com(f, h*g) of positive weight."""
-    t = Y.tower
+    head = T._head(Y.tower, f)
     for g in Y.positive():
         if g.key == f.key:
             continue
         for h, hg in prods[g.key]:
-            if T._heads_meet(t, f, hg):
+            if hg == head:
                 yield g, h
 
 
 def _self_overlaps(Y, prods):
     """(f, h, u), f positive, with u = com(f, h*f) of positive weight; h = 1
-    is skipped, as it overlaps f totally and conjugates it trivially."""
+    is skipped, as it overlaps f totally and conjugates it trivially.  h*f
+    is built only where the heads meet, for its com with f."""
     t = Y.tower
     out = []
     for f in Y.positive():
+        head = T._head(t, f)
         for h, hf in prods[f.key]:
-            if not T.is_identity(h) and T._heads_meet(t, f, hf):
-                out.append((f, h, T.com(t, f, hf)))
+            if not T.is_identity(h) and hf == head:
+                out.append((f, h, T.com(t, f, T.multiply(t, h, f))))
     return out
 
 
@@ -372,11 +379,10 @@ def _find_eta(t, overlaps):
 
 
 def _escapes(t, zero, f, h, h_radius):
-    """f^-1 * h * f, or None when it lies in <zero>."""
-    x = T.multiply(t, T.multiply(t, T.invert(t, f), h), f)
-    if T.lam_len(t, x) == 0 and subgroup_contains(t, zero, x, h_radius):
-        return None
-    return x
+    """(whether f^-1 * h * f lies outside <zero>, that conjugate when it has
+    weight zero, else None)."""
+    x = T._weight_zero_conjugate(t, f, h)
+    return x is None or not subgroup_contains(t, zero, x, h_radius), x
 
 
 def _augment_closure(Y: GenSet, overlaps, h_radius):
@@ -391,11 +397,11 @@ def _augment_closure(Y: GenSet, overlaps, h_radius):
     for f, h, u in overlaps:
         if T.lam_len(t, u) != T.lam_len(t, f):
             continue
-        x = _escapes(t, zero + added, f, h, h_radius)
-        if x is None:
+        escaped, x = _escapes(t, zero + added, f, h, h_radius)
+        if not escaped:
             continue
         held = False
-        if T.lam_len(t, x) != 0:
+        if x is None:
             continue
         fi = T.invert(t, f)
         for c in T.subgroup_gens(t, T.centralizer(t, h)):
@@ -480,7 +486,7 @@ def is_reduced(t, Y, h_radius: int = H_RADIUS) -> list[str]:
         if T.lam_len(t, u) != T.lam_len(t, f):
             out.append(f"(c) partial self-overlap: f={render(t, f)} "
                        f"h={render(t, h)}")
-        elif _escapes(t, zero, f, h, h_radius) is not None:
+        elif _escapes(t, zero, f, h, h_radius)[0]:
             out.append(f"(d) conjugate escapes the weight-zero part: "
                        f"f={render(t, f)} h={render(t, h)}")
     return out

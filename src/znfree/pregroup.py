@@ -139,9 +139,9 @@ def pz_product_defined(t, Z, x: Elem, y: Elem, radius: int = 8) -> bool:
                                render(t, x if dx is None else y))
     if dx.f.key != T.invert(t, dy.f).key:
         return False
+    # dx.f * mid * dx.f^-1 = dy.f^-1 * mid * dy.f
     mid = T.multiply(t, dx.h2, dy.h1)
-    conj = T.multiply(t, T.multiply(t, dx.f, mid), T.invert(t, dx.f))
-    return T.lam_len(t, conj) == 0
+    return T._weight_zero_conjugate(t, dy.f, mid) is not None
 
 
 def reduce_psequence(t, Z, seq: PSequence, radius: int = 8) -> PSequence:
@@ -244,26 +244,26 @@ def verify_pregroup(t, Z, sample_size: int, seed: int = 0,
 def split_level(t, Z, radius: int = 3) -> LevelSplit:
     """Extract the top HNN layer: base = weight-zero generators, one stable
     letter per positive inverse pair, and for each letter the commuting
-    subgroup it pinches (found through centralizers of pinch witnesses)."""
+    subgroup it pinches (found through centralizers of pinch witnesses).
+    A witness is a c of the base ball with y^-1*c*y of weight zero; it and
+    each image are read along y's pinch chain
+    (tower._weight_zero_conjugate), so no top-level conjugate is built."""
     Z = _require_reduced(t, Z)
     if t.rank == 1:
         return LevelSplit(base_gens=Z.pair_reps(), stable_letters=[])
     base = Z.pair_reps(Z.zero())
     stable = []
     for y in Z.pair_reps(Z.positive()):
-        yi = T.invert(t, y)
-        witness = None
-        for c in N.ball(t, base, radius):
-            if T.is_identity(c):
-                continue
-            if T.lam_len(t, T.multiply(t, T.multiply(t, yi, c), y)) == 0:
-                witness = c
-                break
+        witness = next(
+            (c for c in N.ball(t, base, radius) if not T.is_identity(c)
+             and T._weight_zero_conjugate(t, y, c) is not None), None)
         src, tgt = [], []
         if witness is not None:
             for g in T.subgroup_gens(t, T.centralizer(t, witness)):
-                img = T.multiply(t, T.multiply(t, yi, g), y)
-                if T.lam_len(t, g) == 0 and T.lam_len(t, img) == 0:
+                if T.lam_len(t, g) != 0:
+                    continue
+                img = T._weight_zero_conjugate(t, y, g)
+                if img is not None:
                     src.append(g)
                     tgt.append(img)
         stable.append((y, src, tgt))

@@ -30,6 +30,18 @@ changed after construction, so an entry never goes stale.  The table is
 never filled in `GroupTower.__init__`: construction runs before
 `validate_tower`, and inverting the axes of an invalid tower could raise
 EngineError before the tower's named TowerRejection.
+
+Two private views answer questions about a top-level product from one seam,
+without building it.  Both rest on Britton's lemma (Lyndon-Schupp IV.2):
+a word with no pinch keeps its sequence of signed stable letters.
+`_product_head(t, h, g)`, for h of weight zero, is the head of h*g (its
+first margin with the letter and sign of its first block, see `_head`): h*g
+has g's blocks, and its first margin is h times g's settled against g's
+first block by margin phase 1 (`_settle_left`, the loop `_margin_pass` runs
+too).  `_weight_zero_conjugate(t, y, c)`, for c of weight zero, is y^-1*c*y
+when that has weight 0 and None otherwise: it follows the middle of the
+word through y's blocks, one pinch at a time, and stops at the first block
+whose left axis the middle leaves.
 """
 
 from __future__ import annotations
@@ -290,9 +302,16 @@ def _parts_at(g: Elem, L: int):
 
 
 def multiply(t: GroupTower, g: Elem, h: Elem) -> Elem:
+    if g.level == 1 and h.level == 1:
+        a, b = g.word, h.word
+        if not a:
+            return h
+        if not b:
+            return g
+        if a[-1] != -b[0]:
+            return word_elem(a + b)  # reduced words: only the junction cancels
+        return word_elem(W.w_mul(a, b))
     L = max(g.level, h.level)
-    if L == 1:
-        return word_elem(W.w_mul(g.word, h.word))
     pg = _parts_at(g, L)
     ph = _parts_at(h, L)
     mid = multiply(t, pg[-1], ph[0])
@@ -517,6 +536,31 @@ def _peel(t, e, gens, right: bool):
     return e, exps
 
 
+def _settle_left(t, e: Elem, blk: Block):
+    """Margin phase 1 for one block: stabilize the element e to its left.
+    Axis material adjacent to the block's head is absorbed into the offset
+    vector; a strictly partial cancellation into the head period is resolved
+    by pulling one period out of the block (the complement stays as honest
+    element material).  Returns (e', offset list); only the block's letter
+    and sign are read, besides the offset the result starts from."""
+    lgens, _ = _axes(t, blk)
+    hp = head_period(t, blk)
+    off = list(blk.offset)
+    for _ in range(_GUARD):
+        e2, pex = _peel(t, e, lgens, right=True)
+        if any(pex):
+            e = e2
+            off = _vexadd(off, pex)
+            continue
+        add, prod = _additive(t, e, hp)
+        if not add:
+            e = prod
+            off[-1] -= blk.sign
+            continue
+        return e, off
+    raise EngineError("left margin did not stabilize")
+
+
 def _margin_pass(t, parts) -> bool:
     """Stabilize block margins.  Material flows rightward: a block's left
     margin has priority over the previous block's right margin, and interior
@@ -524,32 +568,13 @@ def _margin_pass(t, parts) -> bool:
     gaps.  This makes the placement of sliding axis material deterministic,
     which is what makes the normal form canonical."""
     changed = False
-    # phase 1: left margins, left to right.  Axis material adjacent to the
-    # block's head is absorbed into the offset vector; a strictly partial
-    # cancellation into the head period is resolved by pulling one period
-    # out of the block (the complement stays as honest element material).
+    # phase 1: left margins, left to right
     for bi in range(1, len(parts), 2):
         blk = parts[bi]
-        lgens, _ = _axes(t, blk)
-        hp = head_period(t, blk)
-        off = list(blk.offset)
-        for _ in range(_GUARD):
-            e = parts[bi - 1]
-            e2, pex = _peel(t, e, lgens, right=True)
-            if any(pex):
-                parts[bi - 1] = e2
-                off = _vexadd(off, pex)
-                changed = True
-                continue
-            add, prod = _additive(t, e, hp)
-            if not add:
-                parts[bi - 1] = prod
-                off[-1] -= blk.sign
-                changed = True
-                continue
-            break
-        else:
-            raise EngineError("left margin did not stabilize")
+        e, off = _settle_left(t, parts[bi - 1], blk)
+        if e is not parts[bi - 1]:  # every step of the loop makes a new e
+            parts[bi - 1] = e
+            changed = True
         if tuple(off) != blk.offset:
             parts[bi] = Block(blk.letter, blk.sign, tuple(off))
     # phase 2: right margins, left to right
@@ -652,6 +677,8 @@ def com(t: GroupTower, g: Elem, h: Elem) -> Elem:
     """Longest common initial segment: g = com o g', h = com o h'."""
     L = max(g.level, h.level)
     if L == 1:
+        if not g.word or not h.word or g.word[0] != h.word[0]:
+            return EPS
         return word_elem(W.w_com(g.word, h.word))
     pg = _parts_at(g, L)
     ph = _parts_at(h, L)
@@ -722,26 +749,82 @@ def com(t: GroupTower, g: Elem, h: Elem) -> Elem:
         return build(t, L, out)
 
 
-def _heads_meet(t: GroupTower, g: Elem, h: Elem) -> bool:
-    """Whether com(t, g, h) has positive top weight, without building it."""
-    # At rank 1 the weight is the word length, so the heads meet when both
-    # words start with the same letter.  Above it the top weight counts the
-    # top-level blocks, and as in Britton's normal form (Lyndon-Schupp IV.2)
-    # the first margin and the first block decide whether a common initial
-    # segment holds one.  com keeps a top block only when both elements lie
-    # at the top level, their first margins are equal and their first
-    # blocks have the same letter and sign: it then keeps that block, or a
-    # shared part of it, whose length has top coordinate 1.  Every other
-    # branch of com (a lower-level element, different margins, or a
-    # different letter or sign) ends in a lower-level common extension, of
-    # top weight 0.
+def _head(t: GroupTower, x: Elem):
+    """The head of x, of positive top weight: two such elements have a
+    common initial segment of positive top weight, lam_len(com) > 0,
+    exactly when their heads are equal.  No com is built."""
+    # At rank 1 the weight is the word length, so the head is the first
+    # letter.  Above it the top weight counts the top-level blocks, and as in
+    # Britton's normal form (Lyndon-Schupp IV.2) the first margin and the
+    # first block decide whether a common initial segment holds one.  com
+    # keeps a top block only when both elements lie at the top level, their
+    # first margins are equal and their first blocks have the same letter
+    # and sign: it then keeps that block, or a shared part of it, whose
+    # length has top coordinate 1.  Every other branch of com (different
+    # margins, or a different letter or sign) ends in a lower-level common
+    # extension, of top weight 0.
     if t.rank == 1:
-        return bool(g.word) and g.word[:1] == h.word[:1]
-    if g.level != t.rank or h.level != t.rank:
-        return False
-    bg, bh = g.parts[1], h.parts[1]
-    return (bg.letter == bh.letter and bg.sign == bh.sign
-            and g.parts[0].key == h.parts[0].key)
+        return x.word[:1]
+    blk = x.parts[1]
+    return (x.parts[0].key, blk.letter, blk.sign)
+
+
+def _product_head(t: GroupTower, h: Elem, g: Elem):
+    """_head(t, h*g) for h of weight zero and g of positive weight, without
+    building h*g."""
+    # At rank 1 the only element of weight zero is the identity, so this is
+    # g's own head.  Above it let g = m0 B1 m1 ... Bk mk; multiply hands
+    # build the list [h*m0, B1, m1, ..., Bk, mk], all of whose pinch
+    # candidates (B_i, m_i, B_i+1) are g's own.
+    #  * No pinch can start further right, so block 1's letter and sign
+    #    never change.  The passes move only axis material across a block:
+    #    phase 1 adds left-axis material to a block's offset, phases 2 and 3
+    #    move right-axis material between a block's offset and the element
+    #    after it.  So a later middle is a*m_i*b with a in B_i's right axis
+    #    and b in B_i+1's left axis.  Where B_i, B_i+1 could pinch (one
+    #    letter, opposite signs) these are one axis A, and a*m_i*b lies in A
+    #    iff m_i does, which it does not: g had no pinch.  (This is Britton's
+    #    lemma, Lyndon-Schupp IV.2: every reduced form of h*g has g's
+    #    sequence of signed letters.)
+    #  * parts[0] is written only by phase 1 on block 1; phases 2 and 3
+    #    write blocks and the elements right of them.  Phase 1 reads only
+    #    the block's letter and sign, and its loop stops at a fixed point, so
+    #    later passes leave parts[0] as the first pass left it.
+    # Hence the first margin of h*g is h*m0 settled against B1.
+    if t.rank == 1:
+        return _head(t, multiply(t, h, g))
+    blk = g.parts[1]
+    e, _ = _settle_left(t, multiply(t, h, g.parts[0]), blk)
+    return (e.key, blk.letter, blk.sign)
+
+
+def _weight_zero_conjugate(t: GroupTower, y: Elem, c: Elem) -> Elem | None:
+    """y^-1*c*y when it has top weight 0, else None, for y of positive
+    weight and c of weight zero; nothing is built at the top level."""
+    # Let y = m0 B1 m1 ... Bk mk.  In the word
+    #     mk^-1 Bk^-1 ... m1^-1 B1^-1 (m0^-1 c m0) B1 m1 ... Bk mk
+    # the only pinch candidate is at the middle; the others are pinches of
+    # y^-1 or y, which have none.  B1^-1 x B1 pinches iff x lies in B1's
+    # left axis, and then equals x's image in the right axis (B1's offset
+    # material lies in that abelian axis too, so it commutes with the
+    # image).  Conjugating by m1 gives the next middle, and so on along the
+    # chain.  Where a middle is not in its block's left axis the word has no
+    # pinch, so by Britton's lemma (Lyndon-Schupp IV.2) its top blocks stay:
+    # the weight is positive.
+    if t.rank == 1:
+        return EPS if is_identity(c) else None  # weight zero = identity
+    ps = y.parts
+    m = ps[0]
+    x = multiply(t, multiply(t, invert(t, m), c), m)
+    for bi in range(1, len(ps), 2):
+        lgens, rgens = _axes(t, ps[bi])
+        exps = abelian_exponents(t, lgens, x)
+        if exps is None:
+            return None
+        m = ps[bi + 1]
+        x = multiply(t, multiply(t, invert(t, m), gens_power(t, rgens, exps)),
+                     m)
+    return x
 
 
 def _block_after(parts, ei):

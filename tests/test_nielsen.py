@@ -140,19 +140,36 @@ def test_is_reduced_ignores_the_certificate(t1):
     assert any(v.startswith("(d)") for v in N.is_reduced(t1, Y))
 
 
-def test_scan_builds_com_only_for_self_overlaps(t1, t_ab, fa3, surf2, ns3,
-                                                monkeypatch):
-    # the (b) scan and the overlap filter use the head test; com is built
-    # once per positive-weight self-overlap, for its u
-    cases = [
+def _scan_cases(t1, t_ab, fa3, surf2, ns3):
+    """The five canonical sets, a set with (c) and (d) records and one with
+    (b) records."""
+    return [
         (t1, ["a", "b", "z"]),
         (t_ab, ["a", "z"]),
         (fa3, ["a", "z2", "z3"]),
         (surf2, ["x2", "x3", "x4", "x1"]),
         (ns3, ["x2", "x3", "x1r"]),
         (t1, ["z^-1*a*z^-1", "b^-2"]),
-        (t1, ["a*z", "b*z", "a", "b"]),  # has (b) records
+        (t1, ["a*z", "b*z", "a", "b"]),
     ]
+
+
+def _self_overlaps(t, Y):
+    """(f, h, h*f) with com(f, h*f) of positive weight, h != 1, in scan
+    order."""
+    return [(f, h, hf)
+            for f in Y.positive()
+            for h in N.ball(t, Y.zero(), N.H_RADIUS)
+            if not T.is_identity(h)
+            for hf in [T.multiply(t, h, f)]
+            if T.lam_len(t, T.com(t, f, hf)) > 0]
+
+
+def test_scan_builds_com_only_for_self_overlaps(t1, t_ab, fa3, surf2, ns3,
+                                                monkeypatch):
+    # the (b) scan and the overlap filter use the head test; com is built
+    # once per positive-weight self-overlap, for its u
+    cases = _scan_cases(t1, t_ab, fa3, surf2, ns3)
     real = T.com
     calls = []
     overlaps = 0
@@ -164,16 +181,39 @@ def test_scan_builds_com_only_for_self_overlaps(t1, t_ab, fa3, surf2, ns3,
 
     for t, ss in cases:
         Y = gens(t, *ss)
-        want = [(f.key, hf.key)
-                for f in Y.positive()
-                for h in N.ball(t, Y.zero(), N.H_RADIUS)
-                if not T.is_identity(h)
-                for hf in [T.multiply(t, h, f)]
-                if T.lam_len(t, T.com(t, f, hf)) > 0]
+        want = [(f.key, hf.key) for f, h, hf in _self_overlaps(t, Y)]
         calls.clear()
         monkeypatch.setattr(T, "com", counting)
         N.is_reduced(t, Y)
         monkeypatch.setattr(T, "com", real)
+        assert calls == want, ss
+        overlaps += len(want)
+    assert overlaps
+
+
+def test_scan_builds_h_f_only_for_self_overlaps(t1, t_ab, fa3, surf2, ns3,
+                                                monkeypatch):
+    # the product table holds heads read off the first margin, and the (d)
+    # test follows f's pinch chain: the one top-level product is_reduced
+    # makes is h*f for each positive-weight self-overlap, for its com
+    real = T.multiply
+    calls = []
+    overlaps = 0
+
+    def counting(t, g, h):
+        out = real(t, g, h)
+        if (out.level == t.rank
+                and sys._getframe(1).f_globals["__name__"] == N.__name__):
+            calls.append((g.key, h.key))
+        return out
+
+    for t, ss in _scan_cases(t1, t_ab, fa3, surf2, ns3):
+        Y = gens(t, *ss)
+        want = [(h.key, f.key) for f, h, hf in _self_overlaps(t, Y)]
+        calls.clear()
+        monkeypatch.setattr(T, "multiply", counting)
+        N.is_reduced(t, Y)
+        monkeypatch.setattr(T, "multiply", real)
         assert calls == want, ss
         overlaps += len(want)
     assert overlaps

@@ -1,5 +1,7 @@
 """Piece arithmetic, sequence reduction, and level splitting."""
 
+import sys
+
 import pytest
 
 from znfree import nielsen as N, pregroup as P, tower as T
@@ -154,6 +156,37 @@ def test_verify_trivial_free(t1):
     Z = N.GenSet(tf, [T.gen_elem(tf, "a")])
     rep = P.verify_pregroup(tf, Z, 30, seed=0)
     assert rep.ok
+
+
+def test_split_level_builds_no_top_level_conjugate(t1, t_ab, fa3, surf2,
+                                                   ns3, monkeypatch):
+    # witnesses and their images are read along y's pinch chain, so no
+    # product that split_level makes reaches the top level
+    cases = [
+        (t1, ["a", "b", "z"]),
+        (t_ab, ["a", "z"]),
+        (fa3, ["a", "z2", "z3"]),
+        (surf2, ["x2", "x3", "x4", "x1"]),
+        (ns3, ["x2", "x3", "x1r"]),
+    ]
+    real = T.multiply
+    calls = []
+
+    def counting(t, g, h):
+        out = real(t, g, h)
+        if (out.level == t.rank
+                and sys._getframe(1).f_globals["__name__"] == P.__name__):
+            calls.append((g.key, h.key))
+        return out
+
+    for t, ss in cases:
+        Z = zset(t, *ss)
+        Z.reduced_at = N.H_RADIUS  # canonical sets are reduced
+        monkeypatch.setattr(T, "multiply", counting)
+        sp = P.split_level(t, Z)
+        monkeypatch.setattr(T, "multiply", real)
+        assert calls == [], ss
+        assert any(src for _, src, _ in sp.stable_letters), ss
 
 
 def test_split_level_t1(t1):
