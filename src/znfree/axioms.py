@@ -98,7 +98,7 @@ def check_axioms(t: GroupTower, spec: SampleSpec) -> list[str]:
             note("L3", f"c(g,f)={cgf} c(g,h)={cgh} c(f,h)={cfh}", g, f, h)
         w = T.com(t, g, f)
         lw = T.length(t, w)
-        if not veq(T.gromov2(t, g, f), vadd(lw, lw)):
+        if not veq(cgf, vadd(lw, lw)):
             note("L6", f"l(com)={lw} 2c={cgf}", g, f)
             continue
         for x in (g, f):

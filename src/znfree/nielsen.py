@@ -109,12 +109,17 @@ def lambda_weight(Y: GenSet) -> int:
     return sum(T.lam_len(t, g) for g in Y.pair_reps(Y.positive()))
 
 
-def _witness(t, g, factors):
-    """Log record expressing g as the product of factors."""
+def _rebuilds(t, g, factors) -> bool:
+    """Whether the product of factors, left to right, is g."""
     prod = EPS
     for x in factors:
         prod = T.multiply(t, prod, x)
-    if not T.equals(t, prod, g):
+    return T.equals(t, prod, g)
+
+
+def _witness(t, g, factors):
+    """Log record expressing g as the product of factors."""
+    if not _rebuilds(t, g, factors):
         raise T.EngineError("witness product does not rebuild the generator")
     return {"element": g, "factors": list(factors),
             "rendered": (render(t, g), [render(t, x) for x in factors])}
@@ -496,9 +501,6 @@ def verify_witnesses(t, Y: GenSet) -> bool:
     """Re-check every witness product in the log."""
     for entry in Y.witness_log:
         for w in entry.get("witnesses", ()):
-            prod = EPS
-            for x in w["factors"]:
-                prod = T.multiply(t, prod, x)
-            if not T.equals(t, prod, w["element"]):
+            if not _rebuilds(t, w["element"], w["factors"]):
                 return False
     return True

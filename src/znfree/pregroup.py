@@ -51,16 +51,11 @@ def _require_reduced(t, Z):
     return Z
 
 
-def _top_parts(t, x: Elem):
-    """The alternating (elem, block, elem, ...) list at the tower's top
-    level; a weight-zero element is a single part."""
-    if x.level < t.rank or x.level == 1:
-        return [x]
-    return list(x.parts)
+_RADIUS = 8  # exponent bound of decompose's axis search
 
 
 def _skeleton(t, x):
-    return [(p.letter, p.sign) for p in _top_parts(t, x)
+    return [(p.letter, p.sign) for p in T._parts_at(x, t.rank)
             if isinstance(p, T.Block)]
 
 
@@ -71,14 +66,14 @@ class Decomposition:
     h2: Elem
 
 
-def decompose(t, Z, x: Elem, radius: int = 8) -> Decomposition | None:
+def decompose(t, Z, x: Elem) -> Decomposition | None:
     """Write x as h1 * f * h2 with f in the positive part of Z and h1, h2 of
     weight zero, or return None.
 
     The margin ambiguity (axis material crossing the first letter) is
-    resolved by a bounded exponent search of the given radius, so very large
-    axis corrections can be missed; the check that closes each candidate is
-    exact."""
+    resolved by an exponent search bounded by _RADIUS in each coordinate, so
+    very large axis corrections can be missed; the check that closes each
+    candidate is exact."""
     if not isinstance(Z, N.GenSet):
         Z = N.GenSet(t, Z)
     if t.rank == 1:
@@ -87,42 +82,36 @@ def decompose(t, Z, x: Elem, radius: int = 8) -> Decomposition | None:
     if lam == 0:
         return None
     sk = _skeleton(t, x)
-    px = _top_parts(t, x)
-    p0 = px[0]
+    p0 = x.parts[0]
     # axis generators that commute across the first block from the left
-    gens = T._axes(t, next(p for p in px if isinstance(p, T.Block)))[0]
-    cands = sorted(itertools.product(range(-radius, radius + 1),
+    gens = T._axes(t, x.parts[1])[0]
+    cands = sorted(itertools.product(range(-_RADIUS, _RADIUS + 1),
                                      repeat=len(gens)),
                    key=lambda e: sum(abs(v) for v in e))
     for f in Z.positive():
         if T.lam_len(t, f) != lam or _skeleton(t, f) != sk:
             continue
-        q0 = _top_parts(t, f)[0]
-        base = T.multiply(t, p0, T.invert(t, q0))
+        q0i = T.invert(t, f.parts[0])
         fi = T.invert(t, f)
         for exps in cands:
-            w = EPS
-            for e, a in zip(exps, gens):
-                if e:
-                    w = T.multiply(t, w, T.pow_elem(t, a, e))
-            h1 = T.multiply(t, T.multiply(t, p0, w), T.invert(t, q0)) \
-                if any(exps) else base
+            h1 = T.multiply(t, T.multiply(t, p0, T.gens_power(t, gens, exps)),
+                            q0i)
             h2 = T.multiply(t, T.multiply(t, fi, T.invert(t, h1)), x)
             if T.lam_len(t, h2) == 0:
                 return Decomposition(h1, f, h2)
     return None
 
 
-def pz_membership(t, Z, x: Elem, radius: int = 8) -> bool:
+def pz_membership(t, Z, x: Elem) -> bool:
     """True iff x has weight zero or splits around a single positive
     generator of Z."""
     Z = _require_reduced(t, Z)
     if t.rank == 1 or T.lam_len(t, x) == 0:
         return True
-    return decompose(t, Z, x, radius) is not None
+    return decompose(t, Z, x) is not None
 
 
-def pz_product_defined(t, Z, x: Elem, y: Elem, radius: int = 8) -> bool:
+def pz_product_defined(t, Z, x: Elem, y: Elem) -> bool:
     """Whether the product of two pieces is again a piece: the inner
     generators must be mutually inverse and the conjugated middle must drop
     to weight zero."""
@@ -132,8 +121,8 @@ def pz_product_defined(t, Z, x: Elem, y: Elem, radius: int = 8) -> bool:
     lx, ly = T.lam_len(t, x), T.lam_len(t, y)
     if lx == 0 or ly == 0:
         return True
-    dx = decompose(t, Z, x, radius)
-    dy = decompose(t, Z, y, radius)
+    dx = decompose(t, Z, x)
+    dy = decompose(t, Z, y)
     if dx is None or dy is None:
         raise T.TowerRejection("not-a-piece",
                                render(t, x if dx is None else y))
@@ -144,7 +133,7 @@ def pz_product_defined(t, Z, x: Elem, y: Elem, radius: int = 8) -> bool:
     return T._weight_zero_conjugate(t, dy.f, mid) is not None
 
 
-def reduce_psequence(t, Z, seq: PSequence, radius: int = 8) -> PSequence:
+def reduce_psequence(t, Z, seq: PSequence) -> PSequence:
     """Greedily merge adjacent items whose product is again a piece until
     none merges; the represented element never changes."""
     Z = _require_reduced(t, Z)
@@ -154,7 +143,7 @@ def reduce_psequence(t, Z, seq: PSequence, radius: int = 8) -> PSequence:
         changed = False
         items = [x for x in items if not T.is_identity(x)]
         for i in range(len(items) - 1):
-            if pz_product_defined(t, Z, items[i], items[i + 1], radius):
+            if pz_product_defined(t, Z, items[i], items[i + 1]):
                 merged = T.multiply(t, items[i], items[i + 1])
                 items[i:i + 2] = [merged]
                 changed = True
@@ -171,10 +160,10 @@ class PregroupReport:
     failures: list = field(default_factory=list)
 
 
-def _random_piece(t, Z, rng, max_margin=3):
+def _random_piece(t, Z, rng):
     pos = Z.pair_reps(Z.positive())
     zero = Z.pair_reps(Z.zero())
-    margin = lambda: _random_word(t, zero, rng, max_margin)  # noqa: E731
+    margin = lambda: _random_word(t, zero, rng, 3)  # noqa: E731
     if not pos or (zero and rng.random() < 0.25):
         return margin()
     f = rng.choice(pos)
@@ -193,8 +182,7 @@ def _random_word(t, gens, rng, n):
     return out
 
 
-def verify_pregroup(t, Z, sample_size: int, seed: int = 0,
-                    radius: int = 8) -> PregroupReport:
+def verify_pregroup(t, Z, sample_size: int, seed: int = 0) -> PregroupReport:
     """Sampled checks: pieces are closed under inverse; independently
     refactored sequences for one element reduce to the same length; the
     weight of the product is the sum of the weights of a reduced sequence."""
@@ -204,25 +192,24 @@ def verify_pregroup(t, Z, sample_size: int, seed: int = 0,
     for _ in range(sample_size):
         rep.checked += 1
         x = _random_piece(t, Z, rng)
-        if pz_membership(t, Z, x, radius) != \
-                pz_membership(t, Z, T.invert(t, x), radius):
+        if pz_membership(t, Z, x) != pz_membership(t, Z, T.invert(t, x)):
             rep.ok = False
             rep.failures.append(f"inverse-closure: {render(t, x)}")
             continue
         k = rng.randrange(1, 4)
         items = [_random_piece(t, Z, rng) for _ in range(k)]
         seq = PSequence(list(items))
-        red = reduce_psequence(t, Z, seq, radius)
+        red = reduce_psequence(t, Z, seq)
         # refactor: split one item at a weight-zero margin, or rotate a
         # weight-zero factor across a boundary
         alt = []
         for x in items:
-            d = decompose(t, Z, x, radius)
+            d = decompose(t, Z, x)
             if d is not None and rng.random() < 0.5:
                 alt.extend([d.h1, T.multiply(t, d.f, d.h2)])
             else:
                 alt.append(x)
-        red2 = reduce_psequence(t, Z, PSequence(alt), radius)
+        red2 = reduce_psequence(t, Z, PSequence(alt))
         prod = EPS
         for x in items:
             prod = T.multiply(t, prod, x)
@@ -241,7 +228,7 @@ def verify_pregroup(t, Z, sample_size: int, seed: int = 0,
     return rep
 
 
-def split_level(t, Z, radius: int = 3) -> LevelSplit:
+def split_level(t, Z) -> LevelSplit:
     """Extract the top HNN layer: base = weight-zero generators, one stable
     letter per positive inverse pair, and for each letter the commuting
     subgroup it pinches (found through centralizers of pinch witnesses).
@@ -255,7 +242,7 @@ def split_level(t, Z, radius: int = 3) -> LevelSplit:
     stable = []
     for y in Z.pair_reps(Z.positive()):
         witness = next(
-            (c for c in N.ball(t, base, radius) if not T.is_identity(c)
+            (c for c in N.ball(t, base, N.H_RADIUS) if not T.is_identity(c)
              and T._weight_zero_conjugate(t, y, c) is not None), None)
         src, tgt = [], []
         if witness is not None:

@@ -22,6 +22,14 @@ kept here are fully reduced:
 With these constraints lengths are additive over the parts, which is what
 makes every length/height computation exact.
 
+The form is unique: an element has one reduced form, which is Britton's
+normal form theorem for HNN extensions (Lyndon-Schupp IV.2) applied level by
+level.  The module trusts it and keeps no second path.  When one operand
+of `multiply` is the identity, the other is returned as is, at every level,
+since normalizing a normal form gives it back; `equals` is equality of
+`Elem.key`s; and axis material is built only by `gens_power`, whose factors
+commute in the abelian axis, so their order cannot change the result.
+
 A block's head, tail and offset periods are its letter's axis generators or
 their inverses, constants of the tower.  Each GroupTower keeps a private
 table, letter name -> (inverses of source_gens, inverses of target_gens),
@@ -265,18 +273,6 @@ def _inverse_offset_periods(t: GroupTower, blk: Block) -> tuple:
     return _inverse_axes(t, blk.letter)[1 if blk.sign > 0 else 0]
 
 
-def block_material(t: GroupTower, blk: Block, exps=None) -> Elem:
-    """The trailing axis material of the block, most significant first."""
-    pers = offset_periods(t, blk)
-    if exps is None:
-        exps = blk.offset
-    out = EPS
-    for i in range(len(pers) - 1, -1, -1):
-        if exps[i]:
-            out = multiply(t, out, pow_elem(t, pers[i], exps[i]))
-    return out
-
-
 def block_len(t: GroupTower, blk: Block):
     """Length of the block's value.  Positive-sign blocks append their
     offset material after the periodic tail (extending it); negative-sign
@@ -302,12 +298,12 @@ def _parts_at(g: Elem, L: int):
 
 
 def multiply(t: GroupTower, g: Elem, h: Elem) -> Elem:
+    if is_identity(g):
+        return h
+    if is_identity(h):
+        return g
     if g.level == 1 and h.level == 1:
         a, b = g.word, h.word
-        if not a:
-            return h
-        if not b:
-            return g
         if a[-1] != -b[0]:
             return word_elem(a + b)  # reduced words: only the junction cancels
         return word_elem(W.w_mul(a, b))
@@ -347,9 +343,7 @@ def pow_elem(t: GroupTower, g: Elem, k: int) -> Elem:
 
 
 def equals(t: GroupTower, g: Elem, h: Elem) -> bool:
-    if g.key == h.key:
-        return True
-    return is_identity(multiply(t, g, invert(t, h)))
+    return g.key == h.key
 
 
 def length(t: GroupTower, g: Elem):
@@ -640,7 +634,7 @@ def _margin_pass(t, parts) -> bool:
         if not any(blk.offset) or not is_identity(parts[bi + 1]):
             continue
         nxt_lgens, _ = _axes(t, parts[bi + 2])
-        mat = block_material(t, blk)
+        mat = gens_power(t, offset_periods(t, blk), blk.offset)
         if abelian_exponents(t, nxt_lgens, mat) is None:
             continue
         parts[bi] = Block(blk.letter, blk.sign, (0,) * len(blk.offset))
@@ -718,10 +712,10 @@ def com(t: GroupTower, g: Elem, h: Elem) -> Elem:
                         # (which shortens the shared stream) is still common
                         share[ci] = pick(da, db, 0)
                 out.extend([a, Block(Ba.letter, Ba.sign, tuple(share))])
-                ga = block_material(
-                    t, Ba, [x - y for x, y in zip(Ba.offset, share)])
-                gb = block_material(
-                    t, Bb, [x - y for x, y in zip(Bb.offset, share)])
+                ga = gens_power(t, offset_periods(t, Ba),
+                                [x - y for x, y in zip(Ba.offset, share)])
+                gb = gens_power(t, offset_periods(t, Bb),
+                                [x - y for x, y in zip(Bb.offset, share)])
                 sa = _stream(t, multiply(t, ga, pg[2 * i + 2]),
                              _block_after(pg, i + 1))
                 sb = _stream(t, multiply(t, gb, ph[2 * i + 2]),
@@ -841,10 +835,6 @@ def _stream(t, base: Elem, blk):
             return base, True, None
         return mk_exact
     p = head_period(t, blk)
-    if is_identity(base):
-        def mk_head(K):
-            return pow_elem(t, p, K), False, lenvec(p)
-        return mk_head
 
     def mk(K):
         return multiply(t, base, pow_elem(t, p, K)), False, lenvec(p)
@@ -991,9 +981,7 @@ def primitive_root(t: GroupTower, g: Elem) -> tuple[Elem, int]:
         return EPS, 0
     c, core = cyclic_decompose(t, g)
     r, k = _root_cyclic(t, core)
-    if not is_identity(c):
-        r = multiply(t, multiply(t, invert(t, c), r), c)
-    return r, k
+    return multiply(t, multiply(t, invert(t, c), r), c), k
 
 
 def is_conjugate(t: GroupTower, g: Elem, h: Elem) -> bool:
@@ -1056,8 +1044,6 @@ def centralizer(t: GroupTower, g: Elem) -> AbelianSubgroup:
 
 def subgroup_gens(t: GroupTower, sub: AbelianSubgroup):
     """Generators of the (conjugated) subgroup as plain elements."""
-    if is_identity(sub.conjugator):
-        return list(sub.gens)
     c = sub.conjugator
     ci = invert(t, c)
     return [multiply(t, multiply(t, ci, x), c) for x in sub.gens]

@@ -298,6 +298,50 @@ def test_acceptance_8_refactorization():
                 assert T.equals(t, other, base)
 
 
+def test_refactorization_on_wide_towers(monkeypatch):
+    # acceptance 8's refactorizations on fa5 and a free product, which it
+    # skips: keys agree, and equals, a key comparison that multiplies
+    # nothing, agrees with g*h^-1 being the identity on equal and distinct
+    # pairs
+    calls = []
+    real = T.multiply
+
+    def counting(t, g, h):
+        calls.append(1)
+        return real(t, g, h)
+
+    monkeypatch.setattr(T, "multiply", counting)
+    fa3 = factory.free_abelian(3)
+    wide = [("fa5", factory.free_abelian(5)),
+            ("fp", factory.free_product(fa3, factory.t1()))]
+    for name, t in wide:
+        rng = random.Random(0)
+        pool = _token_pool(t)
+        seen = {True: 0, False: 0}
+        prev = T.EPS
+        for _ in range(60):
+            factors = [rng.choice(pool)
+                       for _ in range(rng.randrange(1, 7))]
+            base = _fold(t, factors, rng)
+            for _ in range(3):
+                alt = list(factors)
+                for quad_maker in (_pinch_quad, _slide_quad):
+                    pos = rng.randrange(len(alt) + 1)
+                    alt[pos:pos] = quad_maker(t, rng)
+                other = _fold(t, alt, rng)
+                assert other.key == base.key, (name, render(t, base))
+                for g, h in ((other, base), (other, prev)):
+                    calls.clear()
+                    eq = T.equals(t, g, h)
+                    assert not calls, name
+                    assert eq == T.is_identity(
+                        multiply(t, g, invert(t, h))), (
+                            name, render(t, g), render(t, h))
+                    seen[eq] += 1
+            prev = base
+        assert seen[True] and seen[False], name
+
+
 # ---------------------------------------------------------------------------
 # 9. surface relators
 

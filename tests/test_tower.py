@@ -182,6 +182,42 @@ def test_weight_zero_conjugate_is_pinch_chain(all_towers, fa3, t1):
     assert branch[False]
 
 
+def _lower_parts(g):
+    """g and, recursively, every element part of its normal form."""
+    yield g
+    for p in g.parts or ():
+        if isinstance(p, T.Elem):
+            yield from _lower_parts(p)
+
+
+def test_identity_operand_is_returned_as_is(all_towers, fa3, t1,
+                                            monkeypatch):
+    # a normal form normalizes to itself, so a product with the identity
+    # hands back the other operand and builds nothing, at every level
+    builds = []
+    real_build = T.build
+
+    def counting(t, L, parts):
+        builds.append(L)
+        return real_build(t, L, parts)
+
+    monkeypatch.setattr(T, "build", counting)
+    for name, t in _scan_towers(all_towers, fa3, t1).items():
+        tops = [T.letter_elem(t, n) for n in t.letters]
+        gs = [x for g in sample_elements(t, SampleSpec(seed=16, samples=30))
+              + tops for x in _lower_parts(g) if not T.is_identity(x)]
+        assert {g.level for g in gs} == set(range(1, t.rank + 1)), name
+        builds.clear()
+        for g in gs:
+            assert T.multiply(t, T.EPS, g) is g, name
+            assert T.multiply(t, g, T.EPS) is g, name
+        assert builds == [], name
+        for g in gs:
+            if g.level > 1:
+                assert real_build(t, g.level, g.parts).key == g.key, (
+                    f"{name}: {render(t, g)}")
+
+
 def test_gromov_matches_com(all_towers):
     rng = random.Random(6)
     for t in all_towers.values():
