@@ -188,7 +188,10 @@ def _fold_graph(words):
     return find(base), trans
 
 
-def subgroup_contains(t, gens, x: Elem, radius: int = 3) -> bool:
+H_RADIUS = 3  # radius of the weight-zero multiplier ball and ball searches
+
+
+def subgroup_contains(t, gens, x: Elem, radius: int = H_RADIUS) -> bool:
     """Membership of x in <gens>.  Exact when everything lives in the base
     free layer (folded subgroup graph); otherwise a ball search of the
     given radius, which is sound but not complete."""
@@ -324,7 +327,6 @@ def nu(Y: GenSet, f: Elem) -> GenSet:
 # the reduction loop
 
 
-H_RADIUS = 3  # radius of the weight-zero multiplier ball
 _MAX_AUGMENT = 8
 
 

@@ -30,6 +30,12 @@ since normalizing a normal form gives it back; `equals` is equality of
 `Elem.key`s; and axis material is built only by `gens_power`, whose factors
 commute in the abelian axis, so their order cannot change the result.
 
+Axis material next to a block can only sit at the element's end (Britton's
+normal form again), so `_peel` reads the end first: a word's letters, an
+outer block, or the outer part.  It tests the whole element with
+`abelian_exponents` only where that strips nothing, above level 1, and its
+answers are those of testing the whole element first.
+
 A block's head, tail and offset periods are its letter's axis generators or
 their inverses, constants of the tower.  Each GroupTower keeps a private
 table, letter name -> (inverses of source_gens, inverses of target_gens),
@@ -479,54 +485,54 @@ def _block_as_axis(t, blk: Block, gens):
 def _peel(t, e, gens, right: bool):
     """Split axis material over gens off one end of e: e = e' o (material)
     when right is set, e = (material) o e' otherwise.  Returns (e',
-    exponents over gens).
-
-    The peel is structural (inspects canonical parts and literal word
-    ends), never a pure length test: length arithmetic cannot tell a
-    genuine trailing axis power from the periodic tail of a nested block."""
+    exponents over gens).  Each step reads the end structurally (length
+    cannot tell a trailing axis power from a nested block's periodic tail);
+    e is tested whole only where a step strips nothing above level 1."""
+    # The answers are those of testing e whole before each end step.  A hit
+    # means e lies in the abelian axis; each end step strips an exact axis
+    # factor, so such an e stays in it and the loop reaches the identity or
+    # stops on an axis element, where the whole test hits, with the same
+    # exponents (a graded generator list is a basis).  An e outside the axis
+    # stays outside, so both orders take the same steps.  At level 1 only
+    # gens[0] = c can be a word (heights rise strictly along gens), and it
+    # is cyclically reduced (check_admissible, _attach): c^k is c's word k
+    # times over, stripped to the identity, and w's end letter tells which
+    # of c and c^-1 can end w (c^-1 is built only then).
     exps = [0] * len(gens)
     outer = -1 if right else 0  # the outermost element part
-    changed = True
-    while changed and not is_identity(e):
-        changed = False
-        whole = abelian_exponents(t, gens, e)
-        if whole is not None:
-            exps = _vexadd(exps, whole)
-            e = EPS
-            break
+    while not is_identity(e):
         if e.level == 1:
-            w = e.word
-            for i, c in enumerate(gens):
-                if c.level != 1 or not c.word:
-                    continue
-                n = len(c.word)
-                end, rest = (w[-n:], w[:-n]) if right else (w[:n], w[n:])
-                if end == c.word:
-                    exps[i] += 1
-                elif end == W.w_inv(c.word):
-                    exps[i] -= 1
-                else:
-                    continue
-                e = word_elem(rest)
-                changed = True
-                break
-            continue
+            c = gens[0]
+            if c.level == 1 and c.word:
+                w, n = e.word, len(c.word)
+                s, p = ((-1, W.w_inv(c.word))
+                        if w[-1 if right else 0] == -c.word[0 if right else -1]
+                        else (1, c.word))
+                while (w[-n:] if right else w[:n]) == p:
+                    w = w[:-n] if right else w[n:]
+                    exps[0] += s
+                if w is not e.word:
+                    e = word_elem(w)
+            break
         if is_identity(e.parts[outer]):
             contrib = _block_as_axis(t, e.parts[-2 if right else 1], gens)
-            if contrib is None:
-                break
-            exps = _vexadd(exps, contrib)
-            rest = e.parts[:-2] if right else e.parts[2:]
-            e = rest[0] if len(rest) == 1 else build(t, e.level, list(rest))
-            changed = True
-            continue
-        sub, sexps = _peel(t, e.parts[outer], gens, right)
-        if any(sexps):
-            parts = list(e.parts)
-            parts[outer] = sub
-            e = build(t, e.level, parts)
-            exps = _vexadd(exps, sexps)
-            changed = True
+            if contrib is not None:
+                exps = _vexadd(exps, contrib)
+                rest = e.parts[:-2] if right else e.parts[2:]
+                e = rest[0] if len(rest) == 1 else build(t, e.level, rest)
+                continue
+        else:
+            sub, sexps = _peel(t, e.parts[outer], gens, right)
+            if any(sexps):
+                parts = list(e.parts)
+                parts[outer] = sub
+                e = build(t, e.level, parts)
+                exps = _vexadd(exps, sexps)
+                continue
+        whole = abelian_exponents(t, gens, e)
+        if whole is not None:
+            exps, e = _vexadd(exps, whole), EPS
+        break
     return e, exps
 
 

@@ -1,6 +1,7 @@
 """Core engine: normal forms, lengths, common heads, commutation."""
 
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -355,6 +356,119 @@ def test_peel_splits_axis_material(all_towers, fa3, t1):
                             assert T.equals(t, e, T.multiply(t, *pair))
                             peeled[right] += any(exps)
     assert peeled[False] and peeled[True]
+
+
+def _peel_whole_first(t, e, gens, right):
+    """The peel that tests e whole before every end step: the reference
+    T._peel must agree with."""
+    exps = [0] * len(gens)
+    outer = -1 if right else 0
+    changed = True
+    while changed and not T.is_identity(e):
+        changed = False
+        whole = T.abelian_exponents(t, gens, e)
+        if whole is not None:
+            exps = T._vexadd(exps, whole)
+            e = T.EPS
+            break
+        if e.level == 1:
+            w = e.word
+            for i, c in enumerate(gens):
+                if c.level != 1 or not c.word:
+                    continue
+                n = len(c.word)
+                end, rest = (w[-n:], w[:-n]) if right else (w[:n], w[n:])
+                if end == c.word:
+                    exps[i] += 1
+                elif end == Wd.w_inv(c.word):
+                    exps[i] -= 1
+                else:
+                    continue
+                e = T.word_elem(rest)
+                changed = True
+                break
+            continue
+        if T.is_identity(e.parts[outer]):
+            contrib = T._block_as_axis(t, e.parts[-2 if right else 1], gens)
+            if contrib is None:
+                break
+            exps = T._vexadd(exps, contrib)
+            rest = e.parts[:-2] if right else e.parts[2:]
+            e = rest[0] if len(rest) == 1 else T.build(t, e.level, list(rest))
+            changed = True
+            continue
+        sub, sexps = _peel_whole_first(t, e.parts[outer], gens, right)
+        if any(sexps):
+            parts = list(e.parts)
+            parts[outer] = sub
+            e = T.build(t, e.level, parts)
+            exps = T._vexadd(exps, sexps)
+            changed = True
+    return e, exps
+
+
+def _w_tower(t1):
+    """t1 with w: z*a -> z*b at level 3.  The axis generator z*a is neither
+    a word nor a letter element, so no end step peels a power of it."""
+    z, a, b = (T.gen_elem(t1, s) for s in "zab")
+    return extend_hnn(t1, "w", [T.multiply(t1, z, a)], [T.multiply(t1, z, b)])
+
+
+def test_peel_matches_whole_first_reference(all_towers, fa3, t1):
+    # reading the end first and testing e whole only where the end decides
+    # nothing gives the whole-first answer, on e, e*a, a*e and a for a
+    # random axis element a with nonzero exponents, at both ends of both
+    # axes of every letter
+    rng = random.Random(17)
+    towers = {**_scan_towers(all_towers, fa3, t1), "w": _w_tower(t1)}
+    for name, t in towers.items():
+        gs = sample_elements(t, SampleSpec(seed=18, samples=6))
+        for sl in t.letters.values():
+            for gens in (sl.source_gens, sl.target_gens):
+                for e in gs:
+                    a = T.gens_power(t, gens, [rng.choice((-2, -1, 1, 2))
+                                               for _ in gens])
+                    for x in (e, T.multiply(t, e, a), T.multiply(t, a, e), a):
+                        for right in (False, True):
+                            rest, exps = T._peel(t, x, gens, right)
+                            want, wexps = _peel_whole_first(t, x, gens, right)
+                            assert (rest.key, exps) == (want.key, wexps), (
+                                f"{name}: {sl.name} {render(t, x)} "
+                                f"right={right}")
+
+
+def test_peel_tests_whole_only_where_the_end_cannot_decide(t1, surf2, ns3,
+                                                           monkeypatch):
+    # no word is tested whole; the heads of the reducedness scan on the
+    # canonical sets come from end steps alone; and on the w tower, whose
+    # axis generator no end step peels, the whole test runs and hits
+    real = T.abelian_exponents
+    calls = []
+
+    def counting(t, gens, x):
+        r = real(t, gens, x)
+        calls.append((sys._getframe(1).f_code.co_name, x.level, r is not None))
+        return r
+
+    monkeypatch.setattr(T, "abelian_exponents", counting)
+    for t, ss in ((t1, ["a", "b", "z"]), (surf2, ["x2", "x3", "x4", "x1"]),
+                  (ns3, ["x2", "x3", "x1r"])):
+        Y = N.GenSet(t, [W(t, s) for s in ss])
+        hs = N.ball(t, Y.zero(), N.H_RADIUS)
+        calls.clear()
+        for g in Y.positive():
+            for h in hs:
+                T._product_head(t, h, g)
+        assert calls == [], ss
+    tw = _w_tower(t1)
+    gens = tw.letters["w"].source_gens
+    calls.clear()
+    for k in (-2, 1, 3):
+        for right in (False, True):
+            rest, exps = T._peel(tw, T.pow_elem(tw, gens[0], k), gens, right)
+            assert T.is_identity(rest) and exps == [k], (k, right)
+    assert ("_peel", 2, True) in calls
+    assert not [c for c in calls if c[0] == "_peel" and c[1] == 1]
 
 
 def test_inverse_axis_table(all_towers, fa3, t1):
