@@ -25,6 +25,16 @@ The overlap scan builds h*f and its com only for each positive-weight
 overlap, whose head u it keeps, and the (d) test follows f's pinch chain
 (tower._weight_zero_conjugate) instead of building f^-1*h*f.
 
+A GenSet holds each member's inverse from construction (GenSet.inverse).
+pair_reps, replace, mu, the closure step and pregroup read it instead of
+inverting a member again, and the set replace builds takes the kept
+members' inverses along.  The (d) queries of one scan share one membership
+test (_membership): the subgroup graph of the weight-zero part is folded
+once, or above the base layer the keys of its ball are collected once; the
+closure step makes a new test only when it adds elements.  Over word
+generators, ball runs on the word tuples and builds one Elem per new
+element.
+
 When the loop's last pass finds no (d) record either, its result is
 certified: GenSet.reduced_at holds the h-radius at which (a)-(d) are known
 to hold (None on every new set), and pregroup trusts it.  is_reduced never
@@ -34,6 +44,7 @@ reads it, so it stays an independent check of reduce_genset.
 from __future__ import annotations
 
 from . import tower as T
+from . import words as W
 from .tower import Elem, EPS
 from .wordexpr import render
 
@@ -50,15 +61,21 @@ class GenSet:
     """A finite symmetric set of tower elements with a witness log."""
 
     def __init__(self, t, elements, witness_log=None):
+        self._fill(t, [(g, T.invert(t, g)) for g in elements
+                       if not T.is_identity(g)], witness_log)
+
+    def _fill(self, t, pairs, witness_log):
+        """Hold the members of the (g, g^-1) pairs and each one's inverse."""
         self.tower = t
         seen = {}
-        for g in elements:
-            if T.is_identity(g):
-                continue
+        inv = {}
+        for g, gi in pairs:
             seen[g.key] = g
-            gi = T.invert(t, g)
             seen[gi.key] = gi
+            inv[g.key] = gi.key
+            inv[gi.key] = g.key
         self.elements = tuple(sorted(seen.values(), key=lambda g: render(t, g)))
+        self._inverse = {k: seen[ik] for k, ik in inv.items()}
         self.witness_log = list(witness_log or [])
         self.reduced_at = None  # see the module docstring
 
@@ -69,7 +86,15 @@ class GenSet:
         return len(self.elements)
 
     def __contains__(self, g):
-        return any(g.key == x.key for x in self.elements)
+        return g.key in self._inverse
+
+    def inverse(self, g):
+        """The inverse of a member, as held since the set was built."""
+        gi = self._inverse.get(g.key)
+        if gi is None:
+            raise ValueError(
+                f"{render(self.tower, g)} is not a member of the set")
+        return gi
 
     def positive(self):
         """Members with positive top weight (closed under inversion)."""
@@ -80,27 +105,33 @@ class GenSet:
         return [g for g in self.elements if T.lam_len(self.tower, g) == 0]
 
     def pair_reps(self, members=None):
-        """One representative per inverse pair, in render order."""
-        t = self.tower
+        """One representative per inverse pair of members, in render order."""
         out = []
         seen = set()
         for g in (self.elements if members is None else members):
+            gi = self.inverse(g)
             if g.key in seen:
                 continue
             seen.add(g.key)
-            seen.add(T.invert(t, g).key)
+            seen.add(gi.key)
             out.append(g)
         return out
 
     def replace(self, removed, added, log_entry):
+        """The set without the removed members and their inverses, with the
+        added elements; kept members bring their held inverses along."""
         t = self.tower
         gone = set()
         for g in removed:
             gone.add(g.key)
-            gone.add(T.invert(t, g).key)
-        kept = [g for g in self.elements if g.key not in gone]
-        return GenSet(t, kept + list(added),
-                      self.witness_log + [log_entry])
+            gone.add(self.inverse(g).key)
+        out = GenSet.__new__(GenSet)
+        out._fill(t, [(g, self._inverse[g.key]) for g in self.elements
+                      if g.key not in gone]
+                  + [(g, T.invert(t, g)) for g in added
+                     if not T.is_identity(g)],
+                  self.witness_log + [log_entry])
+        return out
 
 
 def lambda_weight(Y: GenSet) -> int:
@@ -120,7 +151,9 @@ def _rebuilds(t, g, factors) -> bool:
 def _witness(t, g, factors):
     """Log record expressing g as the product of factors."""
     if not _rebuilds(t, g, factors):
-        raise T.EngineError("witness product does not rebuild the generator")
+        raise T.EngineError(
+            f"witness product does not rebuild the generator {render(t, g)}"
+            f" from the factors [{', '.join(render(t, x) for x in factors)}]")
     return {"element": g, "factors": list(factors),
             "rendered": (render(t, g), [render(t, x) for x in factors])}
 
@@ -195,27 +228,44 @@ def subgroup_contains(t, gens, x: Elem, radius: int = H_RADIUS) -> bool:
     """Membership of x in <gens>.  Exact when everything lives in the base
     free layer (folded subgroup graph); otherwise a ball search of the
     given radius, which is sound but not complete."""
-    if T.is_identity(x):
-        return True
-    if not gens:
-        return False
-    if x.level == 1 and all(g.level == 1 for g in gens):
-        base, trans = _fold_graph([g.word for g in gens])
-        cur = base
-        for k in x.word:
-            cur = trans.get((cur, k))
-            if cur is None:
-                return False
-        return cur == base
-    for h in ball(t, gens, radius):
-        if T.equals(t, h, x):
+    return _membership(t, gens, radius)(x)
+
+
+def _membership(t, gens, radius):
+    """subgroup_contains(t, gens, ., radius) for many queries: the subgroup
+    graph is folded once, on the first word query, and the ball's keys are
+    collected once, on the first other one."""
+    words = all(g.level == 1 for g in gens)
+    fold = keys = None
+
+    def contains(x):
+        nonlocal fold, keys
+        if T.is_identity(x):
             return True
-    return False
+        if not gens:
+            return False
+        if words and x.level == 1:
+            if fold is None:
+                fold = _fold_graph([g.word for g in gens])
+            base, trans = fold
+            cur = base
+            for k in x.word:
+                cur = trans.get((cur, k))
+                if cur is None:
+                    return False
+            return cur == base
+        if keys is None:
+            keys = {h.key for h in ball(t, gens, radius)}
+        return x.key in keys
+
+    return contains
 
 
 def ball(t, gens, radius: int):
     """All products of at most `radius` generators (with inverses), plus
     the identity, deduplicated; deterministic order."""
+    if all(g.level == 1 for g in gens):
+        return _word_ball([g.word for g in gens], radius)
     reps = []
     seen = set()
     for g in gens:
@@ -239,6 +289,30 @@ def ball(t, gens, radius: int):
     return out
 
 
+def _word_ball(gens, radius):
+    """ball over word generators, run on the word tuples: a word is its own
+    key, so the same words come out in the same order, one Elem each."""
+    reps = []
+    for g in gens:
+        for x in (g, W.w_inv(g)):
+            if x and x not in reps:
+                reps.append(x)
+    out = [EPS]
+    known = {W.EPS}
+    frontier = [W.EPS]
+    for _ in range(radius):
+        nxt = []
+        for cur in frontier:
+            for g in reps:
+                cand = W.w_mul(cur, g)
+                if cand not in known:
+                    known.add(cand)
+                    nxt.append(cand)
+                    out.append(T.word_elem(cand))
+        frontier = nxt
+    return out
+
+
 # ---------------------------------------------------------------------------
 # the three moves
 
@@ -254,8 +328,8 @@ def mu(Y: GenSet, f: Elem, g: Elem, h: Elem) -> GenSet:
     if lam(u) <= 0:
         raise Inapplicable("mu needs a positive-weight common head")
     ui = T.invert(t, u)
-    fi = T.invert(t, f)
-    if f.key != T.invert(t, g).key:
+    fi = Y.inverse(f)
+    if f.key != Y.inverse(g).key:
         w1 = T.multiply(t, ui, f)
         w2 = T.multiply(t, ui, hg)
         added = [u, w1, w2]
@@ -385,11 +459,12 @@ def _find_eta(t, overlaps):
                key=lambda c: [render(t, x) for x in c], default=None)
 
 
-def _escapes(t, zero, f, h, h_radius):
-    """(whether f^-1 * h * f lies outside <zero>, that conjugate when it has
-    weight zero, else None)."""
+def _escapes(t, member, f, h):
+    """(whether f^-1 * h * f lies outside the subgroup that member tests
+    (see _membership), that conjugate when it has weight zero, else
+    None)."""
     x = T._weight_zero_conjugate(t, f, h)
-    return x is None or not subgroup_contains(t, zero, x, h_radius), x
+    return x is None or not member(x), x
 
 
 def _augment_closure(Y: GenSet, overlaps, h_radius):
@@ -400,21 +475,25 @@ def _augment_closure(Y: GenSet, overlaps, h_radius):
     t = Y.tower
     added = []
     zero = Y.zero()
+    member = _membership(t, zero, h_radius)
     held = True
     for f, h, u in overlaps:
         if T.lam_len(t, u) != T.lam_len(t, f):
             continue
-        escaped, x = _escapes(t, zero + added, f, h, h_radius)
+        escaped, x = _escapes(t, member, f, h)
         if not escaped:
             continue
         held = False
         if x is None:
             continue
-        fi = T.invert(t, f)
+        fi = Y.inverse(f)
+        before = len(added)
         for c in T.subgroup_gens(t, T.centralizer(t, h)):
             if T.lam_len(t, c) == 0:
                 added.append(c)
                 added.append(T.multiply(t, T.multiply(t, fi, c), f))
+        if len(added) > before:
+            member = _membership(t, zero + added, h_radius)
     if not added:
         return Y, held
     entry = {"op": "augment",
@@ -481,6 +560,7 @@ def is_reduced(t, Y, h_radius: int = H_RADIUS) -> list[str]:
     out = []
     zero = Y.zero()
     prods = _products(Y, ball(t, zero, h_radius))
+    member = _membership(t, zero, h_radius)
     for f in Y.pair_reps(Y.positive()):
         if not T.is_cyclically_reduced(t, f):
             out.append(f"(a) not cyclically reduced: {render(t, f)}")
@@ -493,7 +573,7 @@ def is_reduced(t, Y, h_radius: int = H_RADIUS) -> list[str]:
         if T.lam_len(t, u) != T.lam_len(t, f):
             out.append(f"(c) partial self-overlap: f={render(t, f)} "
                        f"h={render(t, h)}")
-        elif _escapes(t, zero, f, h, h_radius)[0]:
+        elif _escapes(t, member, f, h)[0]:
             out.append(f"(d) conjugate escapes the weight-zero part: "
                        f"f={render(t, f)} h={render(t, h)}")
     return out

@@ -92,7 +92,7 @@ def decompose(t, Z, x: Elem) -> Decomposition | None:
         if T.lam_len(t, f) != lam or _skeleton(t, f) != sk:
             continue
         q0i = T.invert(t, f.parts[0])
-        fi = T.invert(t, f)
+        fi = Z.inverse(f)
         for exps in cands:
             h1 = T.multiply(t, T.multiply(t, p0, T.gens_power(t, gens, exps)),
                             q0i)
@@ -126,7 +126,7 @@ def pz_product_defined(t, Z, x: Elem, y: Elem) -> bool:
     if dx is None or dy is None:
         raise T.TowerRejection("not-a-piece",
                                render(t, x if dx is None else y))
-    if dx.f.key != T.invert(t, dy.f).key:
+    if dx.f.key != Z.inverse(dy.f).key:
         return False
     # dx.f * mid * dx.f^-1 = dy.f^-1 * mid * dy.f
     mid = T.multiply(t, dx.h2, dy.h1)

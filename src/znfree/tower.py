@@ -36,6 +36,18 @@ outer block, or the outer part.  It tests the whole element with
 `abelian_exponents` only where that strips nothing, above level 1, and its
 answers are those of testing the whole element first.
 
+Questions about words are answered on the word tuples.  Heights rise
+strictly along an axis and a word has height 1, so when a margin and its
+block's head period are both words, the block's left axis is <c> and the
+head period is c^+-1.  `_settle_word` then takes margin phase 1's steps on
+the tuple: copies of c^+-1 stripped off the right end, as `_peel`'s level-1
+step strips them, and the head period multiplied in where the junction
+cancels, as `_additive` finds it.  `_product_head` runs it on h's word times
+m0's and builds one Elem for the head.  On a word, `abelian_exponents` is
+`_peel`'s strip reaching the identity: c is cyclically reduced, so c^k is
+c's word k times over.  Each kernel takes the general path's steps in the
+same order, so its answers are the general path's.
+
 A block's head, tail and offset periods are its letter's axis generators or
 their inverses, constants of the tower.  Each GroupTower keeps a private
 table, letter name -> (inverses of source_gens, inverses of target_gens),
@@ -389,6 +401,12 @@ def gens_power(t: GroupTower, gens, exps) -> Elem:
 
 def abelian_exponents(t: GroupTower, gens, x: Elem):
     """Exponent vector of x over a graded abelian generator list, or None."""
+    if x.level == 1 and gens:
+        # a word lies in the axis only as a power of the one generator that
+        # can be a word, gens[0] = c, and c^k is c's word k times over (c is
+        # cyclically reduced); _peel strips exactly those copies
+        e, exps = _peel(t, x, gens, right=True)
+        return exps if is_identity(e) else None
     exps = [0] * len(gens)
     cur = x
     for i in range(len(gens) - 1, -1, -1):
@@ -536,6 +554,36 @@ def _peel(t, e, gens, right: bool):
     return e, exps
 
 
+def _settle_word(t, w: W.Word, blk: Block, hp: Elem):
+    """_settle_left on a word w, for a block whose head period hp is a word:
+    (w', change of the offset's one component)."""
+    # Heights rise strictly along an axis and a word has height 1, so the
+    # left axis is <c>, c = lgens[0], and hp = c^sign.  The loop takes
+    # _settle_left's steps on the word: _peel's level-1 strip of copies of
+    # c^+-1 off the right end (the end letter picks the sign, as c is
+    # cyclically reduced), else, where w's last letter cancels into hp,
+    # w*hp (_additive's junction test), one _GUARD step each.
+    c = _axes(t, blk)[0][0].word
+    ci = _inverse_axes(t, blk.letter)[0 if blk.sign > 0 else 1][0].word
+    hw = hp.word
+    n = len(c)
+    d = 0
+    for _ in range(_GUARD):
+        if w:
+            p, s = (ci, -1) if w[-1] == -c[0] else (c, 1)
+            if w[-n:] == p:
+                while w[-n:] == p:
+                    w = w[:-n]
+                    d += s
+                continue
+            if w[-1] == -hw[0]:
+                w = W.w_mul(w, hw)
+                d -= blk.sign
+                continue
+        return w, d
+    raise EngineError("left margin did not stabilize")
+
+
 def _settle_left(t, e: Elem, blk: Block):
     """Margin phase 1 for one block: stabilize the element e to its left.
     Axis material adjacent to the block's head is absorbed into the offset
@@ -543,9 +591,14 @@ def _settle_left(t, e: Elem, blk: Block):
     by pulling one period out of the block (the complement stays as honest
     element material).  Returns (e', offset list); only the block's letter
     and sign are read, besides the offset the result starts from."""
-    lgens, _ = _axes(t, blk)
     hp = head_period(t, blk)
     off = list(blk.offset)
+    if e.level == 1 and hp.level == 1:
+        w, d = _settle_word(t, e.word, blk, hp)
+        off[-1] += d
+        # each step changes the word, and the steps depend on it alone
+        return (e if w == e.word else word_elem(w)), off
+    lgens, _ = _axes(t, blk)
     for _ in range(_GUARD):
         e2, pex = _peel(t, e, lgens, right=True)
         if any(pex):
@@ -793,8 +846,12 @@ def _product_head(t: GroupTower, h: Elem, g: Elem):
     # Hence the first margin of h*g is h*m0 settled against B1.
     if t.rank == 1:
         return _head(t, multiply(t, h, g))
-    blk = g.parts[1]
-    e, _ = _settle_left(t, multiply(t, h, g.parts[0]), blk)
+    blk, m0 = g.parts[1], g.parts[0]
+    hp = head_period(t, blk)
+    if h.level == 1 and m0.level == 1 and hp.level == 1:
+        w, _ = _settle_word(t, W.w_mul(h.word, m0.word), blk, hp)
+        return (word_elem(w).key, blk.letter, blk.sign)
+    e, _ = _settle_left(t, multiply(t, h, m0), blk)
     return (e.key, blk.letter, blk.sign)
 
 

@@ -1,10 +1,11 @@
 """Generating-set reduction moves and the reduction loop."""
 
+import re
 import sys
 
 import pytest
 
-from znfree import nielsen as N, tower as T
+from znfree import factory, nielsen as N, pregroup as P, tower as T
 from znfree.wordexpr import parse_word, render
 
 
@@ -217,6 +218,173 @@ def test_scan_builds_h_f_only_for_self_overlaps(t1, t_ab, fa3, surf2, ns3,
         assert calls == want, ss
         overlaps += len(want)
     assert overlaps
+
+
+def _total_overlaps(t, Y):
+    prods = N._products(Y, N.ball(t, Y.zero(), N.H_RADIUS))
+    return [(f, h) for f, h, u in N._self_overlaps(Y, prods)
+            if T.lam_len(t, u) == T.lam_len(t, f)]
+
+
+def test_is_reduced_folds_once_per_scan(t1, surf2, ns3, monkeypatch):
+    # the (d) queries of one scan share one folded subgroup graph
+    real = N._fold_graph
+    calls = []
+
+    def counting(words):
+        calls.append(words)
+        return real(words)
+
+    monkeypatch.setattr(N, "_fold_graph", counting)
+    for t, ss in ((t1, ["a", "b", "z"]), (surf2, ["x2", "x3", "x4", "x1"]),
+                  (ns3, ["x2", "x3", "x1r"]), (t1, ["z", "a", "b^3"])):
+        Y = gens(t, *ss)
+        assert len(_total_overlaps(t, Y)) > 1, ss
+        calls.clear()
+        N.is_reduced(t, Y)
+        assert len(calls) <= 1, ss
+
+
+def _ball_general(t, gens, radius):
+    """The breadth-first ball through multiply: the reference the word
+    path of N.ball must agree with."""
+    reps = []
+    seen = set()
+    for g in gens:
+        for x in (g, T.invert(t, g)):
+            if x.key not in seen and not T.is_identity(x):
+                seen.add(x.key)
+                reps.append(x)
+    out = [T.EPS]
+    known = {T.EPS.key}
+    frontier = [T.EPS]
+    for _ in range(radius):
+        nxt = []
+        for cur in frontier:
+            for g in reps:
+                cand = T.multiply(t, cur, g)
+                if cand.key not in known:
+                    known.add(cand.key)
+                    nxt.append(cand)
+                    out.append(cand)
+        frontier = nxt
+    return out
+
+
+def test_word_ball_matches_general_ball(t1, surf2, fa3):
+    # same keys in the same order, on redundant and overlapping word sets;
+    # the level-2 set takes the general path
+    f3 = factory.free_tower(["a", "b", "c"])
+    cases = [(t1, ["a", "a^-2", "b", "b^-2"]), (t1, ["a*b", "b^-1", "a"]),
+             (t1, ["a", "a^-1"]), (t1, []), (surf2, ["x2", "x3", "x4"]),
+             (f3, ["a*b*c", "c^-1", "b^2", "b^2"]), (fa3, ["a", "z2"])]
+    for t, ss in cases:
+        gs = [W(t, s) for s in ss]
+        for radius in range(4):
+            got = N.ball(t, gs, radius)
+            want = _ball_general(t, gs, radius)
+            assert [x.key for x in got] == [x.key for x in want], (ss, radius)
+            assert all(isinstance(x, T.Elem) for x in got)
+
+
+def _subgroup_contains_general(t, gens, x, radius):
+    """Membership with a fresh fold per word query and a ball walk per
+    other one: the reference the scans' shared membership test must agree
+    with."""
+    if T.is_identity(x):
+        return True
+    if not gens:
+        return False
+    if x.level == 1 and all(g.level == 1 for g in gens):
+        base, trans = N._fold_graph([g.word for g in gens])
+        cur = base
+        for k in x.word:
+            cur = trans.get((cur, k))
+            if cur is None:
+                return False
+        return cur == base
+    return any(T.equals(t, h, x) for h in _ball_general(t, gens, radius))
+
+
+def test_scan_membership_matches_subgroup_contains(t1, t_ab, fa3, surf2, ns3,
+                                                   monkeypatch):
+    # every query the scans put to their shared membership test gets the
+    # answer of a fresh subgroup_contains, on the word and the ball paths
+    real = N._membership
+    queries = []
+
+    def recording(t, gs, radius):
+        contains = real(t, gs, radius)
+
+        def query(x):
+            got = contains(x)
+            queries.append((t, list(gs), radius, x, got))
+            return got
+
+        return query
+
+    monkeypatch.setattr(N, "_membership", recording)
+    for t, ss in _scan_cases(t1, t_ab, fa3, surf2, ns3):
+        N.is_reduced(t, gens(t, *ss))
+        N.reduce_genset(t, gens(t, *ss))
+    monkeypatch.undo()
+    seen = set()
+    for t, gs, radius, x, got in queries:
+        want = _subgroup_contains_general(t, gs, x, radius)
+        assert got == want, [render(t, g) for g in gs] + [render(t, x)]
+        assert got == N.subgroup_contains(t, gs, x, radius)
+        seen.add((got, all(g.level == 1 for g in gs)))
+    assert seen == {(False, True), (True, True), (True, False)}
+
+
+def test_members_are_never_inverted_again(t1, monkeypatch):
+    # a set holds each member's inverse from construction; pair_reps,
+    # replace, mu, decompose and pz_product_defined read it
+    Y = gens(t1, "a*z", "b*z")
+    f, g, h = N._find_mu(Y, N._products(Y, N.ball(t1, Y.zero(), 3)))
+    Z = N.reduce_genset(t1, Y)
+    readers = {"pair_reps", "replace", "mu", "decompose",
+               "pz_product_defined"}
+    real = T.invert
+    calls = []
+
+    def counting(t, x):
+        calls.append((sys._getframe(1).f_code.co_name, x.key))
+        return real(t, x)
+
+    monkeypatch.setattr(T, "invert", counting)
+    uses = [(Y, lambda: Y.pair_reps()),
+            (Z, lambda: Z.pair_reps(Z.positive())),
+            (Y, lambda: Y.replace([f], [W(t1, "a")], {"op": "test"})),
+            (Y, lambda: N.mu(Y, f, g, h)),
+            (Z, lambda: [P.decompose(t1, Z, W(t1, s))
+                         for s in ("a*z*b", "z^-1*a", "b*z^-1*a")]),
+            (Z, lambda: P.pz_product_defined(t1, Z, W(t1, "z*b"),
+                                             W(t1, "b^-1*z^-1")))]
+    others = 0
+    for S, use in uses:
+        calls.clear()
+        use()
+        members = {x.key for x in S}
+        assert [c for c, k in calls if c in readers and k in members] == []
+        others += sum(c in readers for c, _ in calls)
+    assert others  # elements that are no members are still inverted
+
+
+def test_inverse_is_held_for_members_only(t1):
+    Y = gens(t1, "a*z", "b")
+    assert Y.inverse(W(t1, "a*z")).key == W(t1, "z^-1*a^-1").key
+    assert Y.inverse(W(t1, "b^-1")).key == W(t1, "b").key
+    assert W(t1, "b^-1") in Y and W(t1, "a") not in Y
+    for call in (lambda x: Y.inverse(x), lambda x: Y.pair_reps([x])):
+        with pytest.raises(ValueError, match=re.escape("a*b is not a member")):
+            call(W(t1, "a*b"))
+
+
+def test_witness_error_names_generator_and_factors(t1):
+    with pytest.raises(T.EngineError,
+                       match=re.escape("generator a from the factors [b]")):
+        N._witness(t1, W(t1, "a"), [W(t1, "b")])
 
 
 def test_subgroup_contains_exact_base(t1):
