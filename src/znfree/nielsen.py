@@ -15,9 +15,8 @@ The searches over weight-zero multipliers h have one owner each, read by
 both the reduction loop and is_reduced: _shared_heads yields the (b) records
 (the mu candidates), _self_overlaps the self-overlaps, whose partial ones
 are (c) records and eta candidates and whose total ones feed the closure and
-(d).  Each pass of the loop, and each is_reduced call, reads the head of
-h*g for every positive generator g and every multiplier h once, into one
-table that both scanners read.  com(f, h*g) has positive weight exactly when
+(d).  They read the head of h*g for every positive generator g and every
+multiplier h, from one table.  com(f, h*g) has positive weight exactly when
 the heads of f and h*g (tower._head: the first margin and the first block)
 are equal, and the head of h*g is read off h times g's first margin
 (tower._product_head), so the (b) scan builds no product and no com at all.
@@ -25,20 +24,28 @@ The overlap scan builds h*f and its com only for each positive-weight
 overlap, whose head u it keeps, and the (d) test follows f's pinch chain
 (tower._weight_zero_conjugate) instead of building f^-1*h*f.
 
-A GenSet holds each member's inverse from construction (GenSet.inverse).
+A GenSet never changes its members, so it holds what it computes about
+them.  It holds each member's inverse from construction (GenSet.inverse).
 pair_reps, replace, mu, the closure step and pregroup read it instead of
 inverting a member again, and the set replace builds takes the kept
-members' inverses along.  The (d) queries of one scan share one membership
-test (_membership): the subgroup graph of the weight-zero part is folded
-once, or above the base layer the keys of its ball are collected once; the
-closure step makes a new test only when it adds elements.  Over word
-generators, ball runs on the word tuples and builds one Elem per new
-element.
+members' inverses along.  It holds its reducedness scan (_scan), at most
+one per h-radius, made when first asked for: the weight-zero multiplier
+ball, the head table, the zero part's membership test (_membership: the
+subgroup graph is folded once, or above the base layer the keys of its
+ball are collected once) and the self-overlaps, found when first read.
+Each pass of the loop reads the scan of the set it works on; the pass that
+ends the loop leaves the result's scan held, and is_reduced and
+pregroup.split_level read that scan instead of building their own.  The
+closure step starts from the held membership test and makes a new one only
+when it adds elements.  Over word generators, ball runs on the word tuples
+and builds one Elem per new element.
 
 When the loop's last pass finds no (d) record either, its result is
 certified: GenSet.reduced_at holds the h-radius at which (a)-(d) are known
 to hold (None on every new set), and pregroup trusts it.  is_reduced never
-reads it, so it stays an independent check of reduce_genset.
+reads it: it evaluates (a)-(d) itself on the set's scan, so it stays an
+independent check of reduce_genset's conditions, and a set and a fresh
+copy of it get the same answer.
 """
 
 from __future__ import annotations
@@ -78,6 +85,7 @@ class GenSet:
         self._inverse = {k: seen[ik] for k, ik in inv.items()}
         self.witness_log = list(witness_log or [])
         self.reduced_at = None  # see the module docstring
+        self._scans = {}  # h-radius -> _Scan, filled by _scan
 
     def __iter__(self):
         return iter(self.elements)
@@ -138,6 +146,11 @@ def lambda_weight(Y: GenSet) -> int:
     """Sum of top weights over one representative per inverse pair."""
     t = Y.tower
     return sum(T.lam_len(t, g) for g in Y.pair_reps(Y.positive()))
+
+
+def _render_set(Y: GenSet) -> str:
+    """One member per inverse pair, rendered, for error messages."""
+    return "{" + ", ".join(render(Y.tower, g) for g in Y.pair_reps()) + "}"
 
 
 def _rebuilds(t, g, factors) -> bool:
@@ -357,7 +370,8 @@ def mu(Y: GenSet, f: Elem, g: Elem, h: Elem) -> GenSet:
         out = Y.replace([g], [x for x in (u, w2u) if not T.is_identity(x)],
                         entry)
     if lambda_weight(out) >= lambda_weight(Y):
-        raise T.EngineError("mu did not decrease the weight")
+        raise T.EngineError(
+            f"mu did not decrease the weight of {_render_set(Y)}")
     return out
 
 
@@ -402,6 +416,38 @@ def nu(Y: GenSet, f: Elem) -> GenSet:
 
 
 _MAX_AUGMENT = 8
+
+
+class _Scan:
+    """A set's reducedness scan at one h-radius (see the module
+    docstring)."""
+
+    __slots__ = ("ball", "prods", "member", "overlaps")
+
+    def __init__(self, Y, h_radius):
+        t = Y.tower
+        zero = Y.zero()
+        self.ball = ball(t, zero, h_radius)
+        self.prods = _products(Y, self.ball)
+        self.member = _membership(t, zero, h_radius)
+        self.overlaps = None  # read through _overlaps
+
+
+def _scan(Y, h_radius):
+    """Y's scan at h_radius, made on first use and held by Y."""
+    s = Y._scans.get(h_radius)
+    if s is None:
+        s = Y._scans[h_radius] = _Scan(Y, h_radius)
+    return s
+
+
+def _overlaps(Y, h_radius):
+    """_self_overlaps of Y's scan, found on first use: a pass that finds a
+    mu or nu move never reads them."""
+    s = _scan(Y, h_radius)
+    if s.overlaps is None:
+        s.overlaps = _self_overlaps(Y, s.prods)
+    return s.overlaps
 
 
 def _products(Y, hs):
@@ -467,7 +513,7 @@ def _escapes(t, member, f, h):
     return x is None or not member(x), x
 
 
-def _augment_closure(Y: GenSet, overlaps, h_radius):
+def _augment_closure(Y: GenSet, h_radius):
     """Add the centralizer elements making condition (d) hold: whenever a
     positive generator is weight-preservingly conjugated by some h of the
     weight-zero subgroup, keep the conjugation inside that subgroup.
@@ -475,9 +521,9 @@ def _augment_closure(Y: GenSet, overlaps, h_radius):
     t = Y.tower
     added = []
     zero = Y.zero()
-    member = _membership(t, zero, h_radius)
+    member = _scan(Y, h_radius).member
     held = True
-    for f, h, u in overlaps:
+    for f, h, u in _overlaps(Y, h_radius):
         if T.lam_len(t, u) != T.lam_len(t, f):
             continue
         escaped, x = _escapes(t, member, f, h)
@@ -511,12 +557,12 @@ def reduce_genset(t, Y, h_radius: int = H_RADIUS) -> GenSet:
     the last pass, which finds nothing to do, finds no (d) record either."""
     if not isinstance(Y, GenSet):
         Y = GenSet(t, Y)
+    given = Y
     bound = max(1, lambda_weight(Y)) ** 2
     steps = 0
     augments = 0
     while True:
-        prods = _products(Y, ball(t, Y.zero(), h_radius))
-        cand = _find_mu(Y, prods)
+        cand = _find_mu(Y, _scan(Y, h_radius).prods)
         if cand is not None:
             Y = mu(Y, *cand)
         else:
@@ -524,12 +570,11 @@ def reduce_genset(t, Y, h_radius: int = H_RADIUS) -> GenSet:
             if cand is not None:
                 Y = nu(Y, cand)
             else:
-                overlaps = _self_overlaps(Y, prods)
-                cand = _find_eta(t, overlaps)
+                cand = _find_eta(t, _overlaps(Y, h_radius))
                 if cand is not None:
                     Y = eta(Y, *cand)
                 else:
-                    Y2, held = _augment_closure(Y, overlaps, h_radius)
+                    Y2, held = _augment_closure(Y, h_radius)
                     if Y2 is Y:
                         if held:
                             Y.reduced_at = h_radius
@@ -538,12 +583,14 @@ def reduce_genset(t, Y, h_radius: int = H_RADIUS) -> GenSet:
                     augments += 1
                     if augments > _MAX_AUGMENT:
                         raise T.EngineError(
-                            "closure augmentation did not stabilize")
+                            f"closure augmentation of {_render_set(given)}"
+                            " did not stabilize")
                     continue
         steps += 1
         if steps > bound:
             raise T.EngineError(
-                f"reduction exceeded its step bound ({bound})")
+                f"reduction of {_render_set(given)} exceeded its step bound"
+                f" ({bound})")
 
 
 def is_reduced(t, Y, h_radius: int = H_RADIUS) -> list[str]:
@@ -554,26 +601,26 @@ def is_reduced(t, Y, h_radius: int = H_RADIUS) -> list[str]:
     weight-zero multiplier; (c) a positive-weight self-overlap is total;
     (d) total self-overlaps conjugate back into the weight-zero subgroup.
     The weight-zero multipliers h are enumerated in a ball, so (b)-(d) are
-    sound but bounded.  Always a full scan: Y.reduced_at is not read."""
+    sound but bounded.  The records are read from Y's scan at h_radius: the
+    one reduce_genset's last pass left on its result, else one made now.
+    Y.reduced_at is not read."""
     if not isinstance(Y, GenSet):
         Y = GenSet(t, Y)
     out = []
-    zero = Y.zero()
-    prods = _products(Y, ball(t, zero, h_radius))
-    member = _membership(t, zero, h_radius)
+    scan = _scan(Y, h_radius)
     for f in Y.pair_reps(Y.positive()):
         if not T.is_cyclically_reduced(t, f):
             out.append(f"(a) not cyclically reduced: {render(t, f)}")
     for f in Y.positive():
-        for g, h in _shared_heads(Y, prods, f):
+        for g, h in _shared_heads(Y, scan.prods, f):
             out.append(f"(b) shared head: f={render(t, f)} g={render(t, g)}"
                        f" h={render(t, h)}")
             break
-    for f, h, u in _self_overlaps(Y, prods):
+    for f, h, u in _overlaps(Y, h_radius):
         if T.lam_len(t, u) != T.lam_len(t, f):
             out.append(f"(c) partial self-overlap: f={render(t, f)} "
                        f"h={render(t, h)}")
-        elif _escapes(t, member, f, h)[0]:
+        elif _escapes(t, scan.member, f, h)[0]:
             out.append(f"(d) conjugate escapes the weight-zero part: "
                        f"f={render(t, f)} h={render(t, h)}")
     return out

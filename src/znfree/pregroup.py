@@ -234,16 +234,23 @@ def split_level(t, Z) -> LevelSplit:
     subgroup it pinches (found through centralizers of pinch witnesses).
     A witness is a c of the base ball with y^-1*c*y of weight zero; it and
     each image are read along y's pinch chain
-    (tower._weight_zero_conjugate), so no top-level conjugate is built."""
+    (tower._weight_zero_conjugate), so no top-level conjugate is built.
+    The base ball is the one Z's reducedness scan holds."""
     Z = _require_reduced(t, Z)
     if t.rank == 1:
         return LevelSplit(base_gens=Z.pair_reps(), stable_letters=[])
     base = Z.pair_reps(Z.zero())
+    # The scan's ball is N.ball(t, Z.zero(), H_RADIUS), which lists the
+    # elements of N.ball(t, base, H_RADIUS) in the same order: ball walks
+    # each generator and then its inverse, at the first member of their
+    # pair, and Z.zero() is closed under inversion and in the render order
+    # in which pair_reps keeps the first member of each pair.
+    cs = [c for c in N._scan(Z, N.H_RADIUS).ball if not T.is_identity(c)]
     stable = []
     for y in Z.pair_reps(Z.positive()):
         witness = next(
-            (c for c in N.ball(t, base, N.H_RADIUS) if not T.is_identity(c)
-             and T._weight_zero_conjugate(t, y, c) is not None), None)
+            (c for c in cs if T._weight_zero_conjugate(t, y, c) is not None),
+            None)
         src, tgt = [], []
         if witness is not None:
             for g in T.subgroup_gens(t, T.centralizer(t, witness)):

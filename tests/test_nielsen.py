@@ -1,5 +1,6 @@
 """Generating-set reduction moves and the reduction loop."""
 
+import random
 import re
 import sys
 
@@ -412,3 +413,146 @@ def test_witness_log_renders(t1):
             elem, factors = w["rendered"]
             assert isinstance(elem, str) and all(
                 isinstance(f, str) for f in factors)
+
+
+# ---------------------------------------------------------------------------
+# the held reducedness scan
+
+
+_BASES = {"t1": ["a", "b", "z"], "t_ab": ["a", "z"], "fa3": ["a", "z2", "z3"],
+          "surf2": ["x2", "x3", "x4", "x1"], "ns3": ["x2", "x3", "x1r"]}
+
+
+def _sampled_set(t, base, seed):
+    """The basis after a few random Nielsen moves (x <- x*y^+-1 or
+    y^+-1*x), on odd seeds with the product of two members added."""
+    rng = random.Random(seed)
+    xs = [W(t, s) for s in base]
+    for _ in range(1 + seed % 3):
+        a, b = rng.sample(range(len(xs)), 2)
+        y = xs[b] if rng.random() < 0.5 else T.invert(t, xs[b])
+        xs[a] = (T.multiply(t, xs[a], y) if rng.random() < 0.5
+                 else T.multiply(t, y, xs[a]))
+    if seed % 2:
+        xs.append(T.multiply(t, *rng.sample(xs, 2)))
+    return xs
+
+
+def _fresh(t, Y):
+    return N.GenSet(t, list(Y))
+
+
+def _split_view(t, Z):
+    """split_level rendered, or the rejection it raises."""
+    try:
+        s = P.split_level(t, Z)
+    except T.TowerRejection as exc:
+        return "rejected", str(exc)
+    return ([render(t, x) for x in s.base_gens],
+            [(render(t, y), [render(t, x) for x in src],
+              [render(t, x) for x in tgt])
+             for y, src, tgt in s.stable_letters])
+
+
+def test_held_scan_answers_as_a_fresh_one(all_towers):
+    # is_reduced and split_level on a set that holds its scans, made by
+    # is_reduced or by reduce_genset's passes, answer as on a fresh copy
+    answers = set()
+    for name, base in _BASES.items():
+        t = all_towers[name]
+        for seed in range(6):
+            xs = _sampled_set(t, base, seed)
+            for h_radius in (2, 3):
+                for reduce_first in (False, True):
+                    Y = N.GenSet(t, xs)
+                    if reduce_first:
+                        R = N.reduce_genset(t, Y, h_radius)
+                    want = N.is_reduced(t, _fresh(t, Y), h_radius)
+                    for _ in range(2):
+                        assert N.is_reduced(t, Y, h_radius) == want, (
+                            name, seed, h_radius)
+                    if not reduce_first:
+                        R = N.reduce_genset(t, Y, h_radius)
+                    assert (N.is_reduced(t, R, h_radius)
+                            == N.is_reduced(t, _fresh(t, R), h_radius))
+                    assert _split_view(t, R) == _split_view(t, _fresh(t, R))
+                    answers.add(bool(want))
+    assert answers == {False, True}
+
+
+def _count_scans(monkeypatch):
+    """Calls of the builders a reducedness scan is made of."""
+    calls = {"_products": 0, "ball": 0, "_product_head": 0}
+    for mod, name in ((N, "_products"), (N, "ball"), (T, "_product_head")):
+        real = getattr(mod, name)
+
+        def counting(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
+def test_reduced_set_is_scanned_once(all_towers, monkeypatch):
+    # reduce_genset's last pass leaves its scan on the result: is_reduced
+    # and split_level on it build no ball and no head.  A second is_reduced
+    # on any set builds nothing (the first may still fold or collect the
+    # membership test a pass never queried); another radius is one new
+    # scan
+    calls = _count_scans(monkeypatch)
+    none = {"_products": 0, "ball": 0, "_product_head": 0}
+    for name, base in _BASES.items():
+        t = all_towers[name]
+        for seed in range(3):
+            Y = N.GenSet(t, _sampled_set(t, base, seed))
+            R = N.reduce_genset(t, Y)
+            for k in calls:
+                calls[k] = 0
+            assert N.is_reduced(t, R) == []
+            P.split_level(t, R)
+            assert calls == none, (name, seed)
+            N.is_reduced(t, Y)
+            for k in calls:
+                calls[k] = 0
+            N.is_reduced(t, Y)
+            assert calls == none, (name, seed)
+            N.is_reduced(t, R, 2)
+            assert calls["_products"] == 1, (name, seed)
+            assert calls["ball"] >= 1, (name, seed)
+            for k in calls:
+                calls[k] = 0
+            N.is_reduced(t, R, 2)
+            assert calls == none, (name, seed)
+            assert sorted(R._scans) == [2, N.H_RADIUS]
+
+
+# ---------------------------------------------------------------------------
+# guard rails
+
+
+def test_step_bound_error_names_the_set(t1, monkeypatch):
+    # a mu that changes nothing is found again on every pass (a*z renders
+    # as z*b)
+    monkeypatch.setattr(N, "mu", lambda Y, f, g, h: Y)
+    with pytest.raises(T.EngineError, match=re.escape(
+            "reduction of {b*z, z*b} exceeded its step bound (4)")):
+        N.reduce_genset(t1, gens(t1, "b*z", "a*z"))
+
+
+def test_closure_error_names_the_set(t1, monkeypatch):
+    # a closure step that always makes a new set never stabilizes
+    monkeypatch.setattr(N, "_augment_closure", lambda Y, h_radius: (
+        Y.replace([], [], {"op": "augment"}), False))
+    with pytest.raises(T.EngineError, match=re.escape(
+            "closure augmentation of {a, b, z} did not stabilize")):
+        N.reduce_genset(t1, gens(t1, "z", "a", "b"))
+
+
+def test_mu_weight_error_names_the_set(t1, monkeypatch):
+    Y = gens(t1, "a*z", "b*z")
+    cand = N._find_mu(Y, N._scan(Y, N.H_RADIUS).prods)
+    monkeypatch.setattr(N, "lambda_weight", lambda Y: 1)
+    with pytest.raises(T.EngineError, match=re.escape(
+            "mu did not decrease the weight of {b*z, z*b}")):
+        N.mu(Y, *cand)

@@ -661,6 +661,81 @@ def test_inverse_axis_table_per_tower():
         assert fa3._inverse_axes[name] is inv, f"parent entry {name} replaced"
 
 
+def _pinned_towers(all_towers, fa3, t1):
+    return {**all_towers, "fa5": factory.free_abelian(5),
+            "fp": factory.free_product(fa3, t1)}
+
+
+def _parts_view(parts):
+    return [p.key if isinstance(p, T.Elem) else p for p in parts]
+
+
+def test_identity_margin_is_left_unchanged(all_towers, fa3, t1):
+    # margin phase 1 (_settle_left) and phase 2 take no step on an identity
+    # margin, for every letter and sign, from the zero offset and each unit
+    # offset, with and without a next block; the first of two blocks has
+    # the zero offset, which keeps phase 3 out
+    for tname, t in _pinned_towers(all_towers, fa3, t1).items():
+        by_level = {}
+        for name, sl in t.letters.items():
+            n = len(T.zero_offset(t, name))
+            offsets = [(0,) * n] + [tuple(d if i == j else 0
+                                          for i in range(n))
+                                    for j in range(n) for d in (1, -1)]
+            by_level.setdefault(sl.level, []).extend(
+                T.Block(name, sign, off) for sign in (1, -1)
+                for off in offsets)
+        for blocks in by_level.values():
+            for blk in blocks:
+                where = f"{tname}: {blk}"
+                e, off = T._settle_left(t, T.EPS, blk)
+                assert e is T.EPS and tuple(off) == blk.offset, where
+                parts = [T.EPS, blk, T.EPS]
+                assert not T._margin_pass(t, parts), where
+                assert parts[0] is T.EPS and parts[2] is T.EPS, where
+                assert parts[1] == blk, where
+            for b1 in blocks:
+                if any(b1.offset):
+                    continue
+                for b2 in blocks:
+                    parts = [T.EPS, b1, T.EPS, b2, T.EPS]
+                    where = f"{tname}: {b1} {b2}"
+                    assert not T._margin_pass(t, parts), where
+                    assert parts == [T.EPS, b1, T.EPS, b2, T.EPS], where
+
+
+def test_pass_leaving_one_block_is_the_last(all_towers, fa3, t1):
+    # in build's loop, once a Britton-plus-margin pass leaves at most one
+    # block, the next pass reports no change, on the parts lists multiply
+    # hands build for products of sampled elements and their inverses
+    rng = random.Random(23)
+    for tname, t in _pinned_towers(all_towers, fa3, t1).items():
+        gs = sample_elements(t, SampleSpec(seed=24, samples=40))
+        gs += [T.invert(t, g) for g in gs]
+        settled = 0
+        for _ in range(120):
+            g, h = rng.choice(gs), rng.choice(gs)
+            L = max(g.level, h.level)
+            if L == 1:
+                continue
+            pg, ph = T._parts_at(g, L), T._parts_at(h, L)
+            parts = (list(pg[:-1]) + [T.multiply(t, pg[-1], ph[0])]
+                     + list(ph[1:]))
+            for _ in range(T._GUARD):
+                ch = T._britton_pass(t, parts)
+                ch |= T._margin_pass(t, parts)
+                if len(parts) <= 3:
+                    again = list(parts)
+                    where = f"{tname}: {render(t, g)} * {render(t, h)}"
+                    assert not T._britton_pass(t, again), where
+                    assert not T._margin_pass(t, again), where
+                    assert _parts_view(again) == _parts_view(parts), where
+                    settled += ch
+                if not ch:
+                    break
+        assert settled, tname
+
+
 def _reduced(seq):
     w = Wd.EPS
     for x in seq:
