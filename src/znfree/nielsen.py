@@ -72,7 +72,9 @@ class GenSet:
                        if not T.is_identity(g)], witness_log)
 
     def _fill(self, t, pairs, witness_log):
-        """Hold the members of the (g, g^-1) pairs and each one's inverse."""
+        """Hold the members of the (g, g^-1) pairs, each one's inverse, and
+        the members of positive and of zero top weight (a set never
+        changes, so each is split off once)."""
         self.tower = t
         seen = {}
         inv = {}
@@ -82,6 +84,9 @@ class GenSet:
             inv[g.key] = gi.key
             inv[gi.key] = g.key
         self.elements = tuple(sorted(seen.values(), key=lambda g: render(t, g)))
+        self._positive = tuple(g for g in self.elements
+                               if T.lam_len(t, g) > 0)
+        self._zero = tuple(g for g in self.elements if T.lam_len(t, g) == 0)
         self._inverse = {k: seen[ik] for k, ik in inv.items()}
         self.witness_log = list(witness_log or [])
         self.reduced_at = None  # see the module docstring
@@ -105,12 +110,14 @@ class GenSet:
         return gi
 
     def positive(self):
-        """Members with positive top weight (closed under inversion)."""
-        return [g for g in self.elements if T.lam_len(self.tower, g) > 0]
+        """Members with positive top weight (closed under inversion), in
+        render order."""
+        return self._positive
 
     def zero(self):
-        """Members with zero top weight (closed under inversion)."""
-        return [g for g in self.elements if T.lam_len(self.tower, g) == 0]
+        """Members with zero top weight (closed under inversion), in render
+        order."""
+        return self._zero
 
     def pair_reps(self, members=None):
         """One representative per inverse pair of members, in render order."""
@@ -539,7 +546,7 @@ def _augment_closure(Y: GenSet, h_radius):
                 added.append(c)
                 added.append(T.multiply(t, T.multiply(t, fi, c), f))
         if len(added) > before:
-            member = _membership(t, zero + added, h_radius)
+            member = _membership(t, [*zero, *added], h_radius)
     if not added:
         return Y, held
     entry = {"op": "augment",

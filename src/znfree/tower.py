@@ -36,6 +36,14 @@ outer block, or the outer part.  It tests the whole element with
 `abelian_exponents` only where that strips nothing, above level 1, and its
 answers are those of testing the whole element first.
 
+Each margin rule has one owner.  Margin phase 1, a block's left margin, is
+`_settle_left`; phase 2, its right margin, is `_settle_right`; `_margin_pass`
+runs both, then phase 3, over a parts list.  Neither phase takes a step on
+an identity margin: `multiply` returns the other operand when one operand is
+the identity, so every product the steps test with `_additive` is additive,
+and `_peel` strips nothing off the identity.  `_settle_right` returns such a
+margin at once.
+
 Questions about words are answered on the word tuples.  Heights rise
 strictly along an axis and a word has height 1, so when a margin and its
 block's head period are both words, the block's left axis is <c> and the
@@ -554,6 +562,22 @@ def _peel(t, e, gens, right: bool):
     return e, exps
 
 
+def _render_part(t, p) -> str:
+    """A parts-list entry for an error message: a rendered element, or a
+    block as (letter, sign, offset)."""
+    from .wordexpr import render  # wordexpr imports this module
+
+    if isinstance(p, Block):
+        return f"({p.letter}, {p.sign:+d}, {p.offset})"
+    return render(t, p)
+
+
+def _margin_error(t, side: str, e: Elem, blk: Block) -> EngineError:
+    """The error for a margin loop that hit _GUARD on margin e of blk."""
+    return EngineError(f"{side} margin {_render_part(t, e)} of block "
+                       f"{_render_part(t, blk)} did not stabilize")
+
+
 def _settle_word(t, w: W.Word, blk: Block, hp: Elem):
     """_settle_left on a word w, for a block whose head period hp is a word:
     (w', change of the offset's one component)."""
@@ -568,6 +592,7 @@ def _settle_word(t, w: W.Word, blk: Block, hp: Elem):
     hw = hp.word
     n = len(c)
     d = 0
+    given = w
     for _ in range(_GUARD):
         if w:
             p, s = (ci, -1) if w[-1] == -c[0] else (c, 1)
@@ -581,7 +606,7 @@ def _settle_word(t, w: W.Word, blk: Block, hp: Elem):
                 d -= blk.sign
                 continue
         return w, d
-    raise EngineError("left margin did not stabilize")
+    raise _margin_error(t, "left", word_elem(given), blk)
 
 
 def _settle_left(t, e: Elem, blk: Block):
@@ -599,6 +624,7 @@ def _settle_left(t, e: Elem, blk: Block):
         # each step changes the word, and the steps depend on it alone
         return (e if w == e.word else word_elem(w)), off
     lgens, _ = _axes(t, blk)
+    given = e
     for _ in range(_GUARD):
         e2, pex = _peel(t, e, lgens, right=True)
         if any(pex):
@@ -611,7 +637,65 @@ def _settle_left(t, e: Elem, blk: Block):
             off[-1] -= blk.sign
             continue
         return e, off
-    raise EngineError("left margin did not stabilize")
+    raise _margin_error(t, "left", given, blk)
+
+
+def _right_claims(t, e: Elem, nxt):
+    """Whether the next block's left margin would absorb e: margin phase 1
+    on nxt takes a step on it.  False when there is no next block."""
+    if nxt is None:
+        return False
+    _, nex = _peel(t, e, _axes(t, nxt)[0], right=True)
+    if any(nex):
+        return True
+    nadd, _ = _additive(t, e, head_period(t, nxt))
+    return not nadd
+
+
+def _settle_right(t, blk: Block, e: Elem, nxt):
+    """Margin phase 2 for one block: stabilize the element e to its right
+    against the block's tail, nxt being the block after e (None if e is the
+    last part).  Right-axis material at e's start is absorbed into the
+    offset vector, and a partial cancellation of the tail period into e
+    pulls one period out of the block, unless the next block's left margin
+    claims the material (rightward flow).  Returns (e', offset list)."""
+    off = list(blk.offset)
+    if is_identity(e):
+        # no step can fire: multiply returns the other operand when one is
+        # the identity, so unit*1 and tp*1 are additive, and _peel strips
+        # nothing off the identity
+        return e, off
+    _, rgens = _axes(t, blk)
+    tp = tail_period(t, blk)
+    pers = offset_periods(t, blk)
+    ipers = _inverse_offset_periods(t, blk)
+    given = e
+    for _ in range(_GUARD):
+        # the block's literal value ends with its lowest nonzero offset
+        # generator; when that unit cancels into the gap and the result
+        # flows onward into the next block, the material belongs to the
+        # right of the junction (rightward flow)
+        j = next((i for i in range(len(off)) if off[i]), None)
+        if j is not None:
+            unit = pers[j] if off[j] > 0 else ipers[j]
+            addu, produ = _additive(t, unit, e)
+            if not addu and _right_claims(t, produ, nxt):
+                off[j] -= 1 if off[j] > 0 else -1
+                return produ, off  # the next block's left margin takes it
+        e2, pex = _peel(t, e, rgens, right=False)
+        if any(pex):
+            e = e2
+            off = _vexadd(off, pex)
+            continue
+        add, prod = _additive(t, tp, e)
+        if not add:
+            if _right_claims(t, e, nxt):
+                return e, off  # rightward priority: defer to the next block
+            e = prod
+            off[-1] -= blk.sign
+            continue
+        return e, off
+    raise _margin_error(t, "right", given, blk)
 
 
 def _margin_pass(t, parts) -> bool:
@@ -633,56 +717,11 @@ def _margin_pass(t, parts) -> bool:
     # phase 2: right margins, left to right
     for bi in range(1, len(parts), 2):
         blk = parts[bi]
-        _, rgens = _axes(t, blk)
-        tp = tail_period(t, blk)
-        off = list(blk.offset)
-        pers = offset_periods(t, blk)
-        ipers = _inverse_offset_periods(t, blk)
         nxt = parts[bi + 2] if bi + 2 < len(parts) else None
-
-        def _right_claims(e):
-            # would the next block's left margin absorb this material?
-            if nxt is None:
-                return False
-            nlg, _ = _axes(t, nxt)
-            _, nex = _peel(t, e, nlg, right=True)
-            if any(nex):
-                return True
-            nadd, _ = _additive(t, e, head_period(t, nxt))
-            return not nadd
-
-        for _ in range(_GUARD):
-            e = parts[bi + 1]
-            # the block's literal value ends with its lowest nonzero offset
-            # generator; when that unit cancels into the gap and the result
-            # flows onward into the next block, the material belongs to the
-            # right of the junction (rightward flow)
-            j = next((i for i in range(len(off)) if off[i]), None)
-            if j is not None:
-                unit = pers[j] if off[j] > 0 else ipers[j]
-                addu, produ = _additive(t, unit, e)
-                if not addu and _right_claims(produ):
-                    parts[bi + 1] = produ
-                    off[j] -= 1 if off[j] > 0 else -1
-                    changed = True
-                    break  # let the next block's left margin take it first
-            e2, pex = _peel(t, e, rgens, right=False)
-            if any(pex):
-                parts[bi + 1] = e2
-                off = _vexadd(off, pex)
-                changed = True
-                continue
-            add, prod = _additive(t, tp, e)
-            if not add:
-                if _right_claims(e):
-                    break  # rightward priority: defer to the next block
-                parts[bi + 1] = prod
-                off[-1] -= blk.sign
-                changed = True
-                continue
-            break
-        else:
-            raise EngineError("right margin did not stabilize")
+        e, off = _settle_right(t, blk, parts[bi + 1], nxt)
+        if e is not parts[bi + 1]:  # every step of the loop makes a new e
+            parts[bi + 1] = e
+            changed = True
         if tuple(off) != blk.offset:
             parts[bi] = Block(blk.letter, blk.sign, tuple(off))
     # phase 3: migrate offset material rightward across identity gaps when
@@ -704,14 +743,17 @@ def _margin_pass(t, parts) -> bool:
 
 def build(t: GroupTower, L: int, parts) -> Elem:
     """Normalize an alternating parts list into a canonical element."""
-    parts = list(parts)
+    given, parts = parts, list(parts)
     for _ in range(_GUARD):
         ch = _britton_pass(t, parts)
         ch |= _margin_pass(t, parts)
         if not ch:
             break
     else:
-        raise EngineError("normal form did not stabilize")
+        raise EngineError(
+            f"normal form at level {L} of "
+            f"[{', '.join(_render_part(t, p) for p in given)}] "
+            "did not stabilize")
     if len(parts) == 1:
         return parts[0]
     vec = [0] * L

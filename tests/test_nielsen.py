@@ -382,6 +382,35 @@ def test_inverse_is_held_for_members_only(t1):
             call(W(t1, "a*b"))
 
 
+def test_weight_split_is_held(all_towers, monkeypatch):
+    # positive() and zero() are the members of positive and of zero top
+    # weight in render order, for a new set and for one made by replace,
+    # and are split once, when the set is made
+    sets = []
+    for name, base in (("t1", ["a", "b", "z"]), ("surf2", ["x2", "x3", "x1"]),
+                       ("fa3", ["a", "z2", "z3"])):
+        t = all_towers[name]
+        for seed in range(3):
+            Y = N.GenSet(t, _sampled_set(t, base, seed))
+            sets += [(t, Y), (t, Y.replace([Y.elements[0]], [W(t, base[0])],
+                                           {"op": "test"}))]
+    real = T.lam_len
+    calls = []
+
+    def counting(t, x):
+        calls.append(x)
+        return real(t, x)
+
+    monkeypatch.setattr(T, "lam_len", counting)
+    for t, Y in sets:
+        calls.clear()
+        pos, zero = Y.positive(), Y.zero()
+        assert calls == []
+        assert list(pos) == [g for g in Y if real(t, g) > 0]
+        assert list(zero) == [g for g in Y if real(t, g) == 0]
+    assert any(Y.positive() and Y.zero() for _, Y in sets)
+
+
 def test_witness_error_names_generator_and_factors(t1):
     with pytest.raises(T.EngineError,
                        match=re.escape("generator a from the factors [b]")):

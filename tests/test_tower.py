@@ -1,6 +1,7 @@
 """Core engine: normal forms, lengths, common heads, commutation."""
 
 import random
+import re
 import sys
 
 import pytest
@@ -533,6 +534,121 @@ def test_settle_word_matches_general_loop(all_towers):
     assert branch
 
 
+def _settle_right_general(t, blk, e, nxt):
+    """Margin phase 2 on one block as _margin_pass ran it inline, with the
+    claim test as a closure and no identity return: the reference
+    T._settle_right must agree with."""
+    _, rgens = T._axes(t, blk)
+    tp = T.tail_period(t, blk)
+    off = list(blk.offset)
+    pers = T.offset_periods(t, blk)
+    ipers = T._inverse_offset_periods(t, blk)
+
+    def right_claims(x):
+        if nxt is None:
+            return False
+        nlg, _ = T._axes(t, nxt)
+        _, nex = T._peel(t, x, nlg, right=True)
+        if any(nex):
+            return True
+        nadd, _ = T._additive(t, x, T.head_period(t, nxt))
+        return not nadd
+
+    for _ in range(T._GUARD):
+        j = next((i for i in range(len(off)) if off[i]), None)
+        if j is not None:
+            unit = pers[j] if off[j] > 0 else ipers[j]
+            addu, produ = T._additive(t, unit, e)
+            if not addu and right_claims(produ):
+                off[j] -= 1 if off[j] > 0 else -1
+                return produ, off
+        e2, pex = T._peel(t, e, rgens, right=False)
+        if any(pex):
+            e = e2
+            off = T._vexadd(off, pex)
+            continue
+        add, prod = T._additive(t, tp, e)
+        if not add:
+            if right_claims(e):
+                return e, off
+            e = prod
+            off[-1] -= blk.sign
+            continue
+        return e, off
+    raise T.EngineError("right margin did not stabilize")
+
+
+def _right_margins(t, blk, nxt, rng, k):
+    """The identity and k margins x*y*z for phase 2 on blk before nxt,
+    drawn with rng.  y is from a radius-2 ball over the generators below
+    blk's level.  x is the identity, r, r^-1 or r^2 for a generator r of
+    blk's right axis, or tp^-1 for its tail period tp, and for a word tp
+    also the inverse of its last letter or of all but its first (partial
+    cancellations into tp).  z is the identity, c or c^-1 for a generator c
+    of nxt's left axis, or hp^-1 for its head period hp, and for a word hp
+    also the inverse of its first letter or of all but its last."""
+    level = t.letters[blk.letter].level
+    _, rgens = T._axes(t, blk)
+    tp = T.tail_period(t, blk)
+    heads = [T.EPS, T.invert(t, tp)] + [
+        T.pow_elem(t, r, p) for r in rgens for p in (1, -1, 2)]
+    if tp.level == 1:
+        heads += [T.word_elem((-tp.word[-1],)),
+                  T.word_elem(Wd.w_inv(tp.word[1:]))]
+    tails = [T.EPS]
+    if nxt is not None:
+        hp = T.head_period(t, nxt)
+        tails += [T.pow_elem(t, c, p) for c in T._axes(t, nxt)[0]
+                  for p in (1, -1)]
+        tails += [T.invert(t, hp)]
+        if hp.level == 1:
+            tails += [T.word_elem((-hp.word[0],)),
+                      T.word_elem(Wd.w_inv(hp.word[:-1]))]
+    lower = [T.gen_elem(t, s) for s in t.symbols] + [
+        T.letter_elem(t, n) for n, sl in t.letters.items() if sl.level < level]
+    ball = N.ball(t, lower, 2)
+    out = [T.EPS]
+    for _ in range(k):
+        x, y, z = rng.choice(heads), rng.choice(ball), rng.choice(tails)
+        out.append(T.multiply(t, T.multiply(t, x, y), z))
+    return out
+
+
+def test_settle_right_matches_inline_phase_2(all_towers, fa3, t1):
+    # _settle_right gives the inline loop's element and offset, and hands
+    # back the margin itself exactly when the loop took no step, for every
+    # letter and sign, offsets 0, +-1 and 2 in each component, with no next
+    # block and with each block of the same level next
+    rng = random.Random(31)
+    towers = {**_pinned_towers(all_towers, fa3, t1),
+              "fa4": factory.free_abelian(4)}
+    moved = {False: 0, True: 0}
+    for tname, t in towers.items():
+        for name, sl in t.letters.items():
+            n = len(T.zero_offset(t, name))
+            offsets = [(0,) * n] + [tuple(d if i == j else 0
+                                          for i in range(n))
+                                    for j in range(n) for d in (1, -1, 2)]
+            nexts = [None] + [T.Block(m, s, T.zero_offset(t, m))
+                              for m, ml in t.letters.items()
+                              if ml.level == sl.level for s in (1, -1)]
+            for sign in (1, -1):
+                for nxt in nexts:
+                    blk0 = T.Block(name, sign, T.zero_offset(t, name))
+                    for e in _right_margins(t, blk0, nxt, rng, 6):
+                        for off in offsets:
+                            blk = T.Block(name, sign, off)
+                            got, goff = T._settle_right(t, blk, e, nxt)
+                            want, woff = _settle_right_general(t, blk, e,
+                                                               nxt)
+                            where = (f"{tname}: {render(t, e)} after {blk}"
+                                     f" before {nxt}")
+                            assert (got.key, goff) == (want.key, woff), where
+                            assert (got is e) == (want is e), where
+                            moved[want is not e] += 1
+    assert all(moved.values()), moved
+
+
 def _abelian_exponents_general(t, gens, x):
     """abelian_exponents through powers and products at every level: the
     reference its level-1 branch must agree with."""
@@ -671,10 +787,11 @@ def _parts_view(parts):
 
 
 def test_identity_margin_is_left_unchanged(all_towers, fa3, t1):
-    # margin phase 1 (_settle_left) and phase 2 take no step on an identity
-    # margin, for every letter and sign, from the zero offset and each unit
-    # offset, with and without a next block; the first of two blocks has
-    # the zero offset, which keeps phase 3 out
+    # margin phase 1 (_settle_left) and phase 2 (_settle_right) take no step
+    # on an identity margin, and hand back the margin itself, for every
+    # letter and sign, from the zero offset and each unit offset, with and
+    # without a next block; the first of two blocks has the zero offset,
+    # which keeps phase 3 out
     for tname, t in _pinned_towers(all_towers, fa3, t1).items():
         by_level = {}
         for name, sl in t.letters.items():
@@ -690,6 +807,10 @@ def test_identity_margin_is_left_unchanged(all_towers, fa3, t1):
                 where = f"{tname}: {blk}"
                 e, off = T._settle_left(t, T.EPS, blk)
                 assert e is T.EPS and tuple(off) == blk.offset, where
+                for nxt in [None] + blocks:
+                    e, off = T._settle_right(t, blk, T.EPS, nxt)
+                    assert e is T.EPS and tuple(off) == blk.offset, (
+                        f"{where} before {nxt}")
                 parts = [T.EPS, blk, T.EPS]
                 assert not T._margin_pass(t, parts), where
                 assert parts[0] is T.EPS and parts[2] is T.EPS, where
@@ -734,6 +855,47 @@ def test_pass_leaving_one_block_is_the_last(all_towers, fa3, t1):
                 if not ch:
                     break
         assert settled, tname
+
+
+# ---------------------------------------------------------------------------
+# guard rails: each stabilization loop names its input when it hits _GUARD
+
+
+def _stuck(message):
+    return pytest.raises(T.EngineError, match=re.escape(message))
+
+
+def test_settle_word_error_names_its_input(t1, monkeypatch):
+    blk = T.Block("z", 1, (0,))
+    hp = T.head_period(t1, blk)
+    monkeypatch.setattr(T, "_GUARD", 0)
+    with _stuck("left margin a*b of block (z, +1, (0,)) did not stabilize"):
+        T._settle_word(t1, W(t1, "a*b").word, blk, hp)
+
+
+def test_settle_left_error_names_its_input(fa3, monkeypatch):
+    # z3's head period is no word, so the general loop runs
+    e = W(fa3, "z2*a^2")
+    monkeypatch.setattr(T, "_GUARD", 0)
+    with _stuck("left margin z2*a^2 of block (z3, -1, (1, 0)) did not "
+                "stabilize"):
+        T._settle_left(fa3, e, T.Block("z3", -1, (1, 0)))
+
+
+def test_settle_right_error_names_its_input(t1, monkeypatch):
+    e = W(t1, "a*b")
+    monkeypatch.setattr(T, "_GUARD", 0)
+    with _stuck("right margin a*b of block (z, -1, (1,)) did not "
+                "stabilize"):
+        T._settle_right(t1, T.Block("z", -1, (1,)), e, None)
+
+
+def test_build_error_names_its_input(t1, monkeypatch):
+    parts = [W(t1, "a"), T.Block("z", 1, (0,)), W(t1, "b^-1")]
+    monkeypatch.setattr(T, "_GUARD", 0)
+    with _stuck("normal form at level 2 of [a, (z, +1, (0,)), b^-1] did "
+                "not stabilize"):
+        T.build(t1, 2, parts)
 
 
 def _reduced(seq):
