@@ -84,7 +84,7 @@ def decompose(t, Z, x: Elem) -> Decomposition | None:
     sk = _skeleton(t, x)
     p0 = x.parts[0]
     # axis generators that commute across the first block from the left
-    gens = T._axes(t, x.parts[1])[0]
+    gens = T._side(t, x.parts[1]).left
     cands = sorted(itertools.product(range(-_RADIUS, _RADIUS + 1),
                                      repeat=len(gens)),
                    key=lambda e: sum(abs(v) for v in e))

@@ -50,20 +50,21 @@ block's head period are both words, the block's left axis is <c> and the
 head period is c^+-1.  `_settle_word` then takes margin phase 1's steps on
 the tuple: copies of c^+-1 stripped off the right end, as `_peel`'s level-1
 step strips them, and the head period multiplied in where the junction
-cancels, as `_additive` finds it.  `_product_head` runs it on h's word times
-m0's and builds one Elem for the head.  On a word, `abelian_exponents` is
-`_peel`'s strip reaching the identity: c is cyclically reduced, so c^k is
-c's word k times over.  Each kernel takes the general path's steps in the
-same order, so its answers are the general path's.
+cancels, as `_additive` finds it.  `_settle_left` is the one place that
+chooses it.  On a word, `abelian_exponents` is `_peel`'s strip reaching the
+identity: c is cyclically reduced, so c^k is c's word k times over.  Each
+kernel takes the general path's steps in the same order, so its answers are
+the general path's.
 
-A block's head, tail and offset periods are its letter's axis generators or
-their inverses, constants of the tower.  Each GroupTower keeps a private
-table, letter name -> (inverses of source_gens, inverses of target_gens),
-that `_inverse_axes` fills for a letter on first use; towers are never
-changed after construction, so an entry never goes stale.  The table is
-never filled in `GroupTower.__init__`: construction runs before
-`validate_tower`, and inverting the axes of an invalid tower could raise
-EngineError before the tower's named TowerRejection.
+A block's left and right axes, their inverses, and its head and tail periods
+are constants of its signed letter (Britton's lemma, Lyndon-Schupp IV.2);
+its offset periods are its right axis.  Each GroupTower keeps a private
+table, (letter name, sign) -> `_Side`, that `_side` fills for both signs of
+a letter on its first use; towers are never changed after construction, so
+an entry never goes stale.  The table is never filled in
+`GroupTower.__init__`: construction runs before `validate_tower`, and
+inverting the axes of an invalid tower could raise EngineError before the
+tower's named TowerRejection.
 
 Two private views answer questions about a top-level product from one seam,
 without building it.  Both rest on Britton's lemma (Lyndon-Schupp IV.2):
@@ -226,7 +227,7 @@ class GroupTower:
             self.letters[sl.name] = sl
         self.rank = max([1] + [sl.level for sl in self.letters.values()])
         self.aliases = dict(aliases or {})
-        self._inverse_axes: dict[str, tuple[tuple, tuple]] = {}
+        self._sides: dict[tuple[str, int], _Side] = {}
 
     def letters_by_level(self):
         return sorted(self.letters.values(), key=lambda s: (s.level, s.name))
@@ -259,44 +260,38 @@ def letter_elem(t: GroupTower, name: str, sign: int = 1) -> Elem:
 
 
 # ---------------------------------------------------------------------------
-# periods of a signed letter
+# constants of a signed letter
 
 
-def _inverse_axes(t: GroupTower, name: str) -> tuple[tuple, tuple]:
-    """(inverses of source_gens, inverses of target_gens) of a letter, from
-    the tower's table; computed on first use."""
-    inv = t._inverse_axes.get(name)
-    if inv is None:
-        sl = t.letters[name]
-        inv = (tuple(invert(t, a) for a in sl.source_gens),
-               tuple(invert(t, b) for b in sl.target_gens))
-        t._inverse_axes[name] = inv
-    return inv
+@dataclass(frozen=True, slots=True)
+class _Side:
+    """The axes and periods of one signed letter.  a o blk = blk o a' for a
+    in the left axis and a' its image in the right axis; the offsets count
+    powers of the right axis generators; the block's value begins with the
+    head period's infinite head and ends with the tail period."""
+
+    left: tuple
+    right: tuple
+    left_inv: tuple
+    right_inv: tuple
+    head: Elem
+    tail: Elem
 
 
-def head_period(t: GroupTower, blk: Block) -> Elem:
-    """Period of the infinite head the block's value begins with."""
-    if blk.sign > 0:
-        return t.letters[blk.letter].u
-    return _inverse_axes(t, blk.letter)[1][-1]
-
-
-def tail_period(t: GroupTower, blk: Block) -> Elem:
-    """Period word appended at the block's tail (read forward)."""
-    if blk.sign > 0:
-        return t.letters[blk.letter].v
-    return _inverse_axes(t, blk.letter)[0][-1]
-
-
-def offset_periods(t: GroupTower, blk: Block) -> tuple:
-    """Per-component elements whose signed powers the offsets count."""
-    sl = t.letters[blk.letter]
-    return sl.target_gens if blk.sign > 0 else sl.source_gens
-
-
-def _inverse_offset_periods(t: GroupTower, blk: Block) -> tuple:
-    """The inverses of offset_periods(t, blk), in the same order."""
-    return _inverse_axes(t, blk.letter)[1 if blk.sign > 0 else 0]
+def _side(t: GroupTower, blk: Block) -> _Side:
+    """The side record of blk's letter and sign, from the tower's table; the
+    first use of a letter fills both of its signs."""
+    s = t._sides.get((blk.letter, blk.sign))
+    if s is None:
+        sl = t.letters[blk.letter]
+        src, tgt = sl.source_gens, sl.target_gens
+        isrc = tuple(invert(t, a) for a in src)
+        itgt = tuple(invert(t, b) for b in tgt)
+        t._sides[sl.name, 1] = _Side(src, tgt, isrc, itgt, sl.u, sl.v)
+        t._sides[sl.name, -1] = _Side(tgt, src, itgt, isrc,
+                                      itgt[-1], isrc[-1])
+        s = t._sides[blk.letter, blk.sign]
+    return s
 
 
 def block_len(t: GroupTower, blk: Block):
@@ -460,12 +455,12 @@ def _britton_pass(t, parts) -> bool:
         if b1.letter == b2.letter and b1.sign == -b2.sign:
             # a pinch: mid in b2's left axis slides through b2 into its
             # right axis, and b1 b2 cancels
-            in_gens, out_gens = _axes(t, b2)
-            exps = abelian_exponents(t, in_gens, mid)
+            s2 = _side(t, b2)
+            exps = abelian_exponents(t, s2.left, mid)
             if exps is not None:
                 exps = [e + d1 + d2
                         for e, d1, d2 in zip(exps, b1.offset, b2.offset)]
-                repl = gens_power(t, out_gens, exps)
+                repl = gens_power(t, s2.right, exps)
                 merged = multiply(t, parts[i - 1],
                                   multiply(t, repl, parts[i + 3]))
                 parts[i - 1:i + 4] = [merged]
@@ -474,15 +469,6 @@ def _britton_pass(t, parts) -> bool:
                 continue
         i += 2
     return changed
-
-
-def _axes(t, blk: Block):
-    """(left axis, right axis) of a block: a o blk = blk o a' with a in the
-    left axis and a' its image in the right axis."""
-    sl = t.letters[blk.letter]
-    if blk.sign > 0:
-        return sl.source_gens, sl.target_gens
-    return sl.target_gens, sl.source_gens
 
 
 def _vexadd(a, b):
@@ -497,7 +483,7 @@ def _block_as_axis(t, blk: Block, gens):
         return None
     exps = [0] * len(gens)
     exps[keys.index(le.key)] += blk.sign
-    pers = offset_periods(t, blk)
+    pers = _side(t, blk).right
     for i, d in enumerate(blk.offset):
         if not d:
             continue
@@ -578,28 +564,29 @@ def _margin_error(t, side: str, e: Elem, blk: Block) -> EngineError:
                        f"{_render_part(t, blk)} did not stabilize")
 
 
-def _settle_word(t, w: W.Word, blk: Block, hp: Elem):
-    """_settle_left on a word w, for a block whose head period hp is a word:
-    (w', change of the offset's one component)."""
+def _settle_word(t, w: W.Word, blk: Block, s: _Side):
+    """_settle_left on a word w, for a block whose head period s.head is a
+    word, s being its side record: (w', change of the offset's one
+    component)."""
     # Heights rise strictly along an axis and a word has height 1, so the
-    # left axis is <c>, c = lgens[0], and hp = c^sign.  The loop takes
+    # left axis is <c>, c = s.left[0], and hp = c^sign.  The loop takes
     # _settle_left's steps on the word: _peel's level-1 strip of copies of
     # c^+-1 off the right end (the end letter picks the sign, as c is
     # cyclically reduced), else, where w's last letter cancels into hp,
     # w*hp (_additive's junction test), one _GUARD step each.
-    c = _axes(t, blk)[0][0].word
-    ci = _inverse_axes(t, blk.letter)[0 if blk.sign > 0 else 1][0].word
-    hw = hp.word
+    c = s.left[0].word
+    ci = s.left_inv[0].word
+    hw = s.head.word
     n = len(c)
     d = 0
     given = w
     for _ in range(_GUARD):
         if w:
-            p, s = (ci, -1) if w[-1] == -c[0] else (c, 1)
+            p, k = (ci, -1) if w[-1] == -c[0] else (c, 1)
             if w[-n:] == p:
                 while w[-n:] == p:
                     w = w[:-n]
-                    d += s
+                    d += k
                 continue
             if w[-1] == -hw[0]:
                 w = W.w_mul(w, hw)
@@ -616,17 +603,17 @@ def _settle_left(t, e: Elem, blk: Block):
     by pulling one period out of the block (the complement stays as honest
     element material).  Returns (e', offset list); only the block's letter
     and sign are read, besides the offset the result starts from."""
-    hp = head_period(t, blk)
+    s = _side(t, blk)
+    hp = s.head
     off = list(blk.offset)
     if e.level == 1 and hp.level == 1:
-        w, d = _settle_word(t, e.word, blk, hp)
+        w, d = _settle_word(t, e.word, blk, s)
         off[-1] += d
         # each step changes the word, and the steps depend on it alone
         return (e if w == e.word else word_elem(w)), off
-    lgens, _ = _axes(t, blk)
     given = e
     for _ in range(_GUARD):
-        e2, pex = _peel(t, e, lgens, right=True)
+        e2, pex = _peel(t, e, s.left, right=True)
         if any(pex):
             e = e2
             off = _vexadd(off, pex)
@@ -643,13 +630,10 @@ def _settle_left(t, e: Elem, blk: Block):
 def _right_claims(t, e: Elem, nxt):
     """Whether the next block's left margin would absorb e: margin phase 1
     on nxt takes a step on it.  False when there is no next block."""
-    if nxt is None:
-        return False
-    _, nex = _peel(t, e, _axes(t, nxt)[0], right=True)
-    if any(nex):
-        return True
-    nadd, _ = _additive(t, e, head_period(t, nxt))
-    return not nadd
+    # _settle_left hands back e itself exactly when it takes no step: every
+    # step makes a new element, and a word path that came back to its start
+    # would repeat until _GUARD
+    return nxt is not None and _settle_left(t, e, nxt)[0] is not e
 
 
 def _settle_right(t, blk: Block, e: Elem, nxt):
@@ -665,10 +649,7 @@ def _settle_right(t, blk: Block, e: Elem, nxt):
         # the identity, so unit*1 and tp*1 are additive, and _peel strips
         # nothing off the identity
         return e, off
-    _, rgens = _axes(t, blk)
-    tp = tail_period(t, blk)
-    pers = offset_periods(t, blk)
-    ipers = _inverse_offset_periods(t, blk)
+    s = _side(t, blk)
     given = e
     for _ in range(_GUARD):
         # the block's literal value ends with its lowest nonzero offset
@@ -677,17 +658,17 @@ def _settle_right(t, blk: Block, e: Elem, nxt):
         # right of the junction (rightward flow)
         j = next((i for i in range(len(off)) if off[i]), None)
         if j is not None:
-            unit = pers[j] if off[j] > 0 else ipers[j]
+            unit = s.right[j] if off[j] > 0 else s.right_inv[j]
             addu, produ = _additive(t, unit, e)
             if not addu and _right_claims(t, produ, nxt):
                 off[j] -= 1 if off[j] > 0 else -1
                 return produ, off  # the next block's left margin takes it
-        e2, pex = _peel(t, e, rgens, right=False)
+        e2, pex = _peel(t, e, s.right, right=False)
         if any(pex):
             e = e2
             off = _vexadd(off, pex)
             continue
-        add, prod = _additive(t, tp, e)
+        add, prod = _additive(t, s.tail, e)
         if not add:
             if _right_claims(t, e, nxt):
                 return e, off  # rightward priority: defer to the next block
@@ -731,9 +712,8 @@ def _margin_pass(t, parts) -> bool:
         blk = parts[bi]
         if not any(blk.offset) or not is_identity(parts[bi + 1]):
             continue
-        nxt_lgens, _ = _axes(t, parts[bi + 2])
-        mat = gens_power(t, offset_periods(t, blk), blk.offset)
-        if abelian_exponents(t, nxt_lgens, mat) is None:
+        mat = gens_power(t, _side(t, blk).right, blk.offset)
+        if abelian_exponents(t, _side(t, parts[bi + 2]).left, mat) is None:
             continue
         parts[bi] = Block(blk.letter, blk.sign, (0,) * len(blk.offset))
         parts[bi + 1] = mat
@@ -813,17 +793,16 @@ def com(t: GroupTower, g: Elem, h: Elem) -> Elem:
                         # (which shortens the shared stream) is still common
                         share[ci] = pick(da, db, 0)
                 out.extend([a, Block(Ba.letter, Ba.sign, tuple(share))])
-                ga = gens_power(t, offset_periods(t, Ba),
+                ga = gens_power(t, _side(t, Ba).right,
                                 [x - y for x, y in zip(Ba.offset, share)])
-                gb = gens_power(t, offset_periods(t, Bb),
+                gb = gens_power(t, _side(t, Bb).right,
                                 [x - y for x, y in zip(Bb.offset, share)])
-                sa = _stream(t, multiply(t, ga, pg[2 * i + 2]),
-                             _block_after(pg, i + 1))
-                sb = _stream(t, multiply(t, gb, ph[2 * i + 2]),
-                             _block_after(ph, i + 1))
-                out.append(_com_ext(t, sa, sb))
+                out.append(_com_ext(t, multiply(t, ga, pg[2 * i + 2]),
+                                    _block_after(pg, i + 1),
+                                    multiply(t, gb, ph[2 * i + 2]),
+                                    _block_after(ph, i + 1)))
                 return build(t, L, out)
-            ext = _com_ext(t, _stream(t, EPS, Ba), _stream(t, EPS, Bb))
+            ext = _com_ext(t, EPS, Ba, EPS, Bb)
             out.append(multiply(t, a, ext))
             return build(t, L, out)
         w0 = com(t, a, b)
@@ -835,11 +814,11 @@ def com(t: GroupTower, g: Elem, h: Elem) -> Elem:
         if is_identity(ra):
             if Ba is None:
                 return g
-            ext = _com_ext(t, _stream(t, EPS, Ba), _stream(t, rb, Bb))
+            ext = _com_ext(t, EPS, Ba, rb, Bb)
         else:
             if Bb is None:
                 return h
-            ext = _com_ext(t, _stream(t, ra, Ba), _stream(t, EPS, Bb))
+            ext = _com_ext(t, ra, Ba, EPS, Bb)
         out.append(multiply(t, w0, ext))
         return build(t, L, out)
 
@@ -888,12 +867,8 @@ def _product_head(t: GroupTower, h: Elem, g: Elem):
     # Hence the first margin of h*g is h*m0 settled against B1.
     if t.rank == 1:
         return _head(t, multiply(t, h, g))
-    blk, m0 = g.parts[1], g.parts[0]
-    hp = head_period(t, blk)
-    if h.level == 1 and m0.level == 1 and hp.level == 1:
-        w, _ = _settle_word(t, W.w_mul(h.word, m0.word), blk, hp)
-        return (word_elem(w).key, blk.letter, blk.sign)
-    e, _ = _settle_left(t, multiply(t, h, m0), blk)
+    blk = g.parts[1]
+    e, _ = _settle_left(t, multiply(t, h, g.parts[0]), blk)
     return (e.key, blk.letter, blk.sign)
 
 
@@ -916,13 +891,13 @@ def _weight_zero_conjugate(t: GroupTower, y: Elem, c: Elem) -> Elem | None:
     m = ps[0]
     x = multiply(t, multiply(t, invert(t, m), c), m)
     for bi in range(1, len(ps), 2):
-        lgens, rgens = _axes(t, ps[bi])
-        exps = abelian_exponents(t, lgens, x)
+        s = _side(t, ps[bi])
+        exps = abelian_exponents(t, s.left, x)
         if exps is None:
             return None
         m = ps[bi + 1]
-        x = multiply(t, multiply(t, invert(t, m), gens_power(t, rgens, exps)),
-                     m)
+        x = multiply(t, multiply(t, invert(t, m),
+                                 gens_power(t, s.right, exps)), m)
     return x
 
 
@@ -932,38 +907,27 @@ def _block_after(parts, ei):
     return parts[bi] if bi < len(parts) else None
 
 
-def _stream(t, base: Elem, blk):
-    """Materializer for base followed by the periodic head of blk; exact
-    (base alone) when blk is None."""
-    if blk is None:
-        def mk_exact(K):
-            return base, True, None
-        return mk_exact
-    p = head_period(t, blk)
-
-    def mk(K):
-        return multiply(t, base, pow_elem(t, p, K)), False, lenvec(p)
-
-    return mk
-
-
-def _com_ext(t, mka, mkb) -> Elem:
-    """Common prefix of two (possibly periodic) lower-level continuations."""
-    K = 4
-    while K <= 256:
-        a, exact_a, pa = mka(K)
-        b, exact_b, pb = mkb(K)
-        w = com(t, a, b)
-        ok = True
-        if not exact_a and vcmp(lenvec(w), vsub(lenvec(a), pa)) > 0:
-            ok = False
-        if not exact_b and vcmp(lenvec(w), vsub(lenvec(b), pb)) > 0:
-            ok = False
-        if ok:
+def _com_ext(t, a: Elem, ba, b: Elem, bb) -> Elem:
+    """Common prefix of two lower-level continuations: a followed by the
+    periodic head of block ba, and b followed by that of bb, where a block
+    of None leaves its base alone."""
+    streams = [(x, None if blk is None else _side(t, blk).head)
+               for x, blk in ((a, ba), (b, bb))]
+    for K in (4, 8, 16, 32, 64, 128, 256):
+        xs = [x if p is None else multiply(t, x, pow_elem(t, p, K))
+              for x, p in streams]
+        w = com(t, xs[0], xs[1])
+        # a stream cut after K periods is read past its cut when the common
+        # prefix reaches into the last period
+        if all(p is None or vcmp(lenvec(w), vsub(lenvec(x), lenvec(p))) <= 0
+               for x, (_, p) in zip(xs, streams)):
             return w
-        K *= 2
-    raise EngineError("periodic head comparison did not stabilize "
-                      "(unbounded overlap; tower should have been rejected)")
+    a_text, b_text = (
+        f"{_render_part(t, x)} then "
+        f"{'no block' if blk is None else _render_part(t, blk)}"
+        for x, blk in ((a, ba), (b, bb)))
+    raise EngineError(f"periodic head comparison of {a_text} against "
+                      f"{b_text} did not stabilize at K = {K}")
 
 
 def gromov2(t: GroupTower, g: Elem, h: Elem):
@@ -1023,7 +987,7 @@ def prefix_of(t: GroupTower, g: Elem, target) -> Elem | None:
             sl = t.letters[p.letter]
             if vat(rem, sl.level) == 0:
                 # boundary within the periodic head, before the block's unit
-                hp = head_period(t, p)
+                hp = _side(t, p).head
                 lp = lenvec(hp)
                 h = vheight(lp)
                 if vheight(rem) < h:
@@ -1178,12 +1142,15 @@ def validate_tower(t: GroupTower) -> None:
                 raise TowerRejection("centralizer-overused",
                                      f"axis of {sl.name} reused by "
                                      f"{sorted(set(other_uses))}")
+    def side(name, sign):
+        return _side(t, Block(name, sign, zero_offset(t, name)))
+
     # attached-axis: a letter's axis periods may not coincide with the
     # head/tail periods of any lower letter, otherwise neighbors with
     # matching infinite periodic tails defeat margin stabilization
     def _directions(sl):
-        inv_src, inv_tgt = _inverse_axes(t, sl.name)
-        return [sl.u, inv_src[-1], sl.v, inv_tgt[-1]]
+        pos = side(sl.name, 1)
+        return [pos.head, pos.left_inv[-1], pos.tail, pos.right_inv[-1]]
 
     for sl in t.letters.values():
         for lower in t.letters.values():
@@ -1213,10 +1180,7 @@ def validate_tower(t: GroupTower) -> None:
                         "conjugate but unequal axes at one level")
         # orientation clash: distinct signed letters with equal head periods
         signed = [(sl, s) for sl in sls for s in (1, -1)]
-        heads = {}
-        for sl, s in signed:
-            blk = Block(sl.name, s, zero_offset(t, sl.name))
-            heads[(sl.name, s)] = head_period(t, blk)
+        heads = {(sl.name, s): side(sl.name, s).head for sl, s in signed}
         items = list(heads.items())
         for i in range(len(items)):
             for j in range(i + 1, len(items)):
@@ -1230,9 +1194,8 @@ def validate_tower(t: GroupTower) -> None:
             for sl2, s2 in signed:
                 if sl1.name == sl2.name and s1 == -s2:
                     continue  # pinch position, never adjacent with axis gap
-                tau = tail_period(t, Block(sl1.name, s1, zero_offset(t, sl1.name)))
-                pi = head_period(t, Block(sl2.name, s2, zero_offset(t, sl2.name)))
-                ok, _ = _additive(t, tau, pi)
+                ok, _ = _additive(t, side(sl1.name, s1).tail,
+                                  side(sl2.name, s2).head)
                 if not ok:
                     raise TowerRejection(
                         "junction-misalignment",

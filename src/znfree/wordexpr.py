@@ -151,7 +151,7 @@ def render(t: GroupTower, g: Elem) -> str:
     for p in g.parts:
         if isinstance(p, T.Block):
             out.append(p.letter if p.sign > 0 else f"{p.letter}^-1")
-            pers = T.offset_periods(t, p)
+            pers = T._side(t, p).right
             for ci in range(len(pers) - 1, -1, -1):
                 d = p.offset[ci]
                 if not d:

@@ -1,9 +1,12 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package imports a name it never uses, and no private
+function or class is left behind.
 
-A stdlib `ast` scan: every name a `src/znfree/*.py` module binds by an
-import must occur as a name somewhere in that module.  `__init__.py` is
+Two stdlib `ast` scans.  Every name a `src/znfree/*.py` module binds by an
+import must occur as a name somewhere in that module; `__init__.py` is
 exempt (it re-exports through `__all__`), and so are `from __future__`
-imports.
+imports.  Every private (underscore) module-level function or class must be
+named somewhere in the package outside its own definition: as a name, an
+attribute or an imported name.
 """
 
 import ast
@@ -39,3 +42,50 @@ def test_scan_finds_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _names(node) -> set[str]:
+    """The names, attribute names and imported names under an ast node."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.alias):
+            out.add(n.name)
+    return out
+
+
+def unnamed_privates(sources: dict[str, str]) -> list[str]:
+    """Private module-level functions and classes of the given modules (file
+    name -> source) that no other top-level statement of any of them
+    names."""
+    stmts = [(name, node, _names(node)) for name, source in sources.items()
+             for node in ast.parse(source).body]
+    return sorted(
+        f"{node.name} ({name} line {node.lineno})"
+        for name, node, _ in stmts
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not any(node.name in used for _, other, used in stmts
+                    if other is not node))
+
+
+def test_scan_finds_unnamed_private():
+    srcs = {
+        "a.py": ("def _called():\n    pass\n"
+                 "def _recursive(n):\n    return _recursive(n - 1)\n"
+                 "class _Lone:\n    pass\n"
+                 "def _attr():\n    pass\n"
+                 "def _imported():\n    pass\n"
+                 "def f():\n    return _called()\n"),
+        "b.py": "import a\nfrom a import _imported\na._attr()\n",
+    }
+    assert unnamed_privates(srcs) == ["_Lone (a.py line 5)",
+                                      "_recursive (a.py line 3)"]
+
+
+def test_every_private_is_named():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert unnamed_privates(sources) == []

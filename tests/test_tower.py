@@ -167,7 +167,7 @@ def test_weight_zero_conjugate_is_pinch_chain(all_towers, fa3, t1):
             cs = [rng.choice(hs)]
             if t.rank > 1:
                 m0, blk = y.parts[0], y.parts[1]
-                a = rng.choice(T._axes(t, blk)[0])
+                a = rng.choice(T._side(t, blk).left)
                 cs += [rng.choice(axis), T.multiply(
                     t, T.multiply(t, m0, a), T.invert(t, m0))]
             for c in cs:
@@ -476,8 +476,8 @@ def _settle_left_general(t, e, blk):
     """Margin phase 1 through the general _peel/_additive steps, one Elem
     per step: the reference the word branch of T._settle_left must agree
     with."""
-    lgens, _ = T._axes(t, blk)
-    hp = T.head_period(t, blk)
+    lgens = T._side(t, blk).left
+    hp = T._side(t, blk).head
     off = list(blk.offset)
     for _ in range(T._GUARD):
         e2, pex = T._peel(t, e, lgens, right=True)
@@ -499,8 +499,8 @@ def _word_margins(t, blk):
     c, c^-1, c^2, hp's first letter inverted (a partial cancellation into
     the head period) and hp with its last letter dropped, for the block's
     left axis <c> and head period hp."""
-    c = T._axes(t, blk)[0][0]
-    hp = T.head_period(t, blk)
+    c = T._side(t, blk).left[0]
+    hp = T._side(t, blk).head
     tails = [T.EPS, c, T.invert(t, c), T.pow_elem(t, c, 2),
              T.word_elem((-hp.word[0],)), T.word_elem(hp.word[:-1])]
     letters = [T.gen_elem(t, s) for s in t.symbols]
@@ -519,7 +519,7 @@ def test_settle_word_matches_general_loop(all_towers):
         for letter in t.letters:
             for sign in (1, -1):
                 blk0 = T.Block(letter, sign, T.zero_offset(t, letter))
-                if T.head_period(t, blk0).level != 1:
+                if T._side(t, blk0).head.level != 1:
                     continue
                 for e in _word_margins(t, blk0):
                     for d in (0, 2, -1):
@@ -538,20 +538,20 @@ def _settle_right_general(t, blk, e, nxt):
     """Margin phase 2 on one block as _margin_pass ran it inline, with the
     claim test as a closure and no identity return: the reference
     T._settle_right must agree with."""
-    _, rgens = T._axes(t, blk)
-    tp = T.tail_period(t, blk)
+    rgens = T._side(t, blk).right
+    tp = T._side(t, blk).tail
     off = list(blk.offset)
-    pers = T.offset_periods(t, blk)
-    ipers = T._inverse_offset_periods(t, blk)
+    pers = T._side(t, blk).right
+    ipers = T._side(t, blk).right_inv
 
     def right_claims(x):
         if nxt is None:
             return False
-        nlg, _ = T._axes(t, nxt)
+        nlg = T._side(t, nxt).left
         _, nex = T._peel(t, x, nlg, right=True)
         if any(nex):
             return True
-        nadd, _ = T._additive(t, x, T.head_period(t, nxt))
+        nadd, _ = T._additive(t, x, T._side(t, nxt).head)
         return not nadd
 
     for _ in range(T._GUARD):
@@ -588,8 +588,8 @@ def _right_margins(t, blk, nxt, rng, k):
     of nxt's left axis, or hp^-1 for its head period hp, and for a word hp
     also the inverse of its first letter or of all but its last."""
     level = t.letters[blk.letter].level
-    _, rgens = T._axes(t, blk)
-    tp = T.tail_period(t, blk)
+    rgens = T._side(t, blk).right
+    tp = T._side(t, blk).tail
     heads = [T.EPS, T.invert(t, tp)] + [
         T.pow_elem(t, r, p) for r in rgens for p in (1, -1, 2)]
     if tp.level == 1:
@@ -597,8 +597,8 @@ def _right_margins(t, blk, nxt, rng, k):
                   T.word_elem(Wd.w_inv(tp.word[1:]))]
     tails = [T.EPS]
     if nxt is not None:
-        hp = T.head_period(t, nxt)
-        tails += [T.pow_elem(t, c, p) for c in T._axes(t, nxt)[0]
+        hp = T._side(t, nxt).head
+        tails += [T.pow_elem(t, c, p) for c in T._side(t, nxt).left
                   for p in (1, -1)]
         tails += [T.invert(t, hp)]
         if hp.level == 1:
@@ -729,52 +729,65 @@ def test_normal_form_unique_on_w_tower(t1):
     assert direct.key == regrouped.key
 
 
-def test_inverse_axis_table(all_towers, fa3, t1):
-    # every period a block reads from the tower's table is the fresh value,
-    # and the same object on every call
-    towers = {**all_towers, "fa5": factory.free_abelian(5),
-              "fp": factory.free_product(fa3, t1)}
-    for tname, t in towers.items():
-        for name, sl in t.letters.items():
+def _fresh_side(t, name, sign):
+    """The fields of a signed letter's side record, computed anew."""
+    sl = t.letters[name]
+    left, right = ((sl.source_gens, sl.target_gens) if sign > 0
+                   else (sl.target_gens, sl.source_gens))
+    head = sl.u if sign > 0 else T.invert(t, sl.v)
+    tail = sl.v if sign > 0 else T.invert(t, sl.u)
+    return {"left": left, "right": right,
+            "left_inv": [T.invert(t, a) for a in left],
+            "right_inv": [T.invert(t, a) for a in right],
+            "head": head, "tail": tail}
+
+
+def _keys(x):
+    return x.key if isinstance(x, T.Elem) else [g.key for g in x]
+
+
+def test_side_table(all_towers, fa3, t1):
+    # every field a block reads from the tower's table has the fresh value,
+    # a second lookup returns the same record, and a letter's first use
+    # fills its entries for both signs, on a newly built tower whose table
+    # starts empty
+    for tname, t in _pinned_towers(all_towers, fa3, t1).items():
+        fresh = T.GroupTower(t.symbols, t.letters.values(), t.aliases)
+        assert fresh._sides == {}, tname
+        for name in t.letters:
             for sign in (1, -1):
                 blk = T.Block(name, sign, T.zero_offset(t, name))
                 where = f"{tname}: letter {name}, sign {sign:+d}"
-                head = sl.u if sign > 0 else T.invert(t, sl.v)
-                tail = sl.v if sign > 0 else T.invert(t, sl.u)
-                assert T.head_period(t, blk).key == head.key, f"{where}, head"
-                assert T.tail_period(t, blk).key == tail.key, f"{where}, tail"
-                assert T.head_period(t, blk) is T.head_period(t, blk), (
-                    f"{where}, head recomputed")
-                assert T.tail_period(t, blk) is T.tail_period(t, blk), (
-                    f"{where}, tail recomputed")
-                side = "target" if sign > 0 else "source"
-                pers = T.offset_periods(t, blk)
-                inv = T._inverse_offset_periods(t, blk)
-                assert len(inv) == len(pers), f"{where}, {side} side"
-                for j, (p, q) in enumerate(zip(pers, inv)):
-                    assert q.key == T.invert(t, p).key, (
-                        f"{where}, inverse of {side} generator {j}")
-                    assert T._inverse_offset_periods(t, blk)[j] is q, (
-                        f"{where}, inverse of {side} generator {j} "
-                        "recomputed")
+                side = T._side(t, blk)
+                assert T._side(t, blk) is side, f"{where}, recomputed"
+                for field, want in _fresh_side(t, name, sign).items():
+                    assert _keys(getattr(side, field)) == _keys(want), (
+                        f"{where}, {field}")
+                first = (name, sign) not in fresh._sides
+                T._side(fresh, blk)
+                if first:
+                    assert (name, -sign) in fresh._sides, (
+                        f"{where}, first use filled one sign")
+        assert set(fresh._sides) == {(n, s) for n in t.letters
+                                     for s in (1, -1)}, tname
 
 
-def test_inverse_axis_table_per_tower():
+def test_side_table_per_tower():
     # an extension gets its own table; using it leaves the parent's alone
     fa3 = factory.free_abelian(3)
     axis = [T.gen_elem(fa3, s) for s in ("a", "z2", "z3")]
     fa4 = extend_hnn(fa3, "z4", axis, axis)
-    assert fa4._inverse_axes is not fa3._inverse_axes
-    before = dict(fa3._inverse_axes)
+    assert fa4._sides is not fa3._sides
+    before = dict(fa3._sides)
     gs = sample_elements(fa4, SampleSpec(seed=7, samples=20))
     for g, h in zip(gs, gs[1:]):
         T.multiply(fa4, T.invert(fa4, g), h)
     for name in fa4.letters:
-        T.head_period(fa4, T.Block(name, -1, T.zero_offset(fa4, name)))
-    assert set(fa4._inverse_axes) == set(fa4.letters)
-    assert fa3._inverse_axes.keys() == before.keys()
-    for name, inv in before.items():
-        assert fa3._inverse_axes[name] is inv, f"parent entry {name} replaced"
+        T._side(fa4, T.Block(name, -1, T.zero_offset(fa4, name)))
+    assert set(fa4._sides) == {(n, s) for n in fa4.letters for s in (1, -1)}
+    assert fa3._sides.keys() == before.keys()
+    for key, side in before.items():
+        assert fa3._sides[key] is side, f"parent entry {key} replaced"
 
 
 def _pinned_towers(all_towers, fa3, t1):
@@ -867,10 +880,10 @@ def _stuck(message):
 
 def test_settle_word_error_names_its_input(t1, monkeypatch):
     blk = T.Block("z", 1, (0,))
-    hp = T.head_period(t1, blk)
+    side = T._side(t1, blk)
     monkeypatch.setattr(T, "_GUARD", 0)
     with _stuck("left margin a*b of block (z, +1, (0,)) did not stabilize"):
-        T._settle_word(t1, W(t1, "a*b").word, blk, hp)
+        T._settle_word(t1, W(t1, "a*b").word, blk, side)
 
 
 def test_settle_left_error_names_its_input(fa3, monkeypatch):
@@ -896,6 +909,31 @@ def test_build_error_names_its_input(t1, monkeypatch):
     with _stuck("normal form at level 2 of [a, (z, +1, (0,)), b^-1] did "
                 "not stabilize"):
         T.build(t1, 2, parts)
+
+
+def _mixed_tower():
+    """F(a, b, c) with y: a -> b at level 2 and z: c -> c at level 3, so a
+    level-2 margin before a z block can share any number of copies of c
+    with z's periodic head."""
+    f = factory.free_tower(["a", "b", "c"])
+    t = extend_hnn(f, "y", [W(f, "a")], [W(f, "b")])
+    return extend_hnn(t, "z", [W(t, "c")], [W(t, "c")], level=3)
+
+
+@pytest.mark.xfail(strict=True, raises=T.EngineError, reason=(
+    "_com_ext compares the periodic streams for at most 256 periods, and "
+    "here they share 300 copies of c (ROADMAP item 12)"))
+def test_com_on_mixed_height_tower():
+    t = _mixed_tower()
+    got = T.com(t, W(t, "z"), W(t, "c^300*y*z"))
+    assert render(t, got) == "c^300"
+
+
+def test_com_ext_error_names_its_input():
+    t = _mixed_tower()
+    with _stuck("periodic head comparison of 1 then (z, +1, (0,)) against "
+                "c^300*y then (z, +1, (0,)) did not stabilize at K = 256"):
+        T.com(t, W(t, "z"), W(t, "c^300*y*z"))
 
 
 def _reduced(seq):
