@@ -1,7 +1,8 @@
 """Command-line surface over the engine.
 
 Exit codes: 0 on success, 1 when a domain condition rejects the input (the
-condition name is printed), 2 on usage or parse errors.
+condition name is printed), 2 on usage or parse errors, 3 when the engine
+fails an internal check (an EngineError: the tower is not supported).
 """
 
 from __future__ import annotations
@@ -288,6 +289,9 @@ def run_command(argv) -> int:
     except TowerRejection as e:
         print(str(e))
         return 1
+    except T.EngineError as e:
+        print(f"error: internal: {e}", file=sys.stderr)
+        return 3
 
 
 def main() -> None:

@@ -55,7 +55,7 @@ _RADIUS = 8  # exponent bound of decompose's axis search
 
 
 def _skeleton(t, x):
-    return [(p.letter, p.sign) for p in T._parts_at(x, t.rank)
+    return [(p.letter, p.sign) for p in T._parts_at(t, x, t.rank)
             if isinstance(p, T.Block)]
 
 

@@ -77,6 +77,12 @@ too).  `_weight_zero_conjugate(t, y, c)`, for c of weight zero, is y^-1*c*y
 when that has weight 0 and None otherwise: it follows the middle of the
 word through y's blocks, one pinch at a time, and stops at the first block
 whose left axis the middle leaves.
+
+`com` is one stream comparison.  Past the margins and blocks that two
+elements share, each element goes on as a lower-level base followed by the
+periodic head of its next block, and `_com_ext` compares the two streams
+exactly: the common prefix of the bases, then the whole copies of a period
+that `_peel` reads off the other base, pass by pass.
 """
 
 from __future__ import annotations
@@ -310,11 +316,12 @@ def block_len(t: GroupTower, blk: Block):
 # core operations
 
 
-def _parts_at(g: Elem, L: int):
+def _parts_at(t, g: Elem, L: int):
     if g.level == L:
         return g.parts
     if g.level > L:
-        raise EngineError("level mismatch")
+        raise EngineError(f"level mismatch: {_render_part(t, g)} has level "
+                          f"{g.level}, above L = {L}")
     return (g,)
 
 
@@ -329,8 +336,8 @@ def multiply(t: GroupTower, g: Elem, h: Elem) -> Elem:
             return word_elem(a + b)  # reduced words: only the junction cancels
         return word_elem(W.w_mul(a, b))
     L = max(g.level, h.level)
-    pg = _parts_at(g, L)
-    ph = _parts_at(h, L)
+    pg = _parts_at(t, g, L)
+    ph = _parts_at(t, h, L)
     mid = multiply(t, pg[-1], ph[0])
     parts = list(pg[:-1]) + [mid] + list(ph[1:])
     return build(t, L, parts)
@@ -476,13 +483,17 @@ def _vexadd(a, b):
 
 
 def _block_as_axis(t, blk: Block, gens):
-    """Exponents of a block's whole value over a gen list, or None."""
+    """Exponents of a block's whole value over a gen list, or None.  The
+    list may hold the block's letter element or its inverse."""
     keys = [g.key for g in gens]
-    le = letter_elem(t, blk.letter)
-    if le.key not in keys:
+    for s in (1, -1):
+        k = letter_elem(t, blk.letter, s).key
+        if k in keys:
+            break
+    else:
         return None
     exps = [0] * len(gens)
-    exps[keys.index(le.key)] += blk.sign
+    exps[keys.index(k)] += s * blk.sign
     pers = _side(t, blk).right
     for i, d in enumerate(blk.offset):
         if not d:
@@ -549,10 +560,12 @@ def _peel(t, e, gens, right: bool):
 
 
 def _render_part(t, p) -> str:
-    """A parts-list entry for an error message: a rendered element, or a
-    block as (letter, sign, offset)."""
+    """A parts-list entry for an error message: a rendered element, a block
+    as (letter, sign, offset), or `no block` for None."""
     from .wordexpr import render  # wordexpr imports this module
 
+    if p is None:
+        return "no block"
     if isinstance(p, Block):
         return f"({p.letter}, {p.sign:+d}, {p.offset})"
     return render(t, p)
@@ -755,25 +768,21 @@ def com(t: GroupTower, g: Elem, h: Elem) -> Elem:
         if not g.word or not h.word or g.word[0] != h.word[0]:
             return EPS
         return word_elem(W.w_com(g.word, h.word))
-    pg = _parts_at(g, L)
-    ph = _parts_at(h, L)
+    pg = _parts_at(t, g, L) + (None,)  # None: no block after the margin
+    ph = _parts_at(t, h, L) + (None,)
     out = []
     i = 0
     while True:
-        a = pg[2 * i]
-        b = ph[2 * i]
-        Ba = _block_after(pg, i)
-        Bb = _block_after(ph, i)
+        a, b, Ba, Bb = pg[2 * i], ph[2 * i], pg[2 * i + 1], ph[2 * i + 1]
         if equals(t, a, b):
             if Ba is None:
                 return g
-            if Bb is None:
-                return h
             if Ba == Bb:
                 out.extend([a, Ba])
                 i += 1
                 continue
-            if Ba.letter == Bb.letter and Ba.sign == Bb.sign:
+            if (Bb is not None and Ba.letter == Bb.letter
+                    and Ba.sign == Bb.sign):
                 # shared block portion: both blocks factor as a shared block
                 # followed by leftover axis material.  Offsets are compared
                 # most significant first; for a positive block more material
@@ -793,33 +802,13 @@ def com(t: GroupTower, g: Elem, h: Elem) -> Elem:
                         # (which shortens the shared stream) is still common
                         share[ci] = pick(da, db, 0)
                 out.extend([a, Block(Ba.letter, Ba.sign, tuple(share))])
-                ga = gens_power(t, _side(t, Ba).right,
-                                [x - y for x, y in zip(Ba.offset, share)])
-                gb = gens_power(t, _side(t, Bb).right,
-                                [x - y for x, y in zip(Bb.offset, share)])
-                out.append(_com_ext(t, multiply(t, ga, pg[2 * i + 2]),
-                                    _block_after(pg, i + 1),
-                                    multiply(t, gb, ph[2 * i + 2]),
-                                    _block_after(ph, i + 1)))
-                return build(t, L, out)
-            ext = _com_ext(t, EPS, Ba, EPS, Bb)
-            out.append(multiply(t, a, ext))
-            return build(t, L, out)
-        w0 = com(t, a, b)
-        ra = multiply(t, invert(t, w0), a)
-        rb = multiply(t, invert(t, w0), b)
-        if not is_identity(ra) and not is_identity(rb):
-            out.append(w0)
-            return build(t, L, out)
-        if is_identity(ra):
-            if Ba is None:
-                return g
-            ext = _com_ext(t, EPS, Ba, rb, Bb)
-        else:
-            if Bb is None:
-                return h
-            ext = _com_ext(t, ra, Ba, EPS, Bb)
-        out.append(multiply(t, w0, ext))
+                right = _side(t, Ba).right  # Bb has Ba's letter and sign
+                # each side's leftover material joins its next margin
+                a, b = (multiply(t, gens_power(t, right, [
+                    x - y for x, y in zip(ps[2 * i + 1].offset, share)]),
+                    ps[2 * i + 2]) for ps in (pg, ph))
+                Ba, Bb = pg[2 * i + 3], ph[2 * i + 3]
+        out.append(_com_ext(t, a, Ba, b, Bb))
         return build(t, L, out)
 
 
@@ -901,33 +890,42 @@ def _weight_zero_conjugate(t: GroupTower, y: Elem, c: Elem) -> Elem | None:
     return x
 
 
-def _block_after(parts, ei):
-    """The block following element index ei of a parts list, or None."""
-    bi = 2 * ei + 1
-    return parts[bi] if bi < len(parts) else None
-
-
 def _com_ext(t, a: Elem, ba, b: Elem, bb) -> Elem:
-    """Common prefix of two lower-level continuations: a followed by the
-    periodic head of block ba, and b followed by that of bb, where a block
-    of None leaves its base alone."""
-    streams = [(x, None if blk is None else _side(t, blk).head)
-               for x, blk in ((a, ba), (b, bb))]
-    for K in (4, 8, 16, 32, 64, 128, 256):
-        xs = [x if p is None else multiply(t, x, pow_elem(t, p, K))
-              for x, p in streams]
-        w = com(t, xs[0], xs[1])
-        # a stream cut after K periods is read past its cut when the common
-        # prefix reaches into the last period
-        if all(p is None or vcmp(lenvec(w), vsub(lenvec(x), lenvec(p))) <= 0
-               for x, (_, p) in zip(xs, streams)):
-            return w
-    a_text, b_text = (
-        f"{_render_part(t, x)} then "
-        f"{'no block' if blk is None else _render_part(t, blk)}"
-        for x, blk in ((a, ba), (b, bb)))
-    raise EngineError(f"periodic head comparison of {a_text} against "
-                      f"{b_text} did not stabilize at K = {K}")
+    """Common prefix of two lower-level streams: a followed by the periodic
+    head p^infinity of block ba, and b followed by that of bb, where a block
+    of None ends the stream with its base."""
+    # A pass reads w = com(x, y); a base is used up when w is as long as it.
+    # If neither is, the streams part there: a base begins its stream, so a
+    # longer common prefix would lengthen w.  A used-up base x (after the
+    # swap) ends its stream or goes on with its period p; only then is the
+    # rest w^-1*y of the other base built.  The whole copies of p that _peel
+    # reads off its front are common, and p becomes x.  If that uses up the
+    # other base, it goes on with its own period or ends.  Once both bases
+    # are used up, one is a whole period and the other a part of the other
+    # period: the passes run Euclid's algorithm on the periods, which ends
+    # unless they are equal up to rotation.  _GUARD bounds them.
+    x, p = a, None if ba is None else _side(t, ba).head
+    y, q = b, None if bb is None else _side(t, bb).head
+    out = EPS
+    for _ in range(_GUARD):
+        w = com(t, x, y)
+        out = multiply(t, out, w)
+        if veq(lenvec(y), lenvec(w)):
+            x, p, y, q = y, q, x, p
+        if not veq(lenvec(x), lenvec(w)) or p is None:
+            return out
+        y = multiply(t, invert(t, w), y)
+        rest, (n,) = _peel(t, y, (p,), right=False)
+        if n > 0:
+            out, y = multiply(t, out, pow_elem(t, p, n)), rest
+        x = p
+        if is_identity(y):
+            if q is None:
+                return out
+            y = q
+    raise EngineError("periodic head comparison of {} then {} against {} then "
+                      "{} did not stabilize".format(
+                          *(_render_part(t, x) for x in (a, ba, b, bb))))
 
 
 def gromov2(t: GroupTower, g: Elem, h: Elem):
@@ -950,7 +948,8 @@ def cyclic_decompose(t: GroupTower, g: Elem) -> tuple[Elem, Elem]:
     core = multiply(t, multiply(t, c, g), ci)
     if not veq(lenvec(core),
                vsub(lenvec(g), vscale(2, vpad(lenvec(c), len(lenvec(g)))))):
-        raise EngineError("cyclic decomposition is not length-coherent")
+        raise EngineError(f"cyclic decomposition of {_render_part(t, g)} by "
+                          f"{_render_part(t, c)} is not length-coherent")
     return c, core
 
 
@@ -1107,7 +1106,8 @@ def centralizer(t: GroupTower, g: Elem) -> AbelianSubgroup:
     sub = AbelianSubgroup(tuple(gens), c)
     for x in subgroup_gens(t, sub):
         if not commutes(t, x, g):
-            raise EngineError("centralizer generator does not commute")
+            raise EngineError(f"centralizer generator {_render_part(t, x)} "
+                              f"does not commute with {_render_part(t, g)}")
     return sub
 
 

@@ -1,8 +1,9 @@
-"""Command surface: outputs and the 0/1/2 exit-code contract."""
+"""Command surface: outputs and the exit-code contract: 0 success, 1 domain
+rejection, 2 usage or syntax error, 3 internal engine error."""
 
 import pytest
 
-from znfree import factory, towerfile
+from znfree import factory, tower as T, towerfile
 from znfree.cli import run_command
 
 
@@ -152,3 +153,13 @@ def test_seed_reproducible(capsys, t1_file):
     b = run(capsys, "check-axioms", "-t", t1_file, "--samples", "50",
             "--seed", "3")
     assert a == b
+
+
+def test_engine_error_is_exit_code_3(capsys, t1_file, monkeypatch):
+    # a stabilization loop that hits its cap is an internal error: a one-line
+    # message on stderr, no traceback
+    monkeypatch.setattr(T, "_GUARD", 0)
+    code, out, err = run(capsys, "eval", "-t", t1_file, "z*a")
+    assert code == 3 and out == ""
+    assert err.startswith("error: internal: ")
+    assert "did not stabilize" in err and "Traceback" not in err

@@ -3,7 +3,7 @@
 import pytest
 
 from znfree import factory, tower as T
-from znfree.wordexpr import parse_word
+from znfree.wordexpr import parse_word, render
 
 
 def W(t, s):
@@ -56,6 +56,19 @@ def test_nonorientable_relator_vanishes():
         q = f"x{n}^-1*" + "*".join(reversed(syms[:-1]))
         rel = f"x1*({p})*x1^-1*({q})^-1"
         assert T.is_identity(W(t, rel)), (n, rel)
+
+
+@pytest.mark.xfail(strict=True, raises=T.EngineError, reason=(
+    "on the nonorientable surface with four or more crosscaps the margin "
+    "passes of x1r*x2^-1*x1r alternate with period 2 and never stabilize "
+    "(ROADMAP item 10)"))
+def test_nonorientable_four_multiplies():
+    # a product must render to a word that parses back to it, and g*g^-1
+    # must be the identity
+    t = factory.surface_nonorientable(4)
+    g = W(t, "x1r*x2^-1*x1r")
+    assert W(t, render(t, g)).key == g.key
+    assert T.is_identity(T.multiply(t, g, T.invert(t, g)))
 
 
 def test_nonorientable_minimum_size():

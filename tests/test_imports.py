@@ -1,12 +1,14 @@
-"""No module of the package imports a name it never uses, and no private
-function or class is left behind.
+"""No module of the package imports a name it never uses, no private
+function or class is left behind, and every guard rail has a test.
 
-Two stdlib `ast` scans.  Every name a `src/znfree/*.py` module binds by an
+Three stdlib `ast` scans.  Every name a `src/znfree/*.py` module binds by an
 import must occur as a name somewhere in that module; `__init__.py` is
 exempt (it re-exports through `__all__`), and so are `from __future__`
 imports.  Every private (underscore) module-level function or class must be
 named somewhere in the package outside its own definition: as a name, an
-attribute or an imported name.
+attribute or an imported name.  Every package function that raises
+`EngineError` (directly, as `T.EngineError`, or through `_margin_error`) must
+be named by a test function that also names `EngineError` or `_stuck`.
 """
 
 import ast
@@ -89,3 +91,60 @@ def test_scan_finds_unnamed_private():
 def test_every_private_is_named():
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert unnamed_privates(sources) == []
+
+
+TESTS = Path(__file__).resolve().parent
+_GUARD_RAISES = {"EngineError", "_margin_error"}
+
+
+def _raised(node) -> str | None:
+    """The name a raise statement raises or calls: EngineError for
+    `raise EngineError(...)` and `raise T.EngineError(...)`."""
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    if isinstance(exc, ast.Name):
+        return exc.id
+    return exc.attr if isinstance(exc, ast.Attribute) else None
+
+
+def untested_guards(sources: dict[str, str],
+                    tests: dict[str, str]) -> list[str]:
+    """Functions of the package sources that raise EngineError and that no
+    test function of the test sources names next to EngineError or _stuck
+    (both dicts map a file name to its source)."""
+    guarded = sorted(
+        (node.name, name, node.lineno)
+        for name, source in sources.items()
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.FunctionDef)
+        and any(isinstance(n, ast.Raise) and n.exc is not None
+                and _raised(n) in _GUARD_RAISES for n in ast.walk(node)))
+    covered = set()
+    for source in tests.values():
+        for node in ast.parse(source).body:
+            if (isinstance(node, ast.FunctionDef)
+                    and node.name.startswith("test_")):
+                used = _names(node)
+                if used & {"EngineError", "_stuck"}:
+                    covered |= used
+    return [f"{fn} ({name} line {line})" for fn, name, line in guarded
+            if fn not in covered]
+
+
+def test_scan_finds_untested_guard():
+    srcs = {"m.py": ("def hit():\n    raise T.EngineError('x')\n"
+                     "def stuck():\n    raise _margin_error(1)\n"
+                     "def named_only():\n    raise EngineError\n"
+                     "def other():\n    raise ValueError('y')\n")}
+    tests = {"test_m.py": ("def test_hit():\n"
+                           "    with raises(T.EngineError):\n"
+                           "        m.hit()\n"
+                           "def test_named_only():\n    m.named_only()\n"
+                           "def helper():\n    _stuck(m.stuck())\n")}
+    assert untested_guards(srcs, tests) == ["named_only (m.py line 5)",
+                                            "stuck (m.py line 3)"]
+
+
+def test_every_engine_error_site_is_tested():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    tests = {p.name: p.read_text() for p in sorted(TESTS.glob("test_*.py"))}
+    assert untested_guards(sources, tests) == []

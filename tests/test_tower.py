@@ -1,16 +1,17 @@
 """Core engine: normal forms, lengths, common heads, commutation."""
 
+import functools
 import random
 import re
 import sys
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from znfree import axioms, factory, nielsen as N, tower as T, words as Wd
 from znfree.axioms import SampleSpec, sample_elements
 from znfree.hnn import extend_hnn
-from znfree.lamvec import vadd, vat, vheight
+from znfree.lamvec import vadd, vat, vcmp, vheight, vsub
 from znfree.wordexpr import parse_word, render
 
 
@@ -852,7 +853,7 @@ def test_pass_leaving_one_block_is_the_last(all_towers, fa3, t1):
             L = max(g.level, h.level)
             if L == 1:
                 continue
-            pg, ph = T._parts_at(g, L), T._parts_at(h, L)
+            pg, ph = T._parts_at(t, g, L), T._parts_at(t, h, L)
             parts = (list(pg[:-1]) + [T.multiply(t, pg[-1], ph[0])]
                      + list(ph[1:]))
             for _ in range(T._GUARD):
@@ -911,6 +912,26 @@ def test_build_error_names_its_input(t1, monkeypatch):
         T.build(t1, 2, parts)
 
 
+def test_parts_at_error_names_its_input(t1):
+    with _stuck("level mismatch: z*a has level 2, above L = 1"):
+        T._parts_at(t1, W(t1, "z*a"), 1)
+
+
+def test_cyclic_decompose_error_names_its_input(t1, monkeypatch):
+    # a com that returns its first argument makes the conjugator g itself
+    monkeypatch.setattr(T, "com", lambda t, g, h: g)
+    with _stuck("cyclic decomposition of z*a by a^-1*z^-1 is not "
+                "length-coherent"):
+        T.cyclic_decompose(t1, W(t1, "z*a"))
+
+
+def test_centralizer_error_names_its_input(t1, monkeypatch):
+    g = W(t1, "a^2")
+    monkeypatch.setattr(T, "commutes", lambda t, x, y: False)
+    with _stuck("centralizer generator a does not commute with a^2"):
+        T.centralizer(t1, g)
+
+
 def _mixed_tower():
     """F(a, b, c) with y: a -> b at level 2 and z: c -> c at level 3, so a
     level-2 margin before a z block can share any number of copies of c
@@ -920,20 +941,203 @@ def _mixed_tower():
     return extend_hnn(t, "z", [W(t, "c")], [W(t, "c")], level=3)
 
 
-@pytest.mark.xfail(strict=True, raises=T.EngineError, reason=(
-    "_com_ext compares the periodic streams for at most 256 periods, and "
-    "here they share 300 copies of c (ROADMAP item 12)"))
-def test_com_on_mixed_height_tower():
-    t = _mixed_tower()
-    got = T.com(t, W(t, "z"), W(t, "c^300*y*z"))
-    assert render(t, got) == "c^300"
+class _Unanswered(Exception):
+    """The reference's streams still agree in the last of 256 periods."""
 
 
-def test_com_ext_error_names_its_input():
+def _com_doubling(t, g, h):
+    """com as it was before the stream comparison: each periodic stream is
+    cut after K = 4, 8, ..., 256 periods until the common prefix stops short
+    of the last period.  The reference T.com must agree with wherever it
+    answers; past K = 256 it raises _Unanswered."""
+    L = max(g.level, h.level)
+    if L == 1:
+        if not g.word or not h.word or g.word[0] != h.word[0]:
+            return T.EPS
+        return T.word_elem(Wd.w_com(g.word, h.word))
+    pg = T._parts_at(t, g, L) + (None,)
+    ph = T._parts_at(t, h, L) + (None,)
+    out = []
+    i = 0
+    while True:
+        a, b, Ba, Bb = pg[2 * i], ph[2 * i], pg[2 * i + 1], ph[2 * i + 1]
+        if T.equals(t, a, b):
+            if Ba is None:
+                return g
+            if Bb is None:
+                return h
+            if Ba == Bb:
+                out.extend([a, Ba])
+                i += 1
+                continue
+            if Ba.letter == Bb.letter and Ba.sign == Bb.sign:
+                pick = min if Ba.sign > 0 else max
+                share = [0] * len(Ba.offset)
+                diverged = False
+                for ci in range(len(Ba.offset) - 1, -1, -1):
+                    da, db = Ba.offset[ci], Bb.offset[ci]
+                    if not diverged:
+                        share[ci] = pick(da, db)
+                        diverged = da != db
+                    else:
+                        share[ci] = pick(da, db, 0)
+                out.extend([a, T.Block(Ba.letter, Ba.sign, tuple(share))])
+                right = T._side(t, Ba).right
+                ga = T.gens_power(t, right,
+                                  [x - y for x, y in zip(Ba.offset, share)])
+                gb = T.gens_power(t, right,
+                                  [x - y for x, y in zip(Bb.offset, share)])
+                out.append(_com_ext_doubling(
+                    t, T.multiply(t, ga, pg[2 * i + 2]), pg[2 * i + 3],
+                    T.multiply(t, gb, ph[2 * i + 2]), ph[2 * i + 3]))
+                return T.build(t, L, out)
+            ext = _com_ext_doubling(t, T.EPS, Ba, T.EPS, Bb)
+            out.append(T.multiply(t, a, ext))
+            return T.build(t, L, out)
+        w0 = _com_doubling(t, a, b)
+        ra = T.multiply(t, T.invert(t, w0), a)
+        rb = T.multiply(t, T.invert(t, w0), b)
+        if not T.is_identity(ra) and not T.is_identity(rb):
+            out.append(w0)
+            return T.build(t, L, out)
+        if T.is_identity(ra):
+            if Ba is None:
+                return g
+            ext = _com_ext_doubling(t, T.EPS, Ba, rb, Bb)
+        else:
+            if Bb is None:
+                return h
+            ext = _com_ext_doubling(t, ra, Ba, T.EPS, Bb)
+        out.append(T.multiply(t, w0, ext))
+        return T.build(t, L, out)
+
+
+def _com_ext_doubling(t, a, ba, b, bb):
+    streams = [(x, None if blk is None else T._side(t, blk).head)
+               for x, blk in ((a, ba), (b, bb))]
+    for K in (4, 8, 16, 32, 64, 128, 256):
+        xs = [x if p is None else T.multiply(t, x, T.pow_elem(t, p, K))
+              for x, p in streams]
+        w = _com_doubling(t, xs[0], xs[1])
+        if all(p is None or vcmp(T.lenvec(w),
+                                 vsub(T.lenvec(x), T.lenvec(p))) <= 0
+               for x, (_, p) in zip(xs, streams)):
+            return w
+    raise _Unanswered
+
+
+@pytest.mark.parametrize("n", [10, 255, 256, 300, 3000])
+@pytest.mark.parametrize("swap", [False, True], ids=["z-first", "z-second"])
+def test_com_on_mixed_height_tower(n, swap):
+    # the margin c^n*y shares n copies of c with z's periodic head, for any
+    # n; the doubling reference stopped at 256 periods
     t = _mixed_tower()
+    pair = (W(t, "z"), W(t, f"c^{n}*y*z"))
+    got = T.com(t, *(pair[::-1] if swap else pair))
+    assert render(t, got) == f"c^{n}"
+
+
+def test_com_ext_pass_count_is_independent_of_the_copies(monkeypatch):
+    # the peel takes all n shared copies of c in one pass, so com makes as
+    # many com calls from _com_ext for n = 1 as for n = 300
+    t = _mixed_tower()
+    real = T.com
+    calls = []
+
+    def counting(t, x, y):
+        calls.append(sys._getframe(1).f_code.co_name)
+        return real(t, x, y)
+
+    monkeypatch.setattr(T, "com", counting)
+    counts = []
+    for n in (1, 2, 300):
+        calls.clear()
+        T.com(t, W(t, "z"), W(t, f"c^{n}*y*z"))
+        counts.append(calls.count("_com_ext"))
+    assert counts[0] > 1 and len(set(counts)) == 1, counts
+
+
+def _shared_head_tower():
+    """F(a, b, c) with y: a*b -> b*c and z: a*c -> c*b at level 2, built
+    past validate_tower: the head periods a*b and a*c share the letter a,
+    which junction cleanliness forbids on a valid tower."""
+    f = factory.free_tower(["a", "b", "c"])
+    return T.GroupTower(f.symbols, [
+        T.StableLetter(n, 2, (W(f, u),), (W(f, v),))
+        for n, u, v in (("y", "a*b", "b*c"), ("z", "a*c", "c*b"))])
+
+
+@pytest.mark.parametrize("h, want", [("z", "a"),
+                                     ("(a*b)^2*z", "a*b*a*b*a")])
+def test_com_ext_goes_on_with_each_period(h, want):
+    # once the bases are used up each stream goes on with its own period:
+    # (a*b)^infinity against (a*c)^infinity, and against (a*b)^2 then
+    # (a*c)^infinity; on a valid tower two head periods at one level share
+    # no prefix, so only a tower built past validation shows this
+    t = _shared_head_tower()
+    g, h = W(t, "y"), W(t, h)
+    got = T.com(t, g, h)
+    assert render(t, got) == want
+    assert got.key == _com_doubling(t, g, h).key
+
+
+def test_com_ext_error_names_its_input(monkeypatch):
+    t = _mixed_tower()
+    blk, b = T.Block("z", 1, (0,)), W(t, "c^3*y")
+    monkeypatch.setattr(T, "_GUARD", 0)
     with _stuck("periodic head comparison of 1 then (z, +1, (0,)) against "
-                "c^300*y then (z, +1, (0,)) did not stabilize at K = 256"):
-        T.com(t, W(t, "z"), W(t, "c^300*y*z"))
+                "c^3*y then no block did not stabilize"):
+        T._com_ext(t, T.EPS, blk, b, None)
+
+
+_COM_TOWERS = {
+    "t1": factory.t1, "t_ab": factory.t_ab,
+    "fa3": lambda: factory.free_abelian(3),
+    "surf2": lambda: factory.surface_orientable(2),
+    "ns3": lambda: factory.surface_nonorientable(3),
+    "fa4": lambda: factory.free_abelian(4),
+    "fa5": lambda: factory.free_abelian(5),
+    "fp": lambda: factory.free_product(factory.free_abelian(3), factory.t1()),
+    "mixed": _mixed_tower,
+}
+
+
+@functools.cache
+def _com_sample(name):
+    """A tower, 30 sampled elements and the head periods of its signed
+    letters, made on first use."""
+    t = _COM_TOWERS[name]()
+    heads = [T._side(t, T.Block(n, s, T.zero_offset(t, n))).head
+             for n in t.letters for s in (1, -1)]
+    return t, sample_elements(t, SampleSpec(seed=31, samples=30)), heads
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(sorted(_COM_TOWERS)), st.sampled_from(
+    ["sampled", "shared", "power"]), st.data())
+def test_com_matches_doubling_reference(name, kind, data):
+    # sampled pairs (g, h), shared-prefix pairs (x*g, x*h) and power pairs
+    # (p^j*g, p^k*h), p a head period or a sample, give the reference's key
+    # wherever the reference answers
+    t, gs, heads = _com_sample(name)
+    pick = st.sampled_from(gs)
+    g, h = data.draw(pick), data.draw(pick)
+    if kind == "shared":
+        x = data.draw(pick)
+        g, h = T.multiply(t, x, g), T.multiply(t, x, h)
+    elif kind == "power":
+        p = data.draw(st.sampled_from(heads + gs))
+        j, k = data.draw(st.integers(0, 9)), data.draw(st.integers(0, 9))
+        g = T.multiply(t, T.pow_elem(t, p, j), g)
+        h = T.multiply(t, T.pow_elem(t, p, k), h)
+    try:
+        want = _com_doubling(t, g, h)
+    except _Unanswered:
+        return
+    got = T.com(t, g, h)
+    assert got.key == want.key, (
+        f"{name}: com({render(t, g)}, {render(t, h)}) = {render(t, got)}, "
+        f"reference {render(t, want)}")
 
 
 def _reduced(seq):
