@@ -39,10 +39,14 @@ answers are those of testing the whole element first.
 Each margin rule has one owner.  Margin phase 1, a block's left margin, is
 `_settle_left`; phase 2, its right margin, is `_settle_right`; `_margin_pass`
 runs both, then phase 3, over a parts list.  Neither phase takes a step on
-an identity margin: `multiply` returns the other operand when one operand is
-the identity, so every product the steps test with `_additive` is additive,
-and `_peel` strips nothing off the identity.  `_settle_right` returns such a
-margin at once.
+an identity margin, so both return such a margin at once: `_peel` strips
+nothing off the identity, and `_additive` answers that a product with the
+identity is additive without building it, as `multiply` returns the other
+operand as is.  `build` stops after a pass that leaves at most one block,
+for the next pass would change nothing: one block has no Britton triple and
+no phase 3; phase 1's steps read only the margin and the block's letter and
+sign; with no next block, phase 2 never takes the rightward-flow branch, so
+its steps do not read the offset; and each phase loops to its own fixpoint.
 
 Questions about words are answered on the word tuples.  Heights rise
 strictly along an axis and a word has height 1, so when a margin and its
@@ -58,10 +62,13 @@ the general path's.
 
 A block's left and right axes, their inverses, and its head and tail periods
 are constants of its signed letter (Britton's lemma, Lyndon-Schupp IV.2);
-its offset periods are its right axis.  Each GroupTower keeps a private
-table, (letter name, sign) -> `_Side`, that `_side` fills for both signs of
-a letter on its first use; towers are never changed after construction, so
-an entry never goes stale.  The table is never filled in
+its offset periods are its right axis.  So are the vectors `block_len` adds
+(the letter element's length and its axis generators' lengths, each padded
+to the letter's level) and the keys of the letter element and its inverse,
+which `_block_as_axis` looks for in a generator list.  Each GroupTower keeps
+a private table, (letter name, sign) -> `_Side`, that `_side` fills for both
+signs of a letter on its first use; towers are never changed after
+construction, so an entry never goes stale.  The table is never filled in
 `GroupTower.__init__`: construction runs before `validate_tower`, and
 inverting the axes of an invalid tower could raise EngineError before the
 tower's named TowerRejection.
@@ -274,7 +281,10 @@ class _Side:
     """The axes and periods of one signed letter.  a o blk = blk o a' for a
     in the left axis and a' its image in the right axis; the offsets count
     powers of the right axis generators; the block's value begins with the
-    head period's infinite head and ends with the tail period."""
+    head period's infinite head and ends with the tail period.  unit is the
+    letter element's length and axis_lens those of the axis generators, all
+    padded to the letter's level; letter_keys are the keys of the letter
+    element and its inverse, the same for both signs."""
 
     left: tuple
     right: tuple
@@ -282,6 +292,9 @@ class _Side:
     right_inv: tuple
     head: Elem
     tail: Elem
+    unit: tuple
+    axis_lens: tuple
+    letter_keys: tuple
 
 
 def _side(t: GroupTower, blk: Block) -> _Side:
@@ -293,9 +306,14 @@ def _side(t: GroupTower, blk: Block) -> _Side:
         src, tgt = sl.source_gens, sl.target_gens
         isrc = tuple(invert(t, a) for a in src)
         itgt = tuple(invert(t, b) for b in tgt)
-        t._sides[sl.name, 1] = _Side(src, tgt, isrc, itgt, sl.u, sl.v)
+        z = letter_elem(t, sl.name)
+        # source and target generators have equal lengths
+        fixed = (lenvec(z), tuple(vpad(lenvec(a), sl.level) for a in src),
+                 (z.key, letter_elem(t, sl.name, -1).key))
+        t._sides[sl.name, 1] = _Side(src, tgt, isrc, itgt, sl.u, sl.v,
+                                     *fixed)
         t._sides[sl.name, -1] = _Side(tgt, src, itgt, isrc,
-                                      itgt[-1], isrc[-1])
+                                      itgt[-1], isrc[-1], *fixed)
         s = t._sides[blk.letter, blk.sign]
     return s
 
@@ -304,12 +322,13 @@ def block_len(t: GroupTower, blk: Block):
     """Length of the block's value.  Positive-sign blocks append their
     offset material after the periodic tail (extending it); negative-sign
     blocks' material cancels into the tail, shortening it."""
-    sl = t.letters[blk.letter]
-    vec = vunit(sl.level)
-    for d, a in zip(blk.offset, sl.source_gens):
+    s = _side(t, blk)
+    vec = s.unit
+    for d, lens in zip(blk.offset, s.axis_lens):
         if d:
-            vec = vadd(vec, vscale(blk.sign * d, lenvec(a)))
-    return vpad(vec, sl.level)
+            k = blk.sign * d
+            vec = tuple(x + k * y for x, y in zip(vec, lens))
+    return vec
 
 
 # ---------------------------------------------------------------------------
@@ -390,8 +409,9 @@ def lam_len(t: GroupTower, g: Elem) -> int:
 def _additive(t, a: Elem, b: Elem) -> tuple[bool, Elem | None]:
     """Whether lengths add in a*b, and the product when they do not (None
     may stand for the product when they do)."""
-    if a.level == 1 and b.level == 1 and (
-            not a.word or not b.word or a.word[-1] != -b.word[0]):
+    if is_identity(a) or is_identity(b):
+        return True, None  # multiply returns the other operand as is
+    if a.level == 1 and b.level == 1 and a.word[-1] != -b.word[0]:
         return True, None  # reduced words: only the junction can cancel
     prod = multiply(t, a, b)
     return veq(lenvec(prod), vadd(lenvec(a), lenvec(b))), prod
@@ -486,15 +506,15 @@ def _block_as_axis(t, blk: Block, gens):
     """Exponents of a block's whole value over a gen list, or None.  The
     list may hold the block's letter element or its inverse."""
     keys = [g.key for g in gens]
-    for s in (1, -1):
-        k = letter_elem(t, blk.letter, s).key
+    side = _side(t, blk)
+    for s, k in zip((1, -1), side.letter_keys):
         if k in keys:
             break
     else:
         return None
     exps = [0] * len(gens)
     exps[keys.index(k)] += s * blk.sign
-    pers = _side(t, blk).right
+    pers = side.right
     for i, d in enumerate(blk.offset):
         if not d:
             continue
@@ -616,9 +636,13 @@ def _settle_left(t, e: Elem, blk: Block):
     by pulling one period out of the block (the complement stays as honest
     element material).  Returns (e', offset list); only the block's letter
     and sign are read, besides the offset the result starts from."""
+    off = list(blk.offset)
+    if is_identity(e):
+        # no step can fire: _peel strips nothing off the identity, and
+        # _additive answers an identity operand additive
+        return e, off
     s = _side(t, blk)
     hp = s.head
-    off = list(blk.offset)
     if e.level == 1 and hp.level == 1:
         w, d = _settle_word(t, e.word, blk, s)
         off[-1] += d
@@ -658,9 +682,8 @@ def _settle_right(t, blk: Block, e: Elem, nxt):
     claims the material (rightward flow).  Returns (e', offset list)."""
     off = list(blk.offset)
     if is_identity(e):
-        # no step can fire: multiply returns the other operand when one is
-        # the identity, so unit*1 and tp*1 are additive, and _peel strips
-        # nothing off the identity
+        # no step can fire: _additive answers an identity operand additive,
+        # and _peel strips nothing off the identity
         return e, off
     s = _side(t, blk)
     given = e
@@ -740,7 +763,7 @@ def build(t: GroupTower, L: int, parts) -> Elem:
     for _ in range(_GUARD):
         ch = _britton_pass(t, parts)
         ch |= _margin_pass(t, parts)
-        if not ch:
+        if not ch or len(parts) <= 3:  # one block: the next pass is idle
             break
     else:
         raise EngineError(

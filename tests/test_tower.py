@@ -1,6 +1,7 @@
 """Core engine: normal forms, lengths, common heads, commutation."""
 
 import functools
+import itertools
 import random
 import re
 import sys
@@ -11,7 +12,8 @@ from hypothesis import example, given, settings, strategies as st
 from znfree import axioms, factory, nielsen as N, tower as T, words as Wd
 from znfree.axioms import SampleSpec, sample_elements
 from znfree.hnn import extend_hnn
-from znfree.lamvec import vadd, vat, vcmp, vheight, vsub
+from znfree.lamvec import (vadd, vat, vcmp, vheight, vpad, vscale, vsub,
+                           vunit)
 from znfree.wordexpr import parse_word, render
 
 
@@ -740,11 +742,16 @@ def _fresh_side(t, name, sign):
     return {"left": left, "right": right,
             "left_inv": [T.invert(t, a) for a in left],
             "right_inv": [T.invert(t, a) for a in right],
-            "head": head, "tail": tail}
+            "head": head, "tail": tail, "unit": vunit(sl.level),
+            "axis_lens": [vpad(T.lenvec(a), sl.level) for a in left],
+            "letter_keys": [T.letter_elem(t, name, s).key for s in (1, -1)]}
 
 
 def _keys(x):
-    return x.key if isinstance(x, T.Elem) else [g.key for g in x]
+    """x with each element in it replaced by its key, tuples by lists."""
+    if isinstance(x, T.Elem):
+        return x.key
+    return [_keys(y) for y in x] if isinstance(x, (tuple, list)) else x
 
 
 def test_side_table(all_towers, fa3, t1):
@@ -839,6 +846,12 @@ def test_identity_margin_is_left_unchanged(all_towers, fa3, t1):
                     assert parts == [T.EPS, b1, T.EPS, b2, T.EPS], where
 
 
+def _product_parts(t, g, h, L):
+    """The parts list multiply hands build for g*h at level L."""
+    pg, ph = T._parts_at(t, g, L), T._parts_at(t, h, L)
+    return list(pg[:-1]) + [T.multiply(t, pg[-1], ph[0])] + list(ph[1:])
+
+
 def test_pass_leaving_one_block_is_the_last(all_towers, fa3, t1):
     # in build's loop, once a Britton-plus-margin pass leaves at most one
     # block, the next pass reports no change, on the parts lists multiply
@@ -853,9 +866,7 @@ def test_pass_leaving_one_block_is_the_last(all_towers, fa3, t1):
             L = max(g.level, h.level)
             if L == 1:
                 continue
-            pg, ph = T._parts_at(t, g, L), T._parts_at(t, h, L)
-            parts = (list(pg[:-1]) + [T.multiply(t, pg[-1], ph[0])]
-                     + list(ph[1:]))
+            parts = _product_parts(t, g, h, L)
             for _ in range(T._GUARD):
                 ch = T._britton_pass(t, parts)
                 ch |= T._margin_pass(t, parts)
@@ -869,6 +880,109 @@ def test_pass_leaving_one_block_is_the_last(all_towers, fa3, t1):
                 if not ch:
                     break
         assert settled, tname
+
+
+def _block_len_general(t, blk):
+    """A block's length from its letter's level and axis generators,
+    without the side record: the reference T.block_len must agree with."""
+    sl = t.letters[blk.letter]
+    vec = vunit(sl.level)
+    for d, a in zip(blk.offset, sl.source_gens):
+        if d:
+            vec = vadd(vec, vscale(blk.sign * d, T.lenvec(a)))
+    return vpad(vec, sl.level)
+
+
+def test_block_len_reads_the_side_record(all_towers, fa3, t1):
+    # block_len gives the generator formula's vector for every letter and
+    # sign, with offsets -2..2 in each component, and a zero offset hands
+    # back the side record's unit vector itself
+    for tname, t in _pinned_towers(all_towers, fa3, t1).items():
+        for name in t.letters:
+            zero = T.zero_offset(t, name)
+            for sign in (1, -1):
+                where = f"{tname}: letter {name}, sign {sign:+d}"
+                blk = T.Block(name, sign, zero)
+                assert T.block_len(t, blk) is T._side(t, blk).unit, where
+                for off in itertools.product(range(-2, 3), repeat=len(zero)):
+                    blk = T.Block(name, sign, off)
+                    assert T.block_len(t, blk) == _block_len_general(
+                        t, blk), f"{where}, offset {off}"
+
+
+def test_additive_on_identity_builds_no_product(all_towers, fa3, t1,
+                                                monkeypatch):
+    # an identity operand is additive on either side of every head and tail
+    # period, and _additive answers without a product
+    cases = []
+    for tname, t in _pinned_towers(all_towers, fa3, t1).items():
+        for name in t.letters:
+            for sign in (1, -1):
+                side = T._side(t, T.Block(name, sign, T.zero_offset(t, name)))
+                for p in (side.head, side.tail):
+                    cases += [(tname, t, T.EPS, p), (tname, t, p, T.EPS)]
+    products = []
+    real_multiply = T.multiply
+
+    def counting(t, g, h):
+        products.append((g, h))
+        return real_multiply(t, g, h)
+
+    monkeypatch.setattr(T, "multiply", counting)
+    for tname, t, a, b in cases:
+        assert T._additive(t, a, b) == (True, None), (
+            f"{tname}: {render(t, a)} * {render(t, b)}")
+    assert products == []
+    # words, and fa5's periods of levels 2 to 4, which multiply would build
+    assert {p.level for _, _, a, b in cases for p in (a, b)} == {1, 2, 3, 4}
+
+
+def test_build_stops_after_a_pass_leaving_one_block(all_towers, fa3, t1,
+                                                    monkeypatch):
+    # for products whose parts list holds at most one block after one
+    # Britton-plus-margin pass, build makes that pass and no other; the
+    # builds nested inside a pass are not counted
+    rng = random.Random(29)
+    depth = [0]
+    passes = []
+    real_build, real_margin_pass = T.build, T._margin_pass
+
+    def nested_build(t, L, parts):
+        depth[0] += 1
+        try:
+            return real_build(t, L, parts)
+        finally:
+            depth[0] -= 1
+
+    def counting(t, parts):
+        passes.append(depth[0])
+        return real_margin_pass(t, parts)
+
+    for tname, t in _pinned_towers(all_towers, fa3, t1).items():
+        gs = sample_elements(t, SampleSpec(seed=30, samples=40))
+        gs += [T.invert(t, g) for g in gs]
+        changed = 0
+        for _ in range(120):
+            g, h = rng.choice(gs), rng.choice(gs)
+            L = max(g.level, h.level)
+            if L == 1:
+                continue
+            parts = _product_parts(t, g, h, L)
+            probe = list(parts)
+            ch = T._britton_pass(t, probe)
+            ch |= T._margin_pass(t, probe)
+            if len(probe) > 3:
+                continue
+            changed += ch
+            with monkeypatch.context() as m:
+                m.setattr(T, "build", nested_build)
+                m.setattr(T, "_margin_pass", counting)
+                passes.clear()
+                got = T.build(t, L, parts)
+            where = f"{tname}: {render(t, g)} * {render(t, h)}"
+            assert passes.count(1) == 1, where
+            assert got.key == T.multiply(t, g, h).key, where
+        assert changed, tname
 
 
 # ---------------------------------------------------------------------------
@@ -1138,6 +1252,24 @@ def test_com_matches_doubling_reference(name, kind, data):
     assert got.key == want.key, (
         f"{name}: com({render(t, g)}, {render(t, h)}) = {render(t, got)}, "
         f"reference {render(t, want)}")
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(sorted(_COM_TOWERS)), st.booleans(), st.data())
+def test_normal_form_is_one_pass_fixpoint(name, inverse, data):
+    # a normal form's parts list comes through one Britton-plus-margin pass
+    # unchanged, and build returns its key: the fact the margin phases' and
+    # build's shortcuts rest on
+    t, gs, _ = _com_sample(name)
+    g = data.draw(st.sampled_from([g for g in gs if g.level > 1]))
+    if inverse:
+        g = T.invert(t, g)
+    parts = list(g.parts)
+    where = f"{name}: {render(t, g)}"
+    assert not T._britton_pass(t, parts), where
+    assert not T._margin_pass(t, parts), where
+    assert _parts_view(parts) == _parts_view(g.parts), where
+    assert T.build(t, g.level, list(g.parts)).key == g.key, where
 
 
 def _reduced(seq):
