@@ -48,6 +48,32 @@ no phase 3; phase 1's steps read only the margin and the block's letter and
 sign; with no next block, phase 2 never takes the rightward-flow branch, so
 its steps do not read the offset; and each phase loops to its own fixpoint.
 
+Margin phase 3 moves a block's nonzero offset material m across an
+identity gap into the next block's offset when m lies in that block's left
+axis A, where the next pass's phase 1 would absorb it; a pinch of the two
+blocks sums both offsets and the gap's exponents, so it sees the same total.
+Each GroupTower keeps a private table, (letter, sign, next letter, next
+sign) -> transfer entry, that `_transfer` fills on a pair's first use, never
+in `GroupTower.__init__`.  An entry holds each right-axis generator r_i's
+exponent vector E_i over A, or None where r_i is outside A, and whether the
+two axes' top generators commute.  With offset d there are three cases:
+
+  * every r_i with d_i != 0 lies in A: m lies in A with exponents
+    sum d_i E_i, since A is abelian with a graded basis, and nothing is
+    built;
+  * the top generators do not commute: m is not in A.  Groups with a free
+    Lambda-valued length function are commutative-transitive (Alperin-Bass,
+    "Length functions of group actions on Lambda-trees", 1987; Chiswell,
+    Introduction to Lambda-trees, 2001), so an m != 1 in both axes would
+    commute with both top generators, and they with each other; and d != 0
+    gives m != 1, the right axis having a basis;
+  * otherwise m is built with `gens_power` and tested with
+    `abelian_exponents`.
+
+The exponents are added in the pass that finds them, so a run of blocks
+with identity gaps passes material along in one pass, not one block per
+pass.
+
 Questions about words are answered on the word tuples.  Heights rise
 strictly along an axis and a word has height 1, so when a margin and its
 block's head period are both words, the block's left axis is <c> and the
@@ -241,6 +267,7 @@ class GroupTower:
         self.rank = max([1] + [sl.level for sl in self.letters.values()])
         self.aliases = dict(aliases or {})
         self._sides: dict[tuple[str, int], _Side] = {}
+        self._transfers: dict[tuple[str, int, str, int], tuple] = {}
 
     def letters_by_level(self):
         return sorted(self.letters.values(), key=lambda s: (s.level, s.name))
@@ -715,6 +742,40 @@ def _settle_right(t, blk: Block, e: Elem, nxt):
     raise _margin_error(t, "right", given, blk)
 
 
+def _transfer(t, blk: Block, nxt: Block):
+    """The transfer entry of blk's signed letter before nxt's, from the
+    tower's table: the exponents of each right-axis generator of blk over
+    nxt's left axis (None for one outside it), and whether the two axes' top
+    generators commute."""
+    key = (blk.letter, blk.sign, nxt.letter, nxt.sign)
+    entry = t._transfers.get(key)
+    if entry is None:
+        right, left = _side(t, blk).right, _side(t, nxt).left
+        cols = []
+        for r in right:
+            e = abelian_exponents(t, left, r)
+            cols.append(None if e is None else tuple(e))
+        entry = t._transfers[key] = (tuple(cols),
+                                     commutes(t, right[-1], left[-1]))
+    return entry
+
+
+def _carried(t, blk: Block, nxt: Block):
+    """Exponents over nxt's left axis of blk's nonzero offset material, or
+    None when the material lies outside that axis."""
+    cols, meet = _transfer(t, blk, nxt)
+    if all(c is not None for d, c in zip(blk.offset, cols) if d):
+        exps = [0] * len(nxt.offset)
+        for d, c in zip(blk.offset, cols):
+            if d:
+                exps = [x + d * y for x, y in zip(exps, c)]
+        return exps
+    if not meet:
+        return None  # the axes meet only in 1
+    mat = gens_power(t, _side(t, blk).right, blk.offset)
+    return abelian_exponents(t, _side(t, nxt).left, mat)
+
+
 def _margin_pass(t, parts) -> bool:
     """Stabilize block margins.  Material flows rightward: a block's left
     margin has priority over the previous block's right margin, and interior
@@ -741,18 +802,19 @@ def _margin_pass(t, parts) -> bool:
             changed = True
         if tuple(off) != blk.offset:
             parts[bi] = Block(blk.letter, blk.sign, tuple(off))
-    # phase 3: migrate offset material rightward across identity gaps when
-    # it lies in the next block's axis (the next pass's phase 1 absorbs the
-    # materialized element there)
+    # phase 3: offset material crosses an identity gap into the next block's
+    # offset when it lies in that block's left axis, where the next pass's
+    # phase 1 would absorb it; a run of blocks passes it along in one pass
     for bi in range(1, len(parts) - 2, 2):
-        blk = parts[bi]
+        blk, nxt = parts[bi], parts[bi + 2]
         if not any(blk.offset) or not is_identity(parts[bi + 1]):
             continue
-        mat = gens_power(t, _side(t, blk).right, blk.offset)
-        if abelian_exponents(t, _side(t, parts[bi + 2]).left, mat) is None:
+        exps = _carried(t, blk, nxt)
+        if exps is None:
             continue
         parts[bi] = Block(blk.letter, blk.sign, (0,) * len(blk.offset))
-        parts[bi + 1] = mat
+        parts[bi + 2] = Block(nxt.letter, nxt.sign,
+                              tuple(_vexadd(nxt.offset, exps)))
         changed = True
     return changed
 
@@ -864,10 +926,11 @@ def _product_head(t: GroupTower, h: Elem, g: Elem):
     # candidates (B_i, m_i, B_i+1) are g's own.
     #  * No pinch can start further right, so block 1's letter and sign
     #    never change.  The passes move only axis material across a block:
-    #    phase 1 adds left-axis material to a block's offset, phases 2 and 3
-    #    move right-axis material between a block's offset and the element
-    #    after it.  So a later middle is a*m_i*b with a in B_i's right axis
-    #    and b in B_i+1's left axis.  Where B_i, B_i+1 could pinch (one
+    #    phase 1 adds left-axis material to a block's offset, phase 2 moves
+    #    right-axis material between a block's offset and the element after
+    #    it, and phase 3 moves it across an identity gap into the next
+    #    block's offset.  So a later middle is a*m_i*b with a in B_i's right
+    #    axis and b in B_i+1's left axis.  Where B_i, B_i+1 could pinch (one
     #    letter, opposite signs) these are one axis A, and a*m_i*b lies in A
     #    iff m_i does, which it does not: g had no pinch.  (This is Britton's
     #    lemma, Lyndon-Schupp IV.2: every reduced form of h*g has g's

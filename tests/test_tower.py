@@ -1,5 +1,6 @@
 """Core engine: normal forms, lengths, common heads, commutation."""
 
+import contextlib
 import functools
 import itertools
 import random
@@ -761,7 +762,7 @@ def test_side_table(all_towers, fa3, t1):
     # starts empty
     for tname, t in _pinned_towers(all_towers, fa3, t1).items():
         fresh = T.GroupTower(t.symbols, t.letters.values(), t.aliases)
-        assert fresh._sides == {}, tname
+        assert fresh._sides == {} and fresh._transfers == {}, tname
         for name in t.letters:
             for sign in (1, -1):
                 blk = T.Block(name, sign, T.zero_offset(t, name))
@@ -937,12 +938,10 @@ def test_additive_on_identity_builds_no_product(all_towers, fa3, t1,
     assert {p.level for _, _, a, b in cases for p in (a, b)} == {1, 2, 3, 4}
 
 
-def test_build_stops_after_a_pass_leaving_one_block(all_towers, fa3, t1,
-                                                    monkeypatch):
-    # for products whose parts list holds at most one block after one
-    # Britton-plus-margin pass, build makes that pass and no other; the
-    # builds nested inside a pass are not counted
-    rng = random.Random(29)
+def _count_passes(m):
+    """Patch T.build and T._margin_pass through the monkeypatch m.  Returns
+    the list each margin pass appends its build depth to: 1 for a pass of
+    the outermost build, more for the builds nested inside a pass."""
     depth = [0]
     passes = []
     real_build, real_margin_pass = T.build, T._margin_pass
@@ -958,6 +957,17 @@ def test_build_stops_after_a_pass_leaving_one_block(all_towers, fa3, t1,
         passes.append(depth[0])
         return real_margin_pass(t, parts)
 
+    m.setattr(T, "build", nested_build)
+    m.setattr(T, "_margin_pass", counting)
+    return passes
+
+
+def test_build_stops_after_a_pass_leaving_one_block(all_towers, fa3, t1,
+                                                    monkeypatch):
+    # for products whose parts list holds at most one block after one
+    # Britton-plus-margin pass, build makes that pass and no other; the
+    # builds nested inside a pass are not counted
+    rng = random.Random(29)
     for tname, t in _pinned_towers(all_towers, fa3, t1).items():
         gs = sample_elements(t, SampleSpec(seed=30, samples=40))
         gs += [T.invert(t, g) for g in gs]
@@ -975,14 +985,150 @@ def test_build_stops_after_a_pass_leaving_one_block(all_towers, fa3, t1,
                 continue
             changed += ch
             with monkeypatch.context() as m:
-                m.setattr(T, "build", nested_build)
-                m.setattr(T, "_margin_pass", counting)
-                passes.clear()
+                passes = _count_passes(m)
                 got = T.build(t, L, parts)
             where = f"{tname}: {render(t, g)} * {render(t, h)}"
             assert passes.count(1) == 1, where
             assert got.key == T.multiply(t, g, h).key, where
         assert changed, tname
+
+
+def _phase3_general(t, parts):
+    """Margin phase 3 as _margin_pass ran it before the transfer table: the
+    offset material is built and tested against the next block's left axis,
+    and a hit is left in the gap for the next pass's phase 1 to absorb.  The
+    reference the table's phase 3 must agree with."""
+    changed = False
+    for bi in range(1, len(parts) - 2, 2):
+        blk = parts[bi]
+        if not any(blk.offset) or not T.is_identity(parts[bi + 1]):
+            continue
+        mat = T.gens_power(t, T._side(t, blk).right, blk.offset)
+        if T.abelian_exponents(t, T._side(t, parts[bi + 2]).left,
+                               mat) is None:
+            continue
+        parts[bi] = T.Block(blk.letter, blk.sign, (0,) * len(blk.offset))
+        parts[bi + 1] = mat
+        changed = True
+    return changed
+
+
+@contextlib.contextmanager
+def _general_phase3():
+    """The engine with _phase3_general in place of the table's phase 3, in
+    every build at every level."""
+    real_margin_pass = T._margin_pass
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(T, "_carried", lambda t, blk, nxt: None)
+        m.setattr(T, "_margin_pass", lambda t, parts: (
+            real_margin_pass(t, parts) | _phase3_general(t, parts)))
+        yield
+
+
+def test_slide_through_a_run_takes_a_fixed_number_of_passes(fa3,
+                                                            monkeypatch):
+    # a commutes with every block of z2^-n, and phase 3 carries it across
+    # the whole run in one pass: build makes as many top-level margin passes
+    # for a*z2^-n at n = 50 as at n = 200, and the key is the one the old
+    # phase 3 gives, which took n + 1 passes
+    a, z2 = T.gen_elem(fa3, "a"), T.gen_elem(fa3, "z2")
+    counts = []
+    for n in (50, 100, 200):
+        run = T.pow_elem(fa3, z2, -n)
+        with monkeypatch.context() as m:
+            passes = _count_passes(m)
+            got = T.multiply(fa3, a, run)
+        counts.append(passes.count(1))
+        with _general_phase3():
+            assert got.key == T.multiply(fa3, a, run).key, n
+    assert len(set(counts)) == 1 and counts[0] <= 3, counts
+
+
+def _counting_gens_power(m):
+    """Patch T.gens_power through m; returns the list of its callers."""
+    callers = []
+    real = T.gens_power
+
+    def counting(t, gens, exps):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real(t, gens, exps)
+
+    m.setattr(T, "gens_power", counting)
+    return callers
+
+
+def test_transfer_table_matches_the_material(all_towers, fa3, t1,
+                                             monkeypatch):
+    # for every ordered pair of signed letters and every nonzero offset with
+    # components -2..2, phase 3's answer is that of building the offset
+    # material and testing it against the next block's left axis: the
+    # table's exponents where each generator the offset uses lies in that
+    # axis, None where the axes' top generators do not commute, and else
+    # the built material's answer, the only case that builds it.  Each
+    # entry holds its pair's values under its own key, in a table that
+    # starts empty on a newly built tower.
+    towers = {**_pinned_towers(all_towers, fa3, t1),
+              "fa4": factory.free_abelian(4),
+              "t_ab*surf2": factory.free_product(all_towers["t_ab"],
+                                                 all_towers["surf2"])}
+    seen = {"transfer": 0, "never": 0, "fallback": 0}
+    for tname, t in towers.items():
+        fresh = T.GroupTower(t.symbols, t.letters.values(), t.aliases)
+        assert fresh._transfers == {}, tname
+        blocks = [T.Block(n, s, T.zero_offset(t, n))
+                  for n in t.letters for s in (1, -1)]
+        for blk, nxt in itertools.product(blocks, repeat=2):
+            where = f"{tname}: {blk} before {nxt}"
+            right, left = T._side(t, blk).right, T._side(t, nxt).left
+            cols, meet = T._transfer(fresh, blk, nxt)
+            assert [None if c is None else list(c) for c in cols] == [
+                T.abelian_exponents(t, left, r) for r in right], where
+            assert meet == T.commutes(t, right[-1], left[-1]), where
+            for off in itertools.product(range(-2, 3), repeat=len(right)):
+                if not any(off):
+                    continue
+                want = T.abelian_exponents(t, left,
+                                           T.gens_power(t, right, off))
+                if all(c is not None for d, c in zip(off, cols) if d):
+                    kind = "transfer"
+                elif not meet:
+                    kind = "never"
+                    assert want is None, f"{where}, offset {off}"
+                else:
+                    kind = "fallback"
+                with monkeypatch.context() as m:
+                    callers = _counting_gens_power(m)
+                    got = T._carried(fresh, T.Block(blk.letter, blk.sign,
+                                                    off), nxt)
+                assert got == want, f"{where}, offset {off}"
+                assert callers == (["_carried"] if kind == "fallback"
+                                   else []), f"{where}, offset {off}"
+                seen[kind] += 1
+        assert set(fresh._transfers) == {
+            (b.letter, b.sign, n.letter, n.sign) for b in blocks
+            for n in blocks}, tname
+    assert all(seen.values()), seen
+
+
+def test_phase3_builds_material_only_in_the_fallback(fa3, monkeypatch):
+    # hand-made level-3 parts lists on fa3: a z3 block with an identity gap
+    # before a z2 block, whose left axis is <a>.  z3's right axis is
+    # [a, z2], and z2 commutes with a but lies outside <a>: an offset with a
+    # z2 component takes the fallback, which builds the material, finds it
+    # outside, and leaves the list alone; an offset in a alone crosses into
+    # the z2 block with nothing built
+    z2 = T.Block("z2", 1, (0,))
+    for off, after in (((0, 1), None), ((-2, 1), None),
+                       ((2, 0), [T.Block("z3", 1, (0, 0)), T.EPS,
+                                 T.Block("z2", 1, (2,))])):
+        parts = [T.EPS, T.Block("z3", 1, off), T.EPS, z2, T.EPS]
+        given = list(parts)
+        with monkeypatch.context() as m:
+            callers = _counting_gens_power(m)
+            changed = T._margin_pass(fa3, parts)
+        assert callers == (["_carried"] if after is None else []), off
+        assert changed == (after is not None), off
+        assert parts == (given if after is None else [T.EPS, *after, T.EPS])
 
 
 # ---------------------------------------------------------------------------
@@ -1270,6 +1416,40 @@ def test_normal_form_is_one_pass_fixpoint(name, inverse, data):
     assert not T._margin_pass(t, parts), where
     assert _parts_view(parts) == _parts_view(g.parts), where
     assert T.build(t, g.level, list(g.parts)).key == g.key, where
+
+
+_PHASE3_TOWERS = {
+    **{name: _COM_TOWERS[name]
+       for name in ("t1", "t_ab", "fa3", "surf2", "ns3", "fa5", "fp")},
+    "w": lambda: _w_tower(factory.t1()),
+}
+
+
+@functools.cache
+def _phase3_sample(name):
+    """A tower and 30 sampled elements, made on first use."""
+    t = _PHASE3_TOWERS[name]()
+    return t, sample_elements(t, SampleSpec(seed=37, samples=30))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(sorted(_PHASE3_TOWERS)), st.integers(-4, 4),
+       st.data())
+def test_build_matches_general_phase3(name, k, data):
+    # build gives the key that the old phase 3 gives, on the parts list
+    # multiply hands build for x^k * y, x and y sampled: the powers make
+    # runs of blocks with identity gaps, where phase 3 acts
+    t, gs = _phase3_sample(name)
+    x, y = data.draw(st.sampled_from(gs)), data.draw(st.sampled_from(gs))
+    g = T.pow_elem(t, x, k)
+    L = max(g.level, y.level)
+    if L == 1:
+        return
+    parts = _product_parts(t, g, y, L)
+    got = T.build(t, L, list(parts))
+    with _general_phase3():
+        want = T.build(t, L, list(parts))
+    assert got.key == want.key, f"{name}: {render(t, g)} * {render(t, y)}"
 
 
 def _reduced(seq):
