@@ -74,6 +74,29 @@ The exponents are added in the pass that finds them, so a run of blocks
 with identity gaps passes material along in one pass, not one block per
 pass.
 
+`multiply` hands `build` the index of its seam, the margin where the two
+operands meet.  Every other part comes from an operand's normal form, which
+comes through one full pass unchanged: the operand's last pass found
+nothing to do.  Each step reads a fixed set of parts.  A Britton triple
+reads its margin, phase 1 the margin left of its block, phase 2 the block
+and the margin right of it, phase 3 the block and the gap after it; the
+block letters and signs they also read change only in a pinch.  A step
+that acts writes a part it reads, so it runs again in the next pass.
+Hence a step none of whose parts was written in this pass or the last one
+has the inputs it had when it last ran, in an operand's build or an earlier
+pass, and it did nothing then; `build` skips it.  The seam counts as
+written before the first pass.  The passes take the steps full passes
+take, in the same order, and a product of normal forms costs margin work at
+its seam only.  A pinch shifts the indices, so from the first one on,
+within that same Britton pass, every step runs, as it does in a build
+without a seam.  The written parts are a bit mask over the indices, -1
+standing for all of them.
+
+`build` leaves the length vector unset.  `lenvec` takes the sum over the
+parts on the first read, `block_len` for a block and `lenvec` for an
+element, keeps it, and drops the tower the element held for it.  Most
+elements made inside a normalization are never measured.
+
 Questions about words are answered on the word tuples.  Heights rise
 strictly along an axis and a word has height 1, so when a margin and its
 block's head period are both words, the block's left axis is <c> and the
@@ -173,13 +196,15 @@ class Block:
 class Elem:
     """Immutable tower element; build only through the module functions."""
 
-    __slots__ = ("level", "word", "parts", "_len", "_key", "_hash")
+    __slots__ = ("level", "word", "parts", "_len", "_tower", "_key",
+                 "_hash")
 
-    def __init__(self, level, word, parts, lenvec):
+    def __init__(self, level, word, parts, lenvec, tower=None):
         self.level = level
         self.word = word
         self.parts = parts
         self._len = lenvec
+        self._tower = tower  # read by lenvec while _len is None
         self._key = None
         self._hash = None
 
@@ -206,7 +231,7 @@ class Elem:
         return h
 
     def __repr__(self):
-        return f"<Elem lvl={self.level} len={self._len}>"
+        return f"<Elem lvl={self.level} len={lenvec(self)}>"
 
 
 def word_elem(w: W.Word) -> Elem:
@@ -217,7 +242,17 @@ EPS = word_elem(W.EPS)
 
 
 def lenvec(g: Elem):
-    return g._len
+    vec = g._len
+    if vec is None:
+        # the sum build leaves to the first read: each block's length and
+        # each element part's
+        t, acc = g._tower, [0] * g.level
+        for p in g.parts:
+            for i, x in enumerate(_part_len(t, p)):
+                acc[i] += x
+        vec = g._len = tuple(acc)
+        g._tower = None
+    return vec
 
 
 def is_identity(g: Elem) -> bool:
@@ -358,6 +393,11 @@ def block_len(t: GroupTower, blk: Block):
     return vec
 
 
+def _part_len(t: GroupTower, p):
+    """Length of one entry of a parts list, a block or an element."""
+    return block_len(t, p) if isinstance(p, Block) else lenvec(p)
+
+
 # ---------------------------------------------------------------------------
 # core operations
 
@@ -386,7 +426,7 @@ def multiply(t: GroupTower, g: Elem, h: Elem) -> Elem:
     ph = _parts_at(t, h, L)
     mid = multiply(t, pg[-1], ph[0])
     parts = list(pg[:-1]) + [mid] + list(ph[1:])
-    return build(t, L, parts)
+    return build(t, L, parts, len(pg) - 1)
 
 
 def invert(t: GroupTower, g: Elem) -> Elem:
@@ -501,12 +541,17 @@ def phi_of(t: GroupTower, sl: StableLetter, a: Elem) -> Elem:
     return gens_power(t, sl.target_gens, exps)
 
 
-def _britton_pass(t, parts) -> bool:
-    changed = False
+def _britton_pass(t, parts, hot=-1) -> int:
+    """Cancel pinches, checking only the triples whose margin is hot (a
+    bit mask over the parts' indices; -1, every bit, checks them all).
+    Returns the mask of the parts written: 0, or -1 after a pinch, which
+    shifts the indices, so every later triple is checked too."""
+    wrote = 0
     i = 1
     while i + 2 < len(parts):
         b1, mid, b2 = parts[i], parts[i + 1], parts[i + 2]
-        if b1.letter == b2.letter and b1.sign == -b2.sign:
+        if (b1.letter == b2.letter and b1.sign == -b2.sign
+                and hot >> (i + 1) & 1):
             # a pinch: mid in b2's left axis slides through b2 into its
             # right axis, and b1 b2 cancels
             s2 = _side(t, b2)
@@ -518,11 +563,11 @@ def _britton_pass(t, parts) -> bool:
                 merged = multiply(t, parts[i - 1],
                                   multiply(t, repl, parts[i + 3]))
                 parts[i - 1:i + 4] = [merged]
-                changed = True
+                wrote = hot = -1
                 i = max(1, i - 2)
                 continue
         i += 2
-    return changed
+    return wrote
 
 
 def _vexadd(a, b):
@@ -776,38 +821,49 @@ def _carried(t, blk: Block, nxt: Block):
     return abelian_exponents(t, _side(t, nxt).left, mat)
 
 
-def _margin_pass(t, parts) -> bool:
+def _margin_pass(t, parts, hot=-1) -> int:
     """Stabilize block margins.  Material flows rightward: a block's left
     margin has priority over the previous block's right margin, and interior
     offset material migrates into the next block's axis across identity
     gaps.  This makes the placement of sliding axis material deterministic,
-    which is what makes the normal form canonical."""
-    changed = False
-    # phase 1: left margins, left to right
+    which is what makes the normal form canonical.  A step is taken only
+    when a part it reads is hot (a bit mask over the parts' indices, -1 for
+    all) or was written earlier in this pass; returns the mask of the parts
+    written, 0 when nothing changed."""
+    wrote = 0
+    # phase 1: left margins, left to right; reads the margin
     for bi in range(1, len(parts), 2):
+        if not (hot | wrote) >> (bi - 1) & 1:
+            continue
         blk = parts[bi]
         e, off = _settle_left(t, parts[bi - 1], blk)
         if e is not parts[bi - 1]:  # every step of the loop makes a new e
             parts[bi - 1] = e
-            changed = True
+            wrote |= 1 << (bi - 1)
         if tuple(off) != blk.offset:
             parts[bi] = Block(blk.letter, blk.sign, tuple(off))
-    # phase 2: right margins, left to right
+            wrote |= 1 << bi
+    # phase 2: right margins, left to right; reads the block and the margin
     for bi in range(1, len(parts), 2):
+        if not (hot | wrote) >> bi & 3:
+            continue
         blk = parts[bi]
         nxt = parts[bi + 2] if bi + 2 < len(parts) else None
         e, off = _settle_right(t, blk, parts[bi + 1], nxt)
         if e is not parts[bi + 1]:  # every step of the loop makes a new e
             parts[bi + 1] = e
-            changed = True
+            wrote |= 1 << (bi + 1)
         if tuple(off) != blk.offset:
             parts[bi] = Block(blk.letter, blk.sign, tuple(off))
+            wrote |= 1 << bi
     # phase 3: offset material crosses an identity gap into the next block's
     # offset when it lies in that block's left axis, where the next pass's
-    # phase 1 would absorb it; a run of blocks passes it along in one pass
+    # phase 1 would absorb it; a run of blocks passes it along in one pass.
+    # Reads the block and the gap.
     for bi in range(1, len(parts) - 2, 2):
         blk, nxt = parts[bi], parts[bi + 2]
-        if not any(blk.offset) or not is_identity(parts[bi + 1]):
+        if (not (hot | wrote) >> bi & 3 or not any(blk.offset)
+                or not is_identity(parts[bi + 1])):
             continue
         exps = _carried(t, blk, nxt)
         if exps is None:
@@ -815,18 +871,24 @@ def _margin_pass(t, parts) -> bool:
         parts[bi] = Block(blk.letter, blk.sign, (0,) * len(blk.offset))
         parts[bi + 2] = Block(nxt.letter, nxt.sign,
                               tuple(_vexadd(nxt.offset, exps)))
-        changed = True
-    return changed
+        wrote |= 5 << bi
+    return wrote
 
 
-def build(t: GroupTower, L: int, parts) -> Elem:
-    """Normalize an alternating parts list into a canonical element."""
+def build(t: GroupTower, L: int, parts, seam=None) -> Elem:
+    """Normalize an alternating parts list into a canonical element.  With
+    seam, the index of the one part that may break normal form (multiply's
+    seam margin), the passes skip each step none of whose parts was written
+    in this pass or the last one (module docstring)."""
     given, parts = parts, list(parts)
+    hot = -1 if seam is None else 1 << seam  # -1: every step runs
     for _ in range(_GUARD):
-        ch = _britton_pass(t, parts)
-        ch |= _margin_pass(t, parts)
-        if not ch or len(parts) <= 3:  # one block: the next pass is idle
+        wrote = _britton_pass(t, parts, hot)
+        wrote |= _margin_pass(t, parts, hot | wrote)
+        if not wrote or len(parts) <= 3:  # one block: the next pass is idle
             break
+        if hot != -1:  # after a pinch, -1 holds for the rest of the build
+            hot = wrote
     else:
         raise EngineError(
             f"normal form at level {L} of "
@@ -834,12 +896,7 @@ def build(t: GroupTower, L: int, parts) -> Elem:
             "did not stabilize")
     if len(parts) == 1:
         return parts[0]
-    vec = [0] * L
-    for p in parts:
-        contrib = block_len(t, p) if isinstance(p, Block) else lenvec(p)
-        for i, x in enumerate(contrib):
-            vec[i] += x
-    return Elem(L, None, tuple(parts), tuple(vec))
+    return Elem(L, None, tuple(parts), None, t)
 
 
 # ---------------------------------------------------------------------------
@@ -1061,8 +1118,7 @@ def prefix_of(t: GroupTower, g: Elem, target) -> Elem | None:
     acc = ()
     out = []
     for p in g.parts:
-        contrib = block_len(t, p) if isinstance(p, Block) else lenvec(p)
-        nxt = vadd(acc, contrib)
+        nxt = vadd(acc, _part_len(t, p))
         if vcmp(target, nxt) > 0:
             acc = nxt
             out.append(p)

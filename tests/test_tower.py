@@ -203,9 +203,9 @@ def test_identity_operand_is_returned_as_is(all_towers, fa3, t1,
     builds = []
     real_build = T.build
 
-    def counting(t, L, parts):
+    def counting(t, L, parts, seam=None):
         builds.append(L)
-        return real_build(t, L, parts)
+        return real_build(t, L, parts, seam)
 
     monkeypatch.setattr(T, "build", counting)
     for name, t in _scan_towers(all_towers, fa3, t1).items():
@@ -946,16 +946,16 @@ def _count_passes(m):
     passes = []
     real_build, real_margin_pass = T.build, T._margin_pass
 
-    def nested_build(t, L, parts):
+    def nested_build(t, L, parts, seam=None):
         depth[0] += 1
         try:
-            return real_build(t, L, parts)
+            return real_build(t, L, parts, seam)
         finally:
             depth[0] -= 1
 
-    def counting(t, parts):
+    def counting(t, parts, hot=-1):
         passes.append(depth[0])
-        return real_margin_pass(t, parts)
+        return real_margin_pass(t, parts, hot)
 
     m.setattr(T, "build", nested_build)
     m.setattr(T, "_margin_pass", counting)
@@ -1014,13 +1014,25 @@ def _phase3_general(t, parts):
 
 
 @contextlib.contextmanager
+def _full_passes():
+    """The engine with every build running full passes, multiply's seam
+    dropped: the reference for seam-local builds."""
+    real_build = T.build
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(T, "build", lambda t, L, parts, seam=None: real_build(
+            t, L, parts))
+        yield
+
+
+@contextlib.contextmanager
 def _general_phase3():
     """The engine with _phase3_general in place of the table's phase 3, in
-    every build at every level."""
+    every build at every level.  Every build runs full passes: the material
+    _phase3_general leaves in a gap is not in the mask of written parts."""
     real_margin_pass = T._margin_pass
-    with pytest.MonkeyPatch.context() as m:
+    with _full_passes(), pytest.MonkeyPatch.context() as m:
         m.setattr(T, "_carried", lambda t, blk, nxt: None)
-        m.setattr(T, "_margin_pass", lambda t, parts: (
+        m.setattr(T, "_margin_pass", lambda t, parts, hot=-1: (
             real_margin_pass(t, parts) | _phase3_general(t, parts)))
         yield
 
@@ -1127,8 +1139,108 @@ def test_phase3_builds_material_only_in_the_fallback(fa3, monkeypatch):
             callers = _counting_gens_power(m)
             changed = T._margin_pass(fa3, parts)
         assert callers == (["_carried"] if after is None else []), off
-        assert changed == (after is not None), off
+        # the mask of the parts written: both blocks, or nothing
+        assert changed == (0 if after is None else 0b1010), off
         assert parts == (given if after is None else [T.EPS, *after, T.EPS])
+
+
+def _counting_settles(m):
+    """Patch T._settle_left and T._settle_right through m; returns the list
+    every call, nested ones included, appends its function's name to."""
+    calls = []
+    for name in ("_settle_left", "_settle_right"):
+        real = getattr(T, name)
+
+        def counting(*args, real=real, name=name):
+            calls.append(name)
+            return real(*args)
+
+        m.setattr(T, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("tower, factor", [("fa3", "z2 z3"),
+                                           ("surf2", "x1 x2 x3")])
+def test_long_products_take_fixed_margin_work(all_towers, tower, factor,
+                                              monkeypatch):
+    # a product built one letter at a time, left to right: multiply hands
+    # build its seam, so the next factor's multiplies take as many margin
+    # steps after 50 factors as after 200, where full passes settle every
+    # block's margins again (408/808/1,608 calls on fa3 and 306/606/1,206
+    # on surf2 for n = 50/100/200).  The keys and lengths are those of full
+    # passes.
+    t = all_towers[tower]
+    letters = [W(t, s) for s in factor.split()]
+    acc, done, counts = T.EPS, 0, []
+    for n in (50, 100, 200):
+        for _ in range(n - done):
+            for x in letters:
+                acc = T.multiply(t, acc, x)
+        done = n
+        with monkeypatch.context() as m:
+            calls = _counting_settles(m)
+            got = acc
+            for x in letters:
+                got = T.multiply(t, got, x)
+        counts.append(len(calls))
+        with _full_passes():
+            want = acc
+            for x in letters:
+                want = T.multiply(t, want, x)
+        assert got.key == want.key, n
+        assert T.lenvec(got) == T.lenvec(want), n
+    assert len(set(counts)) == 1 and counts[0] <= 8, counts
+
+
+def _eager_len(t, g):
+    """g's length summed over its parts at once, down to the words, a
+    block's by its generator formula: the reference for lenvec, which sums
+    on the first read."""
+    if g.level == 1:
+        return (len(g.word),)
+    vec = ()
+    for p in g.parts:
+        if isinstance(p, T.Block):
+            sl = t.letters[p.letter]
+            part = vunit(sl.level)
+            for d, a in zip(p.offset, sl.source_gens):
+                part = vadd(part, vscale(p.sign * d, _eager_len(t, a)))
+        else:
+            part = _eager_len(t, p)
+        vec = vadd(vec, part)
+    return vpad(vec, g.level)
+
+
+def test_lengths_read_on_first_use_match_an_eager_sum(all_towers, fa3, t1):
+    # lenvec sums an element's parts on its first read; at every level it
+    # gives the sum taken at once, on samples, products and inverses.  Each
+    # is also rebuilt from new copies of its element parts above level 1,
+    # with its first margin as the seam, so that no step reads the other
+    # margins: their first read is then inside the whole element's
+    rng = random.Random(47)
+    nested = 0
+    for name, t in _scan_towers(all_towers, fa3, t1).items():
+        gs = sample_elements(t, SampleSpec(seed=48, samples=20))
+        xs = list(gs)
+        for _ in range(30):
+            g, h = rng.choice(gs), rng.choice(gs)
+            xs += [T.multiply(t, g, h), T.invert(t, T.multiply(t, h, g))]
+        for x in list(xs):
+            if x.level > 1:
+                copy = T.build(t, x.level, [
+                    T.build(t, p.level, list(p.parts))
+                    if isinstance(p, T.Elem) and p.level > 1 else p
+                    for p in x.parts], 0)
+                assert copy.key == x.key, f"{name}: {render(t, x)}"
+                xs.append(copy)
+        for x in xs:
+            unread = [p for p in _lower_parts(x) if p._len is None]
+            T.lenvec(x)
+            nested += len([p for p in unread if p is not x])
+            for p in _lower_parts(x):
+                assert T.lenvec(p) == _eager_len(t, p), (
+                    f"{name}: {render(t, p)}")
+    assert nested
 
 
 # ---------------------------------------------------------------------------
@@ -1409,6 +1521,19 @@ def test_normal_form_is_one_pass_fixpoint(name, inverse, data):
     t, gs, _ = _com_sample(name)
     g = data.draw(st.sampled_from([g for g in gs if g.level > 1]))
     if inverse:
+        # the inverse of a one-block element is its mirror image, at every
+        # level: build hands back the reversed, sign-flipped parts list as
+        # it is, with the element's length
+        for x in _lower_parts(g):
+            if x.level == 1 or len(x.parts) > 3:
+                continue
+            m0, blk, m1 = x.parts
+            mirror = [T.invert(t, m1), T.Block(blk.letter, -blk.sign, tuple(
+                -d for d in blk.offset)), T.invert(t, m0)]
+            got = T.invert(t, x)
+            where = f"{name}: {render(t, x)}"
+            assert _parts_view(got.parts) == _parts_view(mirror), where
+            assert T.length(t, got) == T.length(t, x), where
         g = T.invert(t, g)
     parts = list(g.parts)
     where = f"{name}: {render(t, g)}"
@@ -1450,6 +1575,115 @@ def test_build_matches_general_phase3(name, k, data):
     with _general_phase3():
         want = T.build(t, L, list(parts))
     assert got.key == want.key, f"{name}: {render(t, g)} * {render(t, y)}"
+
+
+_SEAM_TOWERS = {
+    "free2": lambda: factory.free_tower(["a", "b"]),
+    **{name: _COM_TOWERS[name] for name in ("t1", "t_ab", "fa3", "surf2",
+                                            "ns3", "fa4", "fa5", "fp")},
+    "two": _two_top_letters,
+    "w": lambda: _w_tower(factory.t1()),
+    "ns4": lambda: factory.surface_nonorientable(4),
+}
+
+
+@functools.cache
+def _seam_sample(name):
+    """A tower and 30 products of one to four signed generators, made on
+    first use.  ns4's products that raise are left out."""
+    t = _SEAM_TOWERS[name]()
+    rng = random.Random(43)
+    gens = [T.gen_elem(t, s, e) for s in (*t.symbols, *t.letters)
+            for e in (1, -1)]
+    out = []
+    while len(out) < 30:
+        word = rng.choices(gens, k=rng.randint(1, 4))
+        try:
+            out.append(functools.reduce(functools.partial(T.multiply, t),
+                                        word))
+        except T.EngineError:
+            pass
+    return t, out
+
+
+def _seam_and_full(fn, where):
+    """fn() with seam-local builds and with full passes: the same key,
+    length and number of outermost margin passes, or the same EngineError
+    text (then None)."""
+    with pytest.MonkeyPatch.context() as m:
+        passes = _count_passes(m)
+        try:
+            with _full_passes():
+                want = fn()
+        except T.EngineError as exc:
+            with pytest.raises(T.EngineError) as got:
+                fn()
+            assert str(got.value) == str(exc), where
+            return None
+        full = passes.count(1)
+        passes.clear()
+        got = fn()
+        assert passes.count(1) == full, where
+    assert got.key == want.key, where
+    assert T.lenvec(got) == T.lenvec(want), where
+    return got
+
+
+def _quad(t, name, i, kind, k):
+    """Relator quads over letter name's i-th axis generators, each
+    multiplying to 1: a slide a^k*z*phi(a)^-k*z^-1, or a pinch
+    z*phi(a)*z^-1*a^-1 or z^-1*a*z*phi(a)^-1."""
+    sl = t.letters[name]
+    z, zi = T.letter_elem(t, name), T.letter_elem(t, name, -1)
+    a, fa = sl.source_gens[i], sl.target_gens[i]
+    if kind == "slide":
+        return [T.pow_elem(t, a, k), z, T.pow_elem(t, fa, -k), zi]
+    if kind == "pinch":
+        return [z, fa, zi, T.invert(t, a)]
+    return [zi, a, z, T.invert(t, fa)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(_SEAM_TOWERS)), st.integers(-4, 4), st.data())
+def test_seam_build_matches_full_passes(name, k, data):
+    # multiply's seam-local build gives the key and length of full passes,
+    # or raises the same error, along a left-to-right fold of x^k (a run of
+    # blocks with identity gaps, where phase 3 acts), y and up to three
+    # relator quads put in anywhere (pinches at the seam, which cascade when
+    # quads nest)
+    t, gs = _seam_sample(name)
+    x, y = data.draw(st.sampled_from(gs)), data.draw(st.sampled_from(gs))
+    where = f"{name}: ({render(t, x)})^{k} * {render(t, y)}"
+    xk = _seam_and_full(lambda: T.pow_elem(t, x, k), where)
+    if xk is None:
+        return
+    factors = [xk, y]
+    for _ in range(data.draw(st.integers(0, 3)) if t.letters else 0):
+        letter = data.draw(st.sampled_from(sorted(t.letters)))
+        quad = _quad(t, letter, data.draw(st.integers(
+            0, len(t.letters[letter].source_gens) - 1)), data.draw(
+            st.sampled_from(["slide", "pinch", "pinch-inverse"])),
+            data.draw(st.integers(1, 3)))
+        at = data.draw(st.integers(0, len(factors)))
+        factors[at:at] = quad
+    acc = T.EPS
+    for f in factors:
+        acc = _seam_and_full(lambda: T.multiply(t, acc, f),
+                             f"{where}: {render(t, acc)} * {render(t, f)}")
+        if acc is None:
+            return
+
+
+def test_hand_made_seams_match_full_passes(fa3):
+    # the seam of z3*z2*z3 times a*z3^-1*z2^-1*z3^-1 pinches three times in
+    # a row, each pinch shifting the parts list's indices; on ns4 the seam
+    # of x1r*x2^-1 times x1r never stabilizes, and both builds say so alike
+    g, h = W(fa3, "z3*z2*z3"), W(fa3, "a*z3^-1*z2^-1*z3^-1")
+    got = _seam_and_full(lambda: T.multiply(fa3, g, h), "fa3 cascade")
+    assert got.key == W(fa3, "a").key
+    ns4 = _seam_sample("ns4")[0]
+    g, h = W(ns4, "x1r*x2^-1"), W(ns4, "x1r")
+    assert _seam_and_full(lambda: T.multiply(ns4, g, h), "ns4") is None
 
 
 def _reduced(seq):
