@@ -530,9 +530,10 @@ def _augment_closure(Y: GenSet, h_radius):
     zero = Y.zero()
     member = _scan(Y, h_radius).member
     held = True
+    # reduce_genset calls this only once _find_eta finds no overlap with
+    # lam_len(u) < lam_len(f), and u = com(f, h*f) is a prefix of f, so
+    # every overlap here is total
     for f, h, u in _overlaps(Y, h_radius):
-        if T.lam_len(t, u) != T.lam_len(t, f):
-            continue
         escaped, x = _escapes(t, member, f, h)
         if not escaped:
             continue

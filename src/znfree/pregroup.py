@@ -136,21 +136,19 @@ def pz_product_defined(t, Z, x: Elem, y: Elem) -> bool:
 def reduce_psequence(t, Z, seq: PSequence) -> PSequence:
     """Greedily merge adjacent items whose product is again a piece until
     none merges; the represented element never changes."""
+    # One pass over a stack with no defined adjacent pair: each item merges
+    # into the top while the product is defined, which is the leftmost
+    # defined pair, so the merges are those of rescanning from the start
+    # after each one, in the same order.  Identities drop out.
     Z = _require_reduced(t, Z)
-    items = [x for x in seq.items]
-    changed = True
-    while changed:
-        changed = False
-        items = [x for x in items if not T.is_identity(x)]
-        for i in range(len(items) - 1):
-            if pz_product_defined(t, Z, items[i], items[i + 1]):
-                merged = T.multiply(t, items[i], items[i + 1])
-                items[i:i + 2] = [merged]
-                changed = True
-                break
-    if not items:
-        items = [EPS]
-    return PSequence(items)
+    items = []
+    for x in seq.items:
+        while (items and not T.is_identity(x)
+               and pz_product_defined(t, Z, items[-1], x)):
+            x = T.multiply(t, items.pop(), x)
+        if not T.is_identity(x):
+            items.append(x)
+    return PSequence(items or [EPS])
 
 
 @dataclass

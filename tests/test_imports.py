@@ -1,7 +1,8 @@
 """No module of the package imports a name it never uses, no private
-function or class is left behind, and every guard rail has a test.
+function or class is left behind, every guard rail has a test, and the
+Britton-lemma oracle reads no private name.
 
-Three stdlib `ast` scans.  Every name a `src/znfree/*.py` module binds by an
+Four stdlib `ast` scans.  Every name a `src/znfree/*.py` module binds by an
 import must occur as a name somewhere in that module; `__init__.py` is
 exempt (it re-exports through `__all__`), and so are `from __future__`
 imports.  Every private (underscore) module-level function or class must be
@@ -9,6 +10,8 @@ named somewhere in the package outside its own definition: as a name, an
 attribute or an imported name.  Every package function that raises
 `EngineError` (directly, as `T.EngineError`, or through `_margin_error`) must
 be named by a test function that also names `EngineError` or `_stuck`.
+`tests/britton_oracle.py` imports no underscore name and reads no underscore
+attribute, so it stays apart from the engine's internals.
 """
 
 import ast
@@ -148,3 +151,31 @@ def test_every_engine_error_site_is_tested():
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     tests = {p.name: p.read_text() for p in sorted(TESTS.glob("test_*.py"))}
     assert untested_guards(sources, tests) == []
+
+
+def private_reads(source: str) -> list[str]:
+    """The underscore names a source imports and the underscore attributes
+    it reads; dunder names are exempt."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [a.name.split(".")[-1] for a in node.names]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        else:
+            continue
+        out += [f"{n} (line {node.lineno})" for n in names
+                if n.startswith("_") and not n.startswith("__")]
+    return sorted(out)
+
+
+def test_scan_finds_private_read():
+    src = ("from znfree import tower as T\n"
+           "from znfree.tower import _peel, multiply\n"
+           "T._side(t, blk).head\n"
+           "T.multiply(t, g, h).__class__\n")
+    assert private_reads(src) == ["_peel (line 2)", "_side (line 3)"]
+
+
+def test_oracle_reads_no_private_name():
+    assert private_reads((TESTS / "britton_oracle.py").read_text()) == []
