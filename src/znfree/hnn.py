@@ -4,11 +4,16 @@ A stable letter z with z^{-1} A z = B can be adjoined when the top axis
 generators (u, v) of (A, B) form an admissible pair: both cyclically reduced,
 neither a proper power, equal length, and u not conjugate to v^{-1}.
 `extend_hnn` is the only way to add a letter: it checks the pair once, then
-the per-generator axis conditions, the level and the whole tower.  The
-connecting element realizing z has a u-periodic head and v-periodic tail, so
-adjacency between blocks only behaves well when no letter's tail period
-cancels into another's head period; `extend_hnn` repairs such misalignments
-automatically by passing to conjugate axis representatives (rotations).
+the per-generator axis conditions, maximality, the level and the whole
+tower.  Maximality (`axis-not-centralizer`): each axis must hold the whole
+centralizer of its top generator, as the paper's towers attach maximal
+abelian subgroups; groups with a free length function are
+commutative-transitive (Alperin-Bass, 1987), and margin phase 3 in
+`tower.py` rests on both.  The connecting element realizing z has a
+u-periodic head and v-periodic tail, so adjacency between blocks only
+behaves well when no letter's tail period cancels into another's head
+period; `extend_hnn` repairs such misalignments automatically by passing to
+conjugate axis representatives (rotations).
 """
 
 from __future__ import annotations
@@ -21,6 +26,8 @@ from .tower import (
     GroupTower,
     StableLetter,
     TowerRejection,
+    abelian_membership,
+    centralizer,
     commutes,
     height,
     invert,
@@ -29,6 +36,7 @@ from .tower import (
     length,
     multiply,
     primitive_root,
+    subgroup_gens,
     validate_tower,
     veq,
 )
@@ -73,7 +81,8 @@ def _attach(t: GroupTower, name: str, source_gens: tuple,
             target_gens: tuple, level, aliases) -> GroupTower:
     """Attach a stable letter conjugating <source_gens> onto <target_gens>
     whose top pair has passed check_admissible: the remaining generators'
-    axis conditions, the level, then validate_tower on the result."""
+    axis conditions, maximality, the level, then validate_tower on the
+    result."""
     for gens in (source_gens, target_gens):
         hts = [height(t, x) for x in gens]
         if any(h == 0 for h in hts):
@@ -81,18 +90,25 @@ def _attach(t: GroupTower, name: str, source_gens: tuple,
         if sorted(set(hts)) != hts:
             raise TowerRejection("centralizer-not-graded",
                                  f"heights {hts} must strictly increase")
-        for i, x in enumerate(gens):
-            # the top generator's reducedness belongs to check_admissible
-            if i < len(gens) - 1 and not is_cyclically_reduced(t, x):
+        for x in gens[:-1]:
+            # the top generator's reducedness belongs to check_admissible;
+            # commuting with the top one is enough, by commutative
+            # transitivity
+            if not is_cyclically_reduced(t, x):
                 raise TowerRejection("centralizer-not-cyclically-reduced")
-            for y in gens[i + 1:]:
-                if not commutes(t, x, y):
-                    raise TowerRejection("centralizer-not-abelian")
+            if not commutes(t, x, gens[-1]):
+                raise TowerRejection("centralizer-not-abelian")
     for a, b in zip(source_gens[:-1], target_gens[:-1]):
         if not veq(length(t, a), length(t, b)):
             raise TowerRejection(
                 "phi-length-mismatch",
                 f"|phi(a)|={length(t, b)} differs from |a|={length(t, a)}")
+    for gens in (source_gens, target_gens):
+        cent = subgroup_gens(t, centralizer(t, gens[-1]))
+        if not all(abelian_membership(t, gens, x) for x in cent):
+            raise TowerRejection(
+                "axis-not-centralizer",
+                "the axis must be the whole centralizer of its top generator")
     u, v = source_gens[-1], target_gens[-1]
     top = t.rank
     if level is None:

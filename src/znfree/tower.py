@@ -48,27 +48,23 @@ no phase 3; phase 1's steps read only the margin and the block's letter and
 sign; with no next block, phase 2 never takes the rightward-flow branch, so
 its steps do not read the offset; and each phase loops to its own fixpoint.
 
-Margin phase 3 moves a block's nonzero offset material m across an
-identity gap into the next block's offset when m lies in that block's left
+Margin phase 3 moves the material m of a block's nonzero offset d across
+an identity gap into the next block's offset when m lies in that block's left
 axis A, where the next pass's phase 1 would absorb it; a pinch of the two
 blocks sums both offsets and the gap's exponents, so it sees the same total.
 Each GroupTower keeps a private table, (letter, sign, next letter, next
 sign) -> transfer entry, that `_transfer` fills on a pair's first use, never
 in `GroupTower.__init__`.  An entry holds each right-axis generator r_i's
-exponent vector E_i over A, or None where r_i is outside A, and whether the
-two axes' top generators commute.  With offset d there are three cases:
-
-  * every r_i with d_i != 0 lies in A: m lies in A with exponents
-    sum d_i E_i, since A is abelian with a graded basis, and nothing is
-    built;
-  * the top generators do not commute: m is not in A.  Groups with a free
-    Lambda-valued length function are commutative-transitive (Alperin-Bass,
-    "Length functions of group actions on Lambda-trees", 1987; Chiswell,
-    Introduction to Lambda-trees, 2001), so an m != 1 in both axes would
-    commute with both top generators, and they with each other; and d != 0
-    gives m != 1, the right axis having a basis;
-  * otherwise m is built with `gens_power` and tested with
-    `abelian_exponents`.
+exponent vector E_i over A, or None where r_i is outside A, and nothing is
+built.  If every r_i with d_i != 0 lies in A, m lies in A with exponents
+sum d_i E_i, A being abelian with a graded basis.  Otherwise m is not in A:
+groups with a free Lambda-valued length function are commutative-transitive
+(Alperin-Bass, "Length functions of group actions on Lambda-trees", 1987;
+Chiswell, Introduction to Lambda-trees, 2001), and `extend_hnn` admits an
+axis only when it is the whole centralizer of its top generator.  So the two
+top generators do not commute, or every r_i would lie in A; an m in both
+axes would commute with both, so m = 1, while d != 0 gives m != 1, the right
+axis having a basis.
 
 The exponents are added in the pass that finds them, so a run of blocks
 with identity gaps passes material along in one pass, not one block per
@@ -750,8 +746,12 @@ def _settle_right(t, blk: Block, e: Elem, nxt):
     against the block's tail, nxt being the block after e (None if e is the
     last part).  Right-axis material at e's start is absorbed into the
     offset vector, and a partial cancellation of the tail period into e
-    pulls one period out of the block, unless the next block's left margin
-    claims the material (rightward flow).  Returns (e', offset list)."""
+    pulls one period out of the block; but an offset unit that cancels into
+    e moves into it when the next block's left margin claims the result
+    (rightward flow).  Returns (e', offset list)."""
+    # The pull takes no claim test: on the first step phase 1 of this pass
+    # left e settled against nxt (_settle_left hands back only a fixpoint);
+    # test_letter_margin_letter_products_match_the_oracle covers the rest.
     off = list(blk.offset)
     if is_identity(e):
         # no step can fire: _additive answers an identity operand additive,
@@ -778,8 +778,6 @@ def _settle_right(t, blk: Block, e: Elem, nxt):
             continue
         add, prod = _additive(t, s.tail, e)
         if not add:
-            if _right_claims(t, e, nxt):
-                return e, off  # rightward priority: defer to the next block
             e = prod
             off[-1] -= blk.sign
             continue
@@ -790,35 +788,30 @@ def _settle_right(t, blk: Block, e: Elem, nxt):
 def _transfer(t, blk: Block, nxt: Block):
     """The transfer entry of blk's signed letter before nxt's, from the
     tower's table: the exponents of each right-axis generator of blk over
-    nxt's left axis (None for one outside it), and whether the two axes' top
-    generators commute."""
+    nxt's left axis, None for one outside it."""
     key = (blk.letter, blk.sign, nxt.letter, nxt.sign)
-    entry = t._transfers.get(key)
-    if entry is None:
-        right, left = _side(t, blk).right, _side(t, nxt).left
+    cols = t._transfers.get(key)
+    if cols is None:
+        left = _side(t, nxt).left
         cols = []
-        for r in right:
+        for r in _side(t, blk).right:
             e = abelian_exponents(t, left, r)
             cols.append(None if e is None else tuple(e))
-        entry = t._transfers[key] = (tuple(cols),
-                                     commutes(t, right[-1], left[-1]))
-    return entry
+        cols = t._transfers[key] = tuple(cols)
+    return cols
 
 
 def _carried(t, blk: Block, nxt: Block):
     """Exponents over nxt's left axis of blk's nonzero offset material, or
-    None when the material lies outside that axis."""
-    cols, meet = _transfer(t, blk, nxt)
-    if all(c is not None for d, c in zip(blk.offset, cols) if d):
-        exps = [0] * len(nxt.offset)
-        for d, c in zip(blk.offset, cols):
-            if d:
-                exps = [x + d * y for x, y in zip(exps, c)]
-        return exps
-    if not meet:
-        return None  # the axes meet only in 1
-    mat = gens_power(t, _side(t, blk).right, blk.offset)
-    return abelian_exponents(t, _side(t, nxt).left, mat)
+    None when the material lies outside that axis (module docstring)."""
+    cols = _transfer(t, blk, nxt)
+    exps = [0] * len(nxt.offset)
+    for d, c in zip(blk.offset, cols):
+        if d:
+            if c is None:
+                return None
+            exps = [x + d * y for x, y in zip(exps, c)]
+    return exps
 
 
 def _margin_pass(t, parts, hot=-1) -> int:
@@ -1237,6 +1230,10 @@ def centralizer(t: GroupTower, g: Elem) -> AbelianSubgroup:
         sl = t.letters[r.parts[1].letter]
         gens = [a for a in sl.source_gens
                 if equals(t, phi_of(t, sl, a), a) and commutes(t, a, r)]
+        z = letter_elem(t, sl.name)
+        if (not abelian_membership(t, gens + [r], z)
+                and commutes(t, z, r)):
+            r = z  # r is z^k*(axis material), |k| > 1: z generates C(r)
         gens.append(r)
     for sl in t.letters_by_level():
         if sl.level <= r.level:

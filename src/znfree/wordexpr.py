@@ -34,8 +34,10 @@ def _tokenize(s: str):
     while pos < len(s):
         m = _TOKEN.match(s, pos)
         if not m or m.end() == m.start():
-            if s[pos:].strip():
-                raise WordSyntaxError(f"unexpected character {s[pos]!r}", pos)
+            rest = s[pos:].lstrip()
+            if rest:  # name the character, not the blanks before it
+                bad = len(s) - len(rest)
+                raise WordSyntaxError(f"unexpected character {s[bad]!r}", bad)
             break
         if m.group("ident"):
             out.append(("ident", m.group("ident"), m.start("ident")))

@@ -138,6 +138,15 @@ def test_parse_error_exit_2(capsys, t1_file):
     assert code == 2
 
 
+def test_malformed_tower_file_exit_2(capsys, tmp_path):
+    path = tmp_path / "bad.tower"
+    path.write_text('{"format": "znfree-tower-v1", "alphabet": ["a"], '
+                    '"aliases": ["a"]}')
+    code, out, err = run(capsys, "eval", "-t", str(path), "a")
+    assert code == 2 and out == ""
+    assert "aliases must be an object" in err
+
+
 def test_missing_tower_exit_2(capsys):
     code, _, err = run(capsys, "eval", "-t", "/nonexistent.tower", "a")
     assert code == 2

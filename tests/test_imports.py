@@ -1,8 +1,8 @@
 """No module of the package imports a name it never uses, no private
-function or class is left behind, every guard rail has a test, and the
-Britton-lemma oracle reads no private name.
+function or class is left behind, every guard rail and every named
+rejection has a test, and the Britton-lemma oracle reads no private name.
 
-Four stdlib `ast` scans.  Every name a `src/znfree/*.py` module binds by an
+Five stdlib `ast` scans.  Every name a `src/znfree/*.py` module binds by an
 import must occur as a name somewhere in that module; `__init__.py` is
 exempt (it re-exports through `__all__`), and so are `from __future__`
 imports.  Every private (underscore) module-level function or class must be
@@ -10,6 +10,8 @@ named somewhere in the package outside its own definition: as a name, an
 attribute or an imported name.  Every package function that raises
 `EngineError` (directly, as `T.EngineError`, or through `_margin_error`) must
 be named by a test function that also names `EngineError` or `_stuck`.
+Every condition string the package passes to `TowerRejection` as a literal
+must occur as a string literal in a test file.
 `tests/britton_oracle.py` imports no underscore name and reads no underscore
 attribute, so it stays apart from the engine's internals.
 """
@@ -151,6 +153,51 @@ def test_every_engine_error_site_is_tested():
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     tests = {p.name: p.read_text() for p in sorted(TESTS.glob("test_*.py"))}
     assert untested_guards(sources, tests) == []
+
+
+def _rejection_conditions(source: str) -> list[tuple[str, int]]:
+    """The condition strings a source passes to TowerRejection(...) or
+    T.TowerRejection(...) as literals, with their lines."""
+    return [(n.args[0].value, n.lineno) for n in ast.walk(ast.parse(source))
+            if isinstance(n, ast.Call) and n.args
+            and (n.func.id if isinstance(n.func, ast.Name)
+                 else getattr(n.func, "attr", None)) == "TowerRejection"
+            and isinstance(n.args[0], ast.Constant)
+            and isinstance(n.args[0].value, str)]
+
+
+def untested_rejections(sources: dict[str, str],
+                        tests: dict[str, str]) -> list[str]:
+    """Conditions the package sources reject with that no string literal of
+    the test sources names (both dicts map a file name to its source)."""
+    named = {n.value for source in tests.values()
+             for n in ast.walk(ast.parse(source))
+             if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+    return sorted(f"{cond} ({name} line {line})"
+                  for name, source in sources.items()
+                  for cond, line in _rejection_conditions(source)
+                  if cond not in named)
+
+
+def test_scan_finds_untested_rejection():
+    srcs = {"m.py": ("def f(x):\n"
+                     "    raise TowerRejection('named', 'detail')\n"
+                     "def g(x):\n"
+                     "    raise T.TowerRejection('unnamed')\n"
+                     "def h(x):\n"
+                     "    raise TowerRejection(x)\n"
+                     "def k(x):\n"
+                     "    raise ValueError('other')\n")}
+    tests = {"test_m.py": ("def test_f():\n"
+                           "    assert cond == 'named'\n"
+                           "    assert 'unnamed-too' in text\n")}
+    assert untested_rejections(srcs, tests) == ["unnamed (m.py line 4)"]
+
+
+def test_every_rejection_condition_is_tested():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    tests = {p.name: p.read_text() for p in sorted(TESTS.glob("test_*.py"))}
+    assert untested_rejections(sources, tests) == []
 
 
 def private_reads(source: str) -> list[str]:

@@ -54,6 +54,16 @@ def test_membership_requires_reduced(t1):
         assert Z.reduced_at is None
 
 
+def test_product_with_a_non_piece_is_rejected(t1):
+    # z*a*z has weight 2 and no single generator of Z between weight-zero
+    # factors, so it is no piece and its product is not asked about
+    Z = zset(t1, "a", "b", "z")
+    with pytest.raises(TowerRejection) as ei:
+        P.pz_product_defined(t1, Z, W(t1, "z*a*z"), W(t1, "z"))
+    assert ei.value.condition == "not-a-piece"
+    assert ei.value.detail == render(t1, W(t1, "z*a*z"))
+
+
 def _count_scans(monkeypatch):
     calls = []
     real = N.is_reduced

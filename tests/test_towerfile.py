@@ -46,6 +46,22 @@ def test_rejects_bad_alphabet():
         TF.loads('{"format": "znfree-tower-v1", "alphabet": "ab"}')
 
 
+_LETTERS = '"format": "znfree-tower-v1", "alphabet": ["a", "b"], "letters": '
+
+
+@pytest.mark.parametrize("text, message", [
+    ('["znfree-tower-v1"]', "document must be a JSON object"),
+    ("{" + _LETTERS + '["z"]}', "letter entries must be objects"),
+    ("{" + _LETTERS + '[{"name": "z", "source_gens": ["a"]}]}',
+     "letter entry missing 'target_gens'"),
+    ("{" + _LETTERS + '[], "aliases": ["a"]}', "aliases must be an object"),
+])
+def test_rejects_schema_errors(text, message):
+    with pytest.raises(TF.TowerFileError) as ei:
+        TF.loads(text)
+    assert str(ei.value) == message
+
+
 def test_save_load(tmp_path, t1):
     path = tmp_path / "t1.tower"
     TF.save_tower(t1, str(path))
