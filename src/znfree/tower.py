@@ -34,7 +34,34 @@ Axis material next to a block can only sit at the element's end (Britton's
 normal form again), so `_peel` reads the end first: a word's letters, an
 outer block, or the outer part.  It tests the whole element with
 `abelian_exponents` only where that strips nothing, above level 1, and its
-answers are those of testing the whole element first.
+answers are those of testing the whole element first.  The whole test can
+hit only on a generator list whose end steps do not decide membership.
+They do decide it (`_ends_decide`, one flag per list in the side record)
+when each generator is a word, which can only come first, or a zero-offset
+letter element (EPS, (z, +-1, 0), EPS) that comes first or whose letter's
+source and target generators all come earlier in the list.  Induct on the
+list.  An element of the group it generates is x*z^m, with z the last
+generator and x in the group of the earlier ones; if m = 0, x is the case
+before.  Otherwise x commutes with z, so (Britton) x lies in z's left axis
+and phi(x) = x, and the normal form of x*z^m is m blocks of z with
+identity margins and x's exponents over the right axis in the last block's
+offset: that list is a fixpoint of the passes.  Its end block has z as
+letter and its offset periods in the list, so `_block_as_axis` strips it
+whole, from either end.  The base case is a word alone, whose group holds
+no element above level 1 (its height is above the word's), or a letter
+element alone, whose powers are lists of zero-offset blocks.  So on such a
+list every element of the group loses an end step, and the whole test,
+reached only where none does, can never hit; `_peel` skips it.
+`_settle_left`, `_settle_right` and `_com_ext` pass the flag of the list
+they peel by.  The test stays on for a list with a generator that is
+neither, such as z*a.
+
+The inverse of a one-block element m0*B*m1 is its mirror image
+m1^-1*(B's letter, -sign, -offset)*m0^-1, already normal: with one block
+there is no pinch, no phase 3 and no next block, so phase 1 on the mirror
+is phase 2 on the element read backwards, and the other way round.
+`invert` returns it without `build`, with the element's length if that is
+known.
 
 Each margin rule has one owner.  Margin phase 1, a block's left margin, is
 `_settle_left`; phase 2, its right margin, is `_settle_right`; `_margin_pass`
@@ -342,7 +369,10 @@ class _Side:
     head period's infinite head and ends with the tail period.  unit is the
     letter element's length and axis_lens those of the axis generators, all
     padded to the letter's level; letter_keys are the keys of the letter
-    element and its inverse, the same for both signs."""
+    element and its inverse, the same for both signs.  left_ends,
+    right_ends and head_ends say whether _peel's end steps alone decide
+    membership in the group over left, right and (head,) (see
+    _ends_decide)."""
 
     left: tuple
     right: tuple
@@ -353,6 +383,9 @@ class _Side:
     unit: tuple
     axis_lens: tuple
     letter_keys: tuple
+    left_ends: bool
+    right_ends: bool
+    head_ends: bool
 
 
 def _side(t: GroupTower, blk: Block) -> _Side:
@@ -368,12 +401,35 @@ def _side(t: GroupTower, blk: Block) -> _Side:
         # source and target generators have equal lengths
         fixed = (lenvec(z), tuple(vpad(lenvec(a), sl.level) for a in src),
                  (z.key, letter_elem(t, sl.name, -1).key))
-        t._sides[sl.name, 1] = _Side(src, tgt, isrc, itgt, sl.u, sl.v,
-                                     *fixed)
-        t._sides[sl.name, -1] = _Side(tgt, src, itgt, isrc,
-                                      itgt[-1], isrc[-1], *fixed)
+        src_ends, tgt_ends = _ends_decide(t, src), _ends_decide(t, tgt)
+        t._sides[sl.name, 1] = _Side(
+            src, tgt, isrc, itgt, sl.u, sl.v, *fixed, src_ends, tgt_ends,
+            _ends_decide(t, (sl.u,)))
+        t._sides[sl.name, -1] = _Side(
+            tgt, src, itgt, isrc, itgt[-1], isrc[-1], *fixed, tgt_ends,
+            src_ends, _ends_decide(t, (itgt[-1],)))
         s = t._sides[blk.letter, blk.sign]
     return s
+
+
+def _ends_decide(t: GroupTower, gens) -> bool:
+    """Whether _peel's end steps alone decide membership in the abelian
+    group over the graded list gens, so that its whole-element test can
+    never hit (module docstring): each generator is a word, which can only
+    come first, or a zero-offset letter element (EPS, (z, +-1, 0), EPS)
+    that comes first or whose letter's source and target generators all
+    come earlier in the list."""
+    seen = set()
+    for i, g in enumerate(gens):
+        if g.level > 1:
+            sl = t.letters[g.parts[1].letter]
+            if g.key not in (letter_elem(t, sl.name, s).key for s in (1, -1)):
+                return False
+            if i and not all(x.key in seen
+                             for x in (*sl.source_gens, *sl.target_gens)):
+                return False
+        seen.add(g.key)
+    return True
 
 
 def block_len(t: GroupTower, blk: Block):
@@ -435,6 +491,11 @@ def invert(t: GroupTower, g: Elem) -> Elem:
                                tuple(-d for d in p.offset)))
         else:
             parts.append(invert(t, p))
+    if len(parts) == 3:
+        # one block: the mirror image is normal (module docstring)
+        vec = g._len
+        return Elem(g.level, None, tuple(parts), vec,
+                    t if vec is None else None)
     return build(t, g.level, parts)
 
 
@@ -593,12 +654,16 @@ def _block_as_axis(t, blk: Block, gens):
     return exps
 
 
-def _peel(t, e, gens, right: bool):
+def _peel(t, e, gens, right: bool, ends=False):
     """Split axis material over gens off one end of e: e = e' o (material)
     when right is set, e = (material) o e' otherwise.  Returns (e',
     exponents over gens).  Each step reads the end structurally (length
     cannot tell a trailing axis power from a nested block's periodic tail);
-    e is tested whole only where a step strips nothing above level 1."""
+    e is tested whole only where a step strips nothing above level 1, and
+    not at all when ends is set: the caller's side record says the end
+    steps alone decide membership in gens (_ends_decide), so the test could
+    never hit.  Where ends is not set it can: on an axis generator that is
+    neither a word nor a letter element, such as z*a."""
     # The answers are those of testing e whole before each end step.  A hit
     # means e lies in the abelian axis; each end step strips an exact axis
     # factor, so such an e stays in it and the loop reaches the identity or
@@ -633,16 +698,17 @@ def _peel(t, e, gens, right: bool):
                 e = rest[0] if len(rest) == 1 else build(t, e.level, rest)
                 continue
         else:
-            sub, sexps = _peel(t, e.parts[outer], gens, right)
+            sub, sexps = _peel(t, e.parts[outer], gens, right, ends)
             if any(sexps):
                 parts = list(e.parts)
                 parts[outer] = sub
                 e = build(t, e.level, parts)
                 exps = _vexadd(exps, sexps)
                 continue
-        whole = abelian_exponents(t, gens, e)
-        if whole is not None:
-            exps, e = _vexadd(exps, whole), EPS
+        if not ends:
+            whole = abelian_exponents(t, gens, e)
+            if whole is not None:
+                exps, e = _vexadd(exps, whole), EPS
         break
     return e, exps
 
@@ -718,7 +784,7 @@ def _settle_left(t, e: Elem, blk: Block):
         return (e if w == e.word else word_elem(w)), off
     given = e
     for _ in range(_GUARD):
-        e2, pex = _peel(t, e, s.left, right=True)
+        e2, pex = _peel(t, e, s.left, right=True, ends=s.left_ends)
         if any(pex):
             e = e2
             off = _vexadd(off, pex)
@@ -771,7 +837,7 @@ def _settle_right(t, blk: Block, e: Elem, nxt):
             if not addu and _right_claims(t, produ, nxt):
                 off[j] -= 1 if off[j] > 0 else -1
                 return produ, off  # the next block's left margin takes it
-        e2, pex = _peel(t, e, s.right, right=False)
+        e2, pex = _peel(t, e, s.right, right=False, ends=s.right_ends)
         if any(pex):
             e = e2
             off = _vexadd(off, pex)
@@ -1039,9 +1105,10 @@ def _com_ext(t, a: Elem, ba, b: Elem, bb) -> Elem:
     # other base, it goes on with its own period or ends.  Once both bases
     # are used up, one is a whole period and the other a part of the other
     # period: the passes run Euclid's algorithm on the periods, which ends
-    # unless they are equal up to rotation.  _GUARD bounds them.
-    x, p = a, None if ba is None else _side(t, ba).head
-    y, q = b, None if bb is None else _side(t, bb).head
+    # unless they are equal up to rotation.  _GUARD bounds them.  p and q
+    # hold the blocks' side records, whose heads are the periods.
+    x, p = a, None if ba is None else _side(t, ba)
+    y, q = b, None if bb is None else _side(t, bb)
     out = EPS
     for _ in range(_GUARD):
         w = com(t, x, y)
@@ -1051,14 +1118,14 @@ def _com_ext(t, a: Elem, ba, b: Elem, bb) -> Elem:
         if not veq(lenvec(x), lenvec(w)) or p is None:
             return out
         y = multiply(t, invert(t, w), y)
-        rest, (n,) = _peel(t, y, (p,), right=False)
+        rest, (n,) = _peel(t, y, (p.head,), right=False, ends=p.head_ends)
         if n > 0:
-            out, y = multiply(t, out, pow_elem(t, p, n)), rest
-        x = p
+            out, y = multiply(t, out, pow_elem(t, p.head, n)), rest
+        x = p.head
         if is_identity(y):
             if q is None:
                 return out
-            y = q
+            y = q.head
     raise EngineError("periodic head comparison of {} then {} against {} then "
                       "{} did not stabilize".format(
                           *(_render_part(t, x) for x in (a, ba, b, bb))))

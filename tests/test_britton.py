@@ -95,7 +95,7 @@ def test_equals_agrees_with_the_oracle(name, data):
     assert equals(t, a, b) == B.equal(t, [a], [b]), name
 
 
-@pytest.mark.xfail(strict=True, reason=(
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
     "surf2 and surf3 give one element two keys: no margin phase rewrites "
     "one clean form of an overlap margin into the other (ROADMAP item 15)"))
 def test_equals_agrees_with_the_oracle_on_two_key_pairs():

@@ -1,8 +1,9 @@
 """No module of the package imports a name it never uses, no private
 function or class is left behind, every guard rail and every named
-rejection has a test, and the Britton-lemma oracle reads no private name.
+rejection has a test, the Britton-lemma oracle reads no private name, and
+every expected failure names its exception.
 
-Five stdlib `ast` scans.  Every name a `src/znfree/*.py` module binds by an
+Six stdlib `ast` scans.  Every name a `src/znfree/*.py` module binds by an
 import must occur as a name somewhere in that module; `__init__.py` is
 exempt (it re-exports through `__all__`), and so are `from __future__`
 imports.  Every private (underscore) module-level function or class must be
@@ -13,7 +14,9 @@ be named by a test function that also names `EngineError` or `_stuck`.
 Every condition string the package passes to `TowerRejection` as a literal
 must occur as a string literal in a test file.
 `tests/britton_oracle.py` imports no underscore name and reads no underscore
-attribute, so it stays apart from the engine's internals.
+attribute, so it stays apart from the engine's internals.  Every
+`pytest.mark.xfail` under `tests/` passes `raises=`, so a test pinned as
+failing one way cannot pass as expected when it fails another way.
 """
 
 import ast
@@ -226,3 +229,35 @@ def test_scan_finds_private_read():
 
 def test_oracle_reads_no_private_name():
     assert private_reads((TESTS / "britton_oracle.py").read_text()) == []
+
+
+def xfails_without_raises(source: str) -> list[int]:
+    """The lines of the source's `pytest.mark.xfail` marks, called or bare,
+    that pass no `raises=`."""
+    tree = ast.parse(source)
+    named = {id(n.func) for n in ast.walk(tree) if isinstance(n, ast.Call)
+             and any(k.arg == "raises" for k in n.keywords)}
+    return sorted(n.lineno for n in ast.walk(tree)
+                  if isinstance(n, ast.Attribute) and n.attr == "xfail"
+                  and isinstance(n.value, ast.Attribute)
+                  and n.value.attr == "mark" and id(n) not in named)
+
+
+def test_scan_finds_xfail_without_raises():
+    src = ("@pytest.mark.xfail(strict=True, raises=AssertionError)\n"
+           "def test_a():\n    pass\n"
+           "@pytest.mark.xfail(strict=True, reason='r')\n"
+           "def test_b():\n    pass\n"
+           "@pytest.mark.xfail\n"
+           "def test_c():\n    pass\n"
+           "@pytest.mark.parametrize('x', [1, pytest.param(\n"
+           "    2, marks=pytest.mark.xfail(raises=ValueError)), pytest.param(\n"
+           "    3, marks=pytest.mark.xfail())])\n"
+           "def test_d(x):\n    pytest.xfail('imperative, not a mark')\n")
+    assert xfails_without_raises(src) == [4, 7, 12]
+
+
+def test_every_xfail_names_its_exception():
+    found = {p.name: xfails_without_raises(p.read_text())
+             for p in sorted(TESTS.rglob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
