@@ -189,84 +189,84 @@ def _build_parser():
         description="Symbolic computation in HNN towers with Z^n lengths")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def tower_cmd(name, help_, **kw):
-        sp = sub.add_parser(name, help=help_, **kw)
+    def cmd(name, help_, run):
+        sp = sub.add_parser(name, help=help_)
+        sp.set_defaults(run=run)
+        return sp
+
+    def tower_cmd(name, help_, run):
+        sp = cmd(name, help_, lambda args: run(_load(args.tower), args))
         sp.add_argument("-t", "--tower", required=True,
                         help="tower file (JSON)")
         return sp
 
-    sp = tower_cmd("eval", "normal form, length, height, lambda")
+    sp = tower_cmd("eval", "normal form, length, height, lambda", cmd_eval)
     sp.add_argument("expr")
 
-    sp = tower_cmd("eq", "test equality of two expressions")
+    sp = tower_cmd("eq", "test equality of two expressions", cmd_eq)
     sp.add_argument("left")
     sp.add_argument("right")
 
-    sp = tower_cmd("com", "longest common head of two elements")
+    sp = tower_cmd("com", "longest common head of two elements", cmd_com)
     sp.add_argument("left")
     sp.add_argument("right")
 
-    sp = tower_cmd("commutes", "test whether two elements commute")
+    sp = tower_cmd("commutes", "test whether two elements commute",
+                   cmd_commutes)
     sp.add_argument("left")
     sp.add_argument("right")
 
-    sp = tower_cmd("centralizer", "centralizer of an element")
+    sp = tower_cmd("centralizer", "centralizer of an element", cmd_centralizer)
     sp.add_argument("expr")
 
-    sp = tower_cmd("reduce-gens", "reduce a generating set with witnesses")
+    sp = tower_cmd("reduce-gens", "reduce a generating set with witnesses",
+                   cmd_reduce_gens)
     sp.add_argument("gens", nargs="+")
     sp.add_argument("--h-radius", type=int, default=nielsen.H_RADIUS)
 
-    sp = tower_cmd("split-level", "split the top HNN layer of a reduced set")
+    sp = tower_cmd("split-level", "split the top HNN layer of a reduced set",
+                   cmd_split_level)
     sp.add_argument("gens", nargs="+")
 
-    sp = tower_cmd("extend-hnn", "adjoin a stable letter")
+    sp = tower_cmd("extend-hnn", "adjoin a stable letter", cmd_extend_hnn)
     sp.add_argument("--name", required=True)
     sp.add_argument("--source", action="append", required=True)
     sp.add_argument("--target", action="append", required=True)
     sp.add_argument("-o", "--output")
 
-    sp = tower_cmd("check-axioms", "sampled length-function axiom suite")
+    sp = tower_cmd("check-axioms", "sampled length-function axiom suite",
+                   cmd_check_axioms)
     sp.add_argument("--samples", type=int, default=1000)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--radius", type=int, default=4)
 
-    sp = tower_cmd("verify-pregroup", "sampled piece-arithmetic checks")
+    sp = tower_cmd("verify-pregroup", "sampled piece-arithmetic checks",
+                   cmd_verify_pregroup)
     sp.add_argument("gens", nargs="+")
     sp.add_argument("--samples", type=int, default=1000)
     sp.add_argument("--seed", type=int, default=0)
 
-    sp = sub.add_parser("surface", help="orientable surface tower")
+    sp = cmd("surface", "orientable surface tower", cmd_surface)
     sp.add_argument("-n", "--genus", type=int, required=True)
     sp.add_argument("-o", "--output")
 
-    sp = sub.add_parser("nonorientable", help="nonorientable surface tower")
+    sp = cmd("nonorientable", "nonorientable surface tower", cmd_nonorientable)
     sp.add_argument("-n", type=int, required=True)
     sp.add_argument("-o", "--output")
 
-    sp = sub.add_parser("abelian", help="free abelian tower")
+    sp = cmd("abelian", "free abelian tower", cmd_abelian)
     sp.add_argument("-n", type=int, required=True)
     sp.add_argument("-o", "--output")
 
-    sp = sub.add_parser("free-product", help="free product of two towers")
+    sp = cmd("free-product", "free product of two towers", cmd_free_product)
     sp.add_argument("towers", nargs=2, help="two tower files")
     sp.add_argument("-o", "--output")
 
-    sp = tower_cmd("check-basis", "regular-basis test for a list of elements")
+    sp = tower_cmd("check-basis", "regular-basis test for a list of elements",
+                   cmd_check_basis)
     sp.add_argument("gens", nargs="+")
 
     return p
-
-
-_TOWERLESS = {"surface": cmd_surface, "nonorientable": cmd_nonorientable,
-              "abelian": cmd_abelian, "free-product": cmd_free_product}
-_TOWERED = {
-    "eval": cmd_eval, "eq": cmd_eq, "com": cmd_com,
-    "commutes": cmd_commutes, "centralizer": cmd_centralizer,
-    "reduce-gens": cmd_reduce_gens, "split-level": cmd_split_level,
-    "extend-hnn": cmd_extend_hnn, "check-axioms": cmd_check_axioms,
-    "verify-pregroup": cmd_verify_pregroup, "check-basis": cmd_check_basis,
-}
 
 
 def run_command(argv) -> int:
@@ -276,10 +276,7 @@ def run_command(argv) -> int:
     except SystemExit as e:
         return 2 if e.code else 0
     try:
-        if args.command in _TOWERLESS:
-            return _TOWERLESS[args.command](args)
-        t = _load(args.tower)
-        return _TOWERED[args.command](t, args)
+        return args.run(args)
     except _Usage as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

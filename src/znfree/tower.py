@@ -162,6 +162,21 @@ elements share, each element goes on as a lower-level base followed by the
 periodic head of its next block, and `_com_ext` compares the two streams
 exactly: the common prefix of the bases, then the whole copies of a period
 that `_peel` reads off the other base, pass by pass.
+
+`prefix_of` cuts an element at a length by one rule.  Lengths add over the
+parts, so the cut falls in one part, and the initial segment is the parts
+before it times that part's cut at the remaining length: a word is sliced
+and an element part is cut by recursion.  A block's value starts with its
+head period u's infinite head, and its offset material comes after its
+unit.  So a segment of it with no coordinate at its level ends inside
+u^infinity: it is u^j times a cut of u, j the whole copies that fit, and
+none exists if the length is higher than u.  A segment with top coordinate
+1 leaves a tail with top coordinate 0, and that tail, read backwards, is a
+head-region segment of the inverse block (z, -s, -d); the segment is the
+block times it.  Roots are unique in a group acting freely on a
+Lambda-tree, so `_root_cyclic`, which cuts a cyclically reduced core at
+its length over reps from the most repetitions down, returns its first
+hit, whose reps-th power is the core, as the root.
 """
 
 from __future__ import annotations
@@ -1162,74 +1177,55 @@ def is_cyclically_reduced(t: GroupTower, g: Elem) -> bool:
 
 
 def prefix_of(t: GroupTower, g: Elem, target) -> Elem | None:
-    """The initial segment of g with length vector target, if one exists."""
-    vec = lenvec(g)
-    if all(x == 0 for x in target):
-        return EPS
-    if veq(target, vec):
-        return g
-    if vcmp(target, vec) > 0:
+    """The initial segment of g with length vector target, if one exists:
+    the parts before the one that holds the cut, times the cut of that part
+    (module docstring)."""
+    if vcmp(target, ()) < 0 or vcmp(target, lenvec(g)) > 0:
         return None
     if g.level == 1:
-        m = target[0] if len(target) == 1 else None
-        if m is None or any(target[1:]):
-            return None
-        return word_elem(g.word[:m])
+        return word_elem(g.word[:vat(target, 1)])
     acc = ()
-    out = []
-    for p in g.parts:
+    for i, p in enumerate(g.parts):
         nxt = vadd(acc, _part_len(t, p))
-        if vcmp(target, nxt) > 0:
-            acc = nxt
-            out.append(p)
-            continue
-        rem = vsub(target, acc)
-        if isinstance(p, Block):
-            sl = t.letters[p.letter]
-            if vat(rem, sl.level) == 0:
-                # boundary within the periodic head, before the block's unit
-                hp = _side(t, p).head
-                lp = lenvec(hp)
-                h = vheight(lp)
-                if vheight(rem) < h:
-                    j = 0
-                elif vheight(rem) == h and vat(rem, h) % vat(lp, h) == 0:
-                    j = vat(rem, h) // vat(lp, h)
-                else:
-                    return None
-                if not veq(rem, vscale(j, lp)):
-                    return None
-                out[-1] = multiply(t, out[-1], pow_elem(t, hp, j))
-                return build(t, g.level, out) if len(out) > 1 else out[-1]
-            # boundary inside the block's offset material: solve the length
-            # excess over the graded axis lengths, most significant first
-            d = vsub(rem, vunit(sl.level))
-            if p.sign < 0:
-                d = vscale(-1, d)
-            exps = [0] * len(sl.source_gens)
-            for ci in range(len(sl.source_gens) - 1, -1, -1):
-                lu = lenvec(sl.source_gens[ci])
-                h = vheight(lu)
-                if vheight(d) > h:
-                    return None
-                if vheight(d) == h and h > 0:
-                    if vat(d, h) % vat(lu, h):
-                        return None
-                    exps[ci] = vat(d, h) // vat(lu, h)
-                    d = vsub(d, vscale(exps[ci], lu))
-            if any(x != 0 for x in d):
-                return None
-            out.extend([Block(p.letter, p.sign, tuple(exps)), EPS])
-            return build(t, g.level, out)
-        sub = prefix_of(t, p, rem)
-        if sub is None:
-            return None
-        out.append(sub)
-        return build(t, g.level, out) if len(out) > 1 else sub
-    return None
+        if vcmp(target, nxt) <= 0:
+            break
+        acc = nxt
+    rem = vsub(target, acc)
+    if not isinstance(p, Block):
+        cut = prefix_of(t, p, rem)
+    elif vat(rem, g.level) == 0:
+        cut = _head_cut(t, p, rem)
+    else:
+        mirror = Block(p.letter, -p.sign, tuple(-d for d in p.offset))
+        cut = _head_cut(t, mirror, vsub(block_len(t, p), rem))
+        if cut is not None:
+            cut = multiply(t, build(t, g.level, [EPS, p, EPS]), cut)
+    if cut is None:
+        return None
+    before = g.parts[:i] if i % 2 else (*g.parts[:i], EPS)
+    before = build(t, g.level, before) if i > 1 else before[0]
+    return multiply(t, before, cut)
+
+
+def _head_cut(t, blk: Block, rem) -> Elem | None:
+    """The initial segment of blk's value with length rem, which has no
+    coordinate at blk's level: u^j times the cut of u, u the head period."""
+    u = _side(t, blk).head
+    lu = lenvec(u)
+    h = vheight(lu)
+    if vheight(rem) > h:
+        return None
+    j = vat(rem, h) // vat(lu, h)
+    r = vsub(rem, vscale(j, lu))
+    if vcmp(r, ()) < 0:
+        j, r = j - 1, vadd(r, lu)
+    cut = prefix_of(t, u, r)
+    return None if cut is None else multiply(t, pow_elem(t, u, j), cut)
 
 
 def _root_cyclic(t: GroupTower, core: Elem) -> tuple[Elem, int]:
+    """The root of a cyclically reduced element and its exponent (module
+    docstring)."""
     if core.level == 1:
         r, k = W.w_primitive_root(core.word)
         return word_elem(r), k
@@ -1240,8 +1236,7 @@ def _root_cyclic(t: GroupTower, core: Elem) -> tuple[Elem, int]:
             continue
         cand = prefix_of(t, core, tuple(x // reps for x in vec))
         if cand is not None and equals(t, pow_elem(t, cand, reps), core):
-            r, k = _root_cyclic(t, cand)
-            return r, k * reps
+            return cand, reps
     return core, 1
 
 

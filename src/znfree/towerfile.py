@@ -12,7 +12,7 @@ import json
 
 from .hnn import extend_hnn
 from .tower import GroupTower, base_tower
-from .wordexpr import parse_word, render
+from .wordexpr import IDENT, WordSyntaxError, parse_word, render
 
 FORMAT = "znfree-tower-v1"
 
@@ -48,33 +48,60 @@ def to_dict(t: GroupTower) -> dict:
     return doc
 
 
+def _strings(value, what):
+    if (not isinstance(value, list)
+            or not all(isinstance(s, str) for s in value)):
+        raise TowerFileError(f"{what} must be a list of strings")
+    return value
+
+
+def _words(t, value, what):
+    """The list of word expressions value, parsed over t."""
+    try:
+        return [parse_word(t, s) for s in _strings(value, what)]
+    except WordSyntaxError as e:
+        raise TowerFileError(f"{what}: {e}")
+
+
+def _name(value, what):
+    if not isinstance(value, str) or not IDENT.fullmatch(value):
+        raise TowerFileError(f"{what} must be an identifier, not {value!r}")
+    return value
+
+
 def from_dict(doc) -> GroupTower:
     if not isinstance(doc, dict):
         raise TowerFileError("document must be a JSON object")
     _check_keys(doc, _TOP_KEYS, "tower document")
     if doc.get("format") != FORMAT:
         raise TowerFileError(f"format must be {FORMAT!r}")
-    alphabet = doc.get("alphabet")
-    if (not isinstance(alphabet, list)
-            or not all(isinstance(s, str) for s in alphabet)):
-        raise TowerFileError("alphabet must be a list of strings")
-    t = base_tower(alphabet)
-    for entry in doc.get("letters", []):
+    alphabet = _strings(doc.get("alphabet"), "alphabet")
+    t = base_tower([_name(s, "alphabet symbol") for s in alphabet])
+    letters = doc.get("letters", [])
+    if not isinstance(letters, list):
+        raise TowerFileError("letters must be a list")
+    for entry in letters:
         if not isinstance(entry, dict):
             raise TowerFileError("letter entries must be objects")
         _check_keys(entry, _LETTER_KEYS, f"letter {entry.get('name')!r}")
-        try:
-            src = [parse_word(t, s) for s in entry["source_gens"]]
-            tgt = [parse_word(t, s) for s in entry["target_gens"]]
-        except KeyError as e:
-            raise TowerFileError(f"letter entry missing {e.args[0]!r}")
-        t = extend_hnn(t, entry["name"], src, tgt, auto_rotate=False)
+        for key in sorted(_LETTER_KEYS):
+            if key not in entry:
+                raise TowerFileError(f"letter entry missing {key!r}")
+        name = _name(entry["name"], "letter name")
+        src, tgt = (_words(t, entry[key], f"letter {name!r} {key}")
+                    for key in ("source_gens", "target_gens"))
+        t = extend_hnn(t, name, src, tgt, auto_rotate=False)
     aliases = doc.get("aliases", {})
     if not isinstance(aliases, dict):
         raise TowerFileError("aliases must be an object")
+    for k, v in aliases.items():
+        _name(k, "alias name")
+        if not isinstance(v, str):
+            raise TowerFileError(f"alias {k!r} must be a string")
     if aliases:
         t = GroupTower(t.symbols, t.letters.values(),
-                       {k: parse_word(t, v) for k, v in aliases.items()})
+                       {k: _words(t, [v], f"alias {k!r}")[0]
+                        for k, v in aliases.items()})
     return t
 
 

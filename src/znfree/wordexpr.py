@@ -24,7 +24,8 @@ class WordSyntaxError(ValueError):
         super().__init__(f"{message} (at position {pos})")
 
 
-_TOKEN = re.compile(r"\s*(?:(?P<ident>[A-Za-z_][A-Za-z0-9_']*)"
+IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")  # a generator's name
+_TOKEN = re.compile(rf"\s*(?:(?P<ident>{IDENT.pattern})"
                     r"|(?P<int>-?\d+)|(?P<op>[*^()]))")
 
 

@@ -147,6 +147,18 @@ def test_malformed_tower_file_exit_2(capsys, tmp_path):
     assert "aliases must be an object" in err
 
 
+def test_bad_letter_entry_exit_2(capsys, tmp_path):
+    # a malformed letter entry is a usage error naming the fault, not a
+    # traceback
+    path = tmp_path / "bad.tower"
+    path.write_text('{"format": "znfree-tower-v1", "alphabet": ["a", "b"], '
+                    '"letters": [{"source_gens": ["a"], '
+                    '"target_gens": ["b"]}]}')
+    code, out, err = run(capsys, "eval", "-t", str(path), "a")
+    assert (code, out) == (2, "")
+    assert err == "error: letter entry missing 'name'\n"
+
+
 def test_missing_tower_exit_2(capsys):
     code, _, err = run(capsys, "eval", "-t", "/nonexistent.tower", "a")
     assert code == 2

@@ -45,6 +45,17 @@ def test_reject_proper_power():
     assert ei.value.condition == "admissible-pair: proper-power"
 
 
+def test_reject_proper_power_above_level_one():
+    # the square's cut at the root's length falls inside the margin
+    # x3^-1*x2, at a length with a padding zero; accepting this axis would
+    # leave w commuting with the square but not with its root
+    t = factory.surface_orientable(2)
+    x = parse_word(t, "(x2*x1*x3^-1)^2")
+    with pytest.raises(TowerRejection) as ei:
+        extend_hnn(t, "w", [x], [x])
+    assert ei.value.condition == "admissible-pair: proper-power"
+
+
 def test_reject_not_cyclically_reduced():
     t0 = free_ab()
     a, b = gen_elem(t0, "a"), gen_elem(t0, "b")

@@ -268,6 +268,33 @@ def test_primitive_root(t1):
         assert got == k and T.equals(t1, root, W(t1, "z*a*b"))
 
 
+@pytest.mark.parametrize("name", ["t1", "t_ab", "fa3", "surf2", "ns3", "fa4",
+                                  "fp"])
+def test_roots_and_centralizers_of_powers(name):
+    # r^k has the root r and exponent k, and the centralizer of r, for each
+    # sampled primitive cyclically reduced r above level 1; the cut of r^k
+    # at |r| may fall in a margin's padding, a head period or a negative
+    # block's offset
+    t = _COM_TOWERS[name]()
+    cores = {}
+    for g in sample_elements(t, SampleSpec(seed=17, samples=60)):
+        core = T.cyclic_decompose(t, g)[1]
+        if core.level > 1 and T.primitive_root(t, core)[1] == 1:
+            cores[core.key] = core
+    assert len(cores) >= 10, name
+    for r in cores.values():
+        cent = T.centralizer(t, r)
+        for k in (2, 3):
+            x = T.pow_elem(t, r, k)
+            where = f"{name}: ({render(t, r)})^{k}"
+            root, got = T.primitive_root(t, x)
+            assert (root.key, got) == (r.key, k), where
+            cx = T.centralizer(t, x)
+            assert ([a.key for a in cx.gens]
+                    == [a.key for a in cent.gens]), where
+            assert cx.conjugator.key == cent.conjugator.key, where
+
+
 def test_cyclic_decompose(t1):
     g = W(t1, "a*z*a^-1")
     c, core = T.cyclic_decompose(t1, g)
@@ -1118,8 +1145,13 @@ def _com_sample(name):
 @given(st.sampled_from(sorted(_COM_TOWERS)), st.sampled_from(
     ["sampled", "shared", "power"]), st.data())
 def test_com_is_the_gromov_segment(name, kind, data):
-    # on sampled pairs (g, h), shared-prefix pairs (x*g, x*h) and power
-    # pairs (p^j*g, p^k*h), p a head period or a sample
+    t, g, h = _draw_com_pair(name, kind, data)
+    _assert_com_segment(t, g, h)
+
+
+def _draw_com_pair(name, kind, data):
+    """A tower and a sampled pair (g, h), shared-prefix pair (x*g, x*h) or
+    power pair (p^j*g, p^k*h), p a head period or a sample."""
     t, gs, heads = _com_sample(name)
     pick = st.sampled_from(gs)
     g, h = data.draw(pick), data.draw(pick)
@@ -1131,7 +1163,35 @@ def test_com_is_the_gromov_segment(name, kind, data):
         j, k = data.draw(st.integers(0, 9)), data.draw(st.integers(0, 9))
         g = T.multiply(t, T.pow_elem(t, p, j), g)
         h = T.multiply(t, T.pow_elem(t, p, k), h)
-    _assert_com_segment(t, g, h)
+    return t, g, h
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(sorted(_COM_TOWERS)), st.sampled_from(
+    ["sampled", "shared", "power"]), st.data())
+def test_prefix_of_agrees_with_com(name, kind, data):
+    # com(g, h) is g's initial segment of its length, which the target
+    # carries padded to the tower's rank; a perturbed target gives None or
+    # a true initial segment, and a negative target gives None
+    t, g, h = _draw_com_pair(name, kind, data)
+    u = T.com(t, g, h)
+    where = f"{name}: g = {render(t, g)}, h = {render(t, h)}"
+    p = T.prefix_of(t, g, T.length(t, u))
+    assert p is not None and p.key == u.key, where
+    delta = data.draw(st.lists(st.integers(-2, 2), min_size=t.rank,
+                               max_size=t.rank))
+    target = vadd(T.length(t, u), delta)
+    p = T.prefix_of(t, g, target)
+    if p is not None:
+        rest = T.multiply(t, T.invert(t, p), g)
+        where += f", target {target}: {render(t, p)}"
+        assert T.length(t, p) == vpad(target, t.rank), where
+        assert vadd(T.length(t, p), T.length(t, rest)) == T.length(t, g), where
+    top = data.draw(st.integers(1, t.rank))
+    below = data.draw(st.lists(st.integers(-3, 3), min_size=top - 1,
+                               max_size=top - 1))
+    negative = (*below, -data.draw(st.integers(1, 3)))
+    assert T.prefix_of(t, g, negative) is None, f"{where}, {negative}"
 
 
 @settings(max_examples=400, deadline=None)

@@ -62,6 +62,46 @@ def test_rejects_schema_errors(text, message):
     assert str(ei.value) == message
 
 
+_Z = '"name": "z", "source_gens": ["a"], "target_gens": ["b"]'
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{" + _LETTERS + '[{"source_gens": ["a"], "target_gens": ["b"]}]}',
+     "letter entry missing 'name'"),
+    ("{" + _LETTERS + '[{"name": "z", "source_gens": [1], '
+     '"target_gens": ["b"]}]}',
+     "letter 'z' source_gens must be a list of strings"),
+    ("{" + _LETTERS + '[{' + _Z + '}], "aliases": {"y": 2}}',
+     "alias 'y' must be a string"),
+    ("{" + _LETTERS + '[{"name": "z", "source_gens": ["a"], '
+     '"target_gens": "ab"}]}',
+     "letter 'z' target_gens must be a list of strings"),
+    ("{" + _LETTERS + '[{"name": 7, "source_gens": ["a"], '
+     '"target_gens": ["b"]}]}',
+     "letter name must be an identifier, not 7"),
+    ("{" + _LETTERS + '[{"name": "7", "source_gens": ["a"], '
+     '"target_gens": ["b"]}]}',
+     "letter name must be an identifier, not '7'"),
+    ('{"format": "znfree-tower-v1", "alphabet": ["a", "b c"]}',
+     "alphabet symbol must be an identifier, not 'b c'"),
+    ("{" + _LETTERS + '[{' + _Z + '}], "aliases": {"1": "a"}}',
+     "alias name must be an identifier, not '1'"),
+    ("{" + _LETTERS + '{"z": 1}}', "letters must be a list"),
+    ("{" + _LETTERS + '[{"name": "z", "source_gens": ["a*("], '
+     '"target_gens": ["b"]}]}',
+     "letter 'z' source_gens: unexpected end of input (at position 3)"),
+    ("{" + _LETTERS + '[{' + _Z + '}], "aliases": {"y": "q"}}',
+     "alias 'y': unknown symbol 'q' (at position 0)"),
+], ids=["missing-name", "generator-not-string", "alias-not-string",
+        "generators-as-string", "name-a-number", "name-not-identifier",
+        "symbol-not-identifier", "alias-name-not-identifier",
+        "letters-not-list", "generator-syntax", "alias-syntax"])
+def test_rejects_bad_values(text, message):
+    with pytest.raises(TF.TowerFileError) as ei:
+        TF.loads(text)
+    assert str(ei.value) == message
+
+
 def test_save_load(tmp_path, t1):
     path = tmp_path / "t1.tower"
     TF.save_tower(t1, str(path))
