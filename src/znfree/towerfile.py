@@ -11,14 +11,15 @@ from __future__ import annotations
 import json
 
 from .hnn import extend_hnn
-from .tower import GroupTower, base_tower
+from .tower import GroupTower, TowerRejection, base_tower
 from .wordexpr import IDENT, WordSyntaxError, parse_word, render
 
 FORMAT = "znfree-tower-v1"
 
 
 class TowerFileError(ValueError):
-    """Malformed tower document (syntax, schema, or unknown keys)."""
+    """Malformed tower document (syntax, schema, or unknown keys), or a
+    letter that extend_hnn rejects."""
 
 
 _TOP_KEYS = {"format", "alphabet", "letters", "aliases"}
@@ -90,7 +91,10 @@ def from_dict(doc) -> GroupTower:
         name = _name(entry["name"], "letter name")
         src, tgt = (_words(t, entry[key], f"letter {name!r} {key}")
                     for key in ("source_gens", "target_gens"))
-        t = extend_hnn(t, name, src, tgt, auto_rotate=False)
+        try:
+            t = extend_hnn(t, name, src, tgt, auto_rotate=False)
+        except TowerRejection as e:
+            raise TowerFileError(f"letter {name!r} rejected: {e}")
     aliases = doc.get("aliases", {})
     if not isinstance(aliases, dict):
         raise TowerFileError("aliases must be an object")

@@ -159,6 +159,19 @@ def test_bad_letter_entry_exit_2(capsys, tmp_path):
     assert err == "error: letter entry missing 'name'\n"
 
 
+def test_rejected_letter_exit_2(capsys, tmp_path):
+    # a tower file whose letter extend_hnn rejects is a bad input file,
+    # named with its letter and condition on stderr, not an answer on stdout
+    path = tmp_path / "rejected.tower"
+    path.write_text('{"format": "znfree-tower-v1", "alphabet": ["a", "b"], '
+                    '"letters": [{"name": "z", "source_gens": ["a^2"], '
+                    '"target_gens": ["b^2"]}]}')
+    code, out, err = run(capsys, "eval", "-t", str(path), "a")
+    assert (code, out) == (2, "")
+    assert err == ("error: letter 'z' rejected: "
+                   "admissible-pair: proper-power\n")
+
+
 def test_missing_tower_exit_2(capsys):
     code, _, err = run(capsys, "eval", "-t", "/nonexistent.tower", "a")
     assert code == 2
