@@ -16,10 +16,13 @@ both the reduction loop and is_reduced: _shared_heads yields the (b) records
 (the mu candidates), _self_overlaps the self-overlaps, whose partial ones
 are (c) records and eta candidates and whose total ones feed the closure and
 (d).  They read the head of h*g for every positive generator g and every
-multiplier h, from one table.  com(f, h*g) has positive weight exactly when
-the heads of f and h*g (tower._head: the first margin and the first block)
-are equal, and the head of h*g is read off h times g's first margin
-(tower._product_head), so the (b) scan builds no product and no com at all.
+multiplier h, from one table with a row per g.  com(f, h*g) has positive
+weight exactly when the heads of f and h*g (tower._head: the first margin
+and the first block) are equal.  The row of g is tower._product_heads: each
+head is h times g's first margin, settled against g's first block; the row
+reads that margin, the block and its side record once, and settles a word
+margin on the word tuples without making an Elem.  So the (b) scan builds
+no product and no com at all.
 The overlap scan builds h*f and its com only for each positive-weight
 overlap, whose head u it keeps, and the (d) test follows f's pinch chain
 (tower._weight_zero_conjugate) instead of building f^-1*h*f.
@@ -459,11 +462,10 @@ def _overlaps(Y, h_radius):
 
 def _products(Y, hs):
     """{g.key: [(h, head of h*g) for h in hs]} over the positive generators
-    g: the one table that a pass's scans read.  Each head is read off h*m0,
-    with m0 g's first margin, settled against g's first block
-    (tower._product_head); no h*g is built."""
+    g: the one table that a pass's scans read, one row per g
+    (tower._product_heads); no h*g is built."""
     t = Y.tower
-    return {g.key: [(h, T._product_head(t, h, g)) for h in hs]
+    return {g.key: list(zip(hs, T._product_heads(t, g, hs)))
             for g in Y.positive()}
 
 

@@ -12,7 +12,6 @@ subgroups each letter conjugates.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, field
 
@@ -59,6 +58,28 @@ def _skeleton(t, x):
             if isinstance(p, T.Block)]
 
 
+def _candidates(k, r=_RADIUS):
+    """The exponent vectors of [-r, r]^k by l1 norm, and within one norm in
+    itertools.product order: sorted(product(range(-r, r + 1), repeat=k),
+    key=l1), made lazily, without a table."""
+    for n in range(k * r + 1):
+        yield from _shell(k, n, r)
+
+
+def _shell(k, n, r):
+    """The vectors of [-r, r]^k with l1 norm n, in product order."""
+    if k == 0:
+        if n == 0:
+            yield ()
+        return
+    m = min(n, r)
+    for v in range(-m, m + 1):
+        rest = n - abs(v)
+        if rest <= (k - 1) * r:
+            for tail in _shell(k - 1, rest, r):
+                yield (v, *tail)
+
+
 @dataclass
 class Decomposition:
     h1: Elem
@@ -73,7 +94,10 @@ def decompose(t, Z, x: Elem) -> Decomposition | None:
     The margin ambiguity (axis material crossing the first letter) is
     resolved by an exponent search bounded by _RADIUS in each coordinate, so
     very large axis corrections can be missed; the check that closes each
-    candidate is exact."""
+    candidate is exact.  The candidates come by l1 norm, and within a norm
+    in itertools.product order (_candidates); they are made lazily, per
+    generator tried, in the order a sort of the whole box gives, so the
+    first hit is the same."""
     if not isinstance(Z, N.GenSet):
         Z = N.GenSet(t, Z)
     if t.rank == 1:
@@ -85,15 +109,12 @@ def decompose(t, Z, x: Elem) -> Decomposition | None:
     p0 = x.parts[0]
     # axis generators that commute across the first block from the left
     gens = T._side(t, x.parts[1]).left
-    cands = sorted(itertools.product(range(-_RADIUS, _RADIUS + 1),
-                                     repeat=len(gens)),
-                   key=lambda e: sum(abs(v) for v in e))
     for f in Z.positive():
         if T.lam_len(t, f) != lam or _skeleton(t, f) != sk:
             continue
         q0i = T.invert(t, f.parts[0])
         fi = Z.inverse(f)
-        for exps in cands:
+        for exps in _candidates(len(gens)):
             h1 = T.multiply(t, T.multiply(t, p0, T.gens_power(t, gens, exps)),
                             q0i)
             h2 = T.multiply(t, T.multiply(t, fi, T.invert(t, h1)), x)
@@ -230,10 +251,18 @@ def split_level(t, Z) -> LevelSplit:
     """Extract the top HNN layer: base = weight-zero generators, one stable
     letter per positive inverse pair, and for each letter the commuting
     subgroup it pinches (found through centralizers of pinch witnesses).
-    A witness is a c of the base ball with y^-1*c*y of weight zero; it and
-    each image are read along y's pinch chain
-    (tower._weight_zero_conjugate), so no top-level conjugate is built.
-    The base ball is the one Z's reducedness scan holds."""
+    A witness is the first c of the base ball, in ball order, with
+    y^-1*c*y of weight zero; it and each image are read along y's pinch
+    chain (tower._weight_zero_conjugate), so no top-level conjugate is
+    built.
+
+    Only y's self-overlaps, held by Z's reducedness scan, are tested: if
+    y^-1*c*y = d has weight zero, then c*y = y*d, and the head of y*d is
+    y's own head, since by Britton's lemma (Lyndon-Schupp IV.2) y*d keeps
+    y's blocks and only the last margin takes d, so margin phase 1 leaves
+    y's settled first margin as it is.  So head(c*y) = head(y), c != 1 is
+    an overlap of y, and the first witness is the one a test of the whole
+    ball would find."""
     Z = _require_reduced(t, Z)
     if t.rank == 1:
         return LevelSplit(base_gens=Z.pair_reps(), stable_letters=[])
@@ -242,12 +271,15 @@ def split_level(t, Z) -> LevelSplit:
     # elements of N.ball(t, base, H_RADIUS) in the same order: ball walks
     # each generator and then its inverse, at the first member of their
     # pair, and Z.zero() is closed under inversion and in the render order
-    # in which pair_reps keeps the first member of each pair.
-    cs = [c for c in N._scan(Z, N.H_RADIUS).ball if not T.is_identity(c)]
+    # in which pair_reps keeps the first member of each pair.  The overlaps
+    # of each f come in that ball order.
+    overlaps = N._overlaps(Z, N.H_RADIUS)
     stable = []
     for y in Z.pair_reps(Z.positive()):
         witness = next(
-            (c for c in cs if T._weight_zero_conjugate(t, y, c) is not None),
+            (c for f, c, _ in overlaps
+             if f.key == y.key
+             and T._weight_zero_conjugate(t, y, c) is not None),
             None)
         src, tgt = [], []
         if witness is not None:

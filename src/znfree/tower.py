@@ -126,11 +126,12 @@ block's head period are both words, the block's left axis is <c> and the
 head period is c^+-1.  `_settle_word` then takes margin phase 1's steps on
 the tuple: copies of c^+-1 stripped off the right end, as `_peel`'s level-1
 step strips them, and the head period multiplied in where the junction
-cancels, as `_additive` finds it.  `_settle_left` is the one place that
-chooses it.  On a word, `abelian_exponents` is `_peel`'s strip reaching the
-identity: c is cyclically reduced, so c^k is c's word k times over.  Each
-kernel takes the general path's steps in the same order, so its answers are
-the general path's.
+cancels, as `_additive` finds it.  `_settle_left` chooses it, and so does
+`_product_heads` for a row whose products are words.  On a word,
+`abelian_exponents` is `_peel`'s strip reaching the identity: c is
+cyclically reduced, so c^k is c's word k times over.  Each kernel takes the
+general path's steps in the same order, so its answers are the general
+path's.
 
 A block's left and right axes, their inverses, and its head and tail periods
 are constants of its signed letter (Britton's lemma, Lyndon-Schupp IV.2);
@@ -148,14 +149,15 @@ tower's named TowerRejection.
 Two private views answer questions about a top-level product from one seam,
 without building it.  Both rest on Britton's lemma (Lyndon-Schupp IV.2):
 a word with no pinch keeps its sequence of signed stable letters.
-`_product_head(t, h, g)`, for h of weight zero, is the head of h*g (its
-first margin with the letter and sign of its first block, see `_head`): h*g
-has g's blocks, and its first margin is h times g's settled against g's
-first block by margin phase 1 (`_settle_left`, the loop `_margin_pass` runs
-too).  `_weight_zero_conjugate(t, y, c)`, for c of weight zero, is y^-1*c*y
-when that has weight 0 and None otherwise: it follows the middle of the
-word through y's blocks, one pinch at a time, and stops at the first block
-whose left axis the middle leaves.
+`_product_heads(t, g, hs)`, for hs of weight zero, is the row of heads of
+h*g over h in hs (each its first margin with the letter and sign of its
+first block, see `_head`): h*g has g's blocks, and its first margin is h
+times g's settled against g's first block by margin phase 1
+(`_settle_left`, the loop `_margin_pass` runs too).
+`_weight_zero_conjugate(t, y, c)`, for c of weight zero, is y^-1*c*y when
+that has weight 0 and None otherwise: it follows the middle of the word
+through y's blocks, one pinch at a time, and stops at the first block whose
+left axis the middle leaves.
 
 `com` is one stream comparison.  Past the margins and blocks that two
 elements share, each element goes on as a lower-level base followed by the
@@ -1048,9 +1050,10 @@ def _head(t: GroupTower, x: Elem):
     return (x.parts[0].key, blk.letter, blk.sign)
 
 
-def _product_head(t: GroupTower, h: Elem, g: Elem):
-    """_head(t, h*g) for h of weight zero and g of positive weight, without
-    building h*g."""
+def _product_heads(t: GroupTower, g: Elem, hs):
+    """[_head(t, h*g) for h in hs], for hs of weight zero and g of positive
+    weight, without building any h*g: one row of the reducedness scan's
+    head table."""
     # At rank 1 the only element of weight zero is the identity, so this is
     # g's own head.  Above it let g = m0 B1 m1 ... Bk mk; multiply hands
     # build the list [h*m0, B1, m1, ..., Bk, mk], all of whose pinch
@@ -1070,12 +1073,25 @@ def _product_head(t: GroupTower, h: Elem, g: Elem):
     #    write blocks and the elements right of them.  Phase 1 reads only
     #    the block's letter and sign, and its loop stops at a fixed point, so
     #    later passes leave parts[0] as the first pass left it.
-    # Hence the first margin of h*g is h*m0 settled against B1.
+    # Hence the first margin of h*g is h*m0 settled against B1.  The row
+    # reads m0, B1 and its side record once.  Where h, m0 and B1's head
+    # period are words, _settle_left would take _settle_word's path, and the
+    # row takes it on the word h*m0 directly; a word's key is ("w", word).
     if t.rank == 1:
-        return _head(t, multiply(t, h, g))
-    blk = g.parts[1]
-    e, _ = _settle_left(t, multiply(t, h, g.parts[0]), blk)
-    return (e.key, blk.letter, blk.sign)
+        return [_head(t, multiply(t, h, g)) for h in hs]
+    m0, blk = g.parts[0], g.parts[1]
+    s = _side(t, blk)
+    letter, sign = blk.letter, blk.sign
+    m0w = m0.word if m0.level == 1 and s.head.level == 1 else None
+    out = []
+    for h in hs:
+        if m0w is not None and h.level == 1:
+            w = _settle_word(t, W.w_mul(h.word, m0w), blk, s)[0]
+            out.append((("w", w), letter, sign))
+        else:
+            e = _settle_left(t, multiply(t, h, m0), blk)[0]
+            out.append((e.key, letter, sign))
+    return out
 
 
 def _weight_zero_conjugate(t: GroupTower, y: Elem, c: Elem) -> Elem | None:

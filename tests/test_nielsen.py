@@ -5,9 +5,11 @@ import re
 import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from znfree import factory, nielsen as N, pregroup as P, tower as T
 from znfree.wordexpr import parse_word, render
+from znfree.words import w_inv, w_mul
 
 
 def W(t, s):
@@ -288,10 +290,77 @@ def test_word_ball_matches_general_ball(t1, surf2, fa3):
             assert all(isinstance(x, T.Elem) for x in got)
 
 
+_LETTERS = (1, -1, 2, -2, 3, -3)
+
+
+def _reduced(letters):
+    """The free reduction of a letter sequence."""
+    w = ()
+    for k in letters:
+        w = w_mul(w, (k,))
+    return w
+
+
+@st.composite
+def _word_sets(draw):
+    """Generator words over F(a, b, c): empty ones, with duplicates,
+    inverse pairs and conjugates u*w*u^-1 (not cyclically reduced) added."""
+    word = st.lists(st.sampled_from(_LETTERS), max_size=6).map(_reduced)
+    ws = draw(st.lists(word, max_size=4))
+    for w in list(ws):
+        extra = draw(st.sampled_from(("none", "dup", "inv", "conj")))
+        if extra == "dup":
+            ws.append(w)
+        elif extra == "inv":
+            ws.append(w_inv(w))
+        elif extra == "conj":
+            u = draw(word)
+            ws.append(_reduced((*u, *w, *w_inv(u))))
+    return ws
+
+
+@settings(max_examples=400, deadline=None)
+@given(_word_sets())
+@example([])
+@example([()])
+@example([(1,), (1,), (-1,)])
+@example([(1, 2, -1), (2, 1, 3, -1, -2), (1, 3, -1)])
+def test_fold_graph_is_the_stallings_core(ws):
+    # the four properties that fix the folded graph up to isomorphism: each
+    # generator reads a closed path at the base; the labelled map is
+    # deterministic and involutive, (s, k) -> d iff (d, -k) -> s; every
+    # state is reachable from the base; and no state but the base has
+    # degree below 2 (a hanging state would be a path to cut back)
+    base, trans = N._fold_graph(ws)
+    for w in ws:
+        cur = base
+        for k in w:
+            cur = trans.get((cur, k))
+            assert cur is not None, (ws, w)
+        assert cur == base, (ws, w)
+    for (s, k), d in trans.items():
+        assert trans.get((d, -k)) == s, (ws, s, k, d)
+    states = {base} | {s for s, _ in trans} | set(trans.values())
+    seen, todo = {base}, [base]
+    while todo:
+        s = todo.pop()
+        for k in _LETTERS:
+            d = trans.get((s, k))
+            if d is not None and d not in seen:
+                seen.add(d)
+                todo.append(d)
+    assert seen == states, ws
+    degree = {s: 0 for s in states}
+    for s, _ in trans:
+        degree[s] += 1
+    assert all(n >= 2 for s, n in degree.items() if s != base), ws
+
+
 def _subgroup_contains_general(t, gens, x, radius):
     """Membership with a fresh fold per word query and a ball walk per
     other one: the reference the scans' shared membership test must agree
-    with."""
+    with.  The fold is checked on its own against the Stallings core
+    (test_fold_graph_is_the_stallings_core)."""
     if T.is_identity(x):
         return True
     if not gens:
@@ -509,10 +578,33 @@ def test_held_scan_answers_as_a_fresh_one(all_towers):
     assert answers == {False, True}
 
 
+def test_weight_zero_conjugators_are_self_overlaps(all_towers):
+    # split_level tests only the held self-overlaps of y for a witness:
+    # every c != 1 of the scan's ball with y^-1*c*y of weight zero is one
+    # (c*y = y*d keeps y's head), and the overlaps of y come in ball order
+    met = 0
+    for name, base in _BASES.items():
+        t = all_towers[name]
+        for seed in range(6):
+            R = N.reduce_genset(t, N.GenSet(t, _sampled_set(t, base, seed)))
+            ball = N._scan(R, N.H_RADIUS).ball
+            overlaps = N._overlaps(R, N.H_RADIUS)
+            for y in R.positive():
+                mine = [h.key for f, h, _ in overlaps if f.key == y.key]
+                assert mine == [c.key for c in ball if c.key in mine]
+                for c in ball:
+                    if (not T.is_identity(c) and T._weight_zero_conjugate(
+                            t, y, c) is not None):
+                        assert c.key in mine, (name, seed, render(t, y),
+                                               render(t, c))
+                        met += 1
+    assert met
+
+
 def _count_scans(monkeypatch):
     """Calls of the builders a reducedness scan is made of."""
-    calls = {"_products": 0, "ball": 0, "_product_head": 0}
-    for mod, name in ((N, "_products"), (N, "ball"), (T, "_product_head")):
+    calls = {"_products": 0, "ball": 0, "_product_heads": 0}
+    for mod, name in ((N, "_products"), (N, "ball"), (T, "_product_heads")):
         real = getattr(mod, name)
 
         def counting(*args, _real=real, _name=name):
@@ -530,7 +622,7 @@ def test_reduced_set_is_scanned_once(all_towers, monkeypatch):
     # membership test a pass never queried); another radius is one new
     # scan
     calls = _count_scans(monkeypatch)
-    none = {"_products": 0, "ball": 0, "_product_head": 0}
+    none = {"_products": 0, "ball": 0, "_product_heads": 0}
     for name, base in _BASES.items():
         t = all_towers[name]
         for seed in range(3):
@@ -549,6 +641,9 @@ def test_reduced_set_is_scanned_once(all_towers, monkeypatch):
             N.is_reduced(t, R, 2)
             assert calls["_products"] == 1, (name, seed)
             assert calls["ball"] >= 1, (name, seed)
+            # one head row per positive generator
+            assert calls["_product_heads"] == len(R.positive()) > 0, (
+                name, seed)
             for k in calls:
                 calls[k] = 0
             N.is_reduced(t, R, 2)

@@ -1,5 +1,6 @@
 """Piece arithmetic, sequence reduction, and level splitting."""
 
+import itertools
 import sys
 
 import pytest
@@ -125,6 +126,15 @@ def test_decompose_shape(t1):
     assert T.lam_len(t1, d.h1) == 0 and T.lam_len(t1, d.h2) == 0
     back = T.multiply(t1, T.multiply(t1, d.h1, d.f), d.h2)
     assert T.equals(t1, back, W(t1, "a^2*z*b^-1"))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_candidates_come_in_the_sorted_order(k):
+    # decompose's lazy candidates are the box sorted by l1 norm, ties in
+    # itertools.product order, as the whole-box sort gave them
+    box = itertools.product(range(-P._RADIUS, P._RADIUS + 1), repeat=k)
+    want = sorted(box, key=lambda e: sum(abs(v) for v in e))
+    assert list(P._candidates(k)) == want
 
 
 def test_reduce_sequence_examples(t1):

@@ -122,32 +122,40 @@ def test_heads_meet_is_positive_com(all_towers, fa3, t1):
 
 
 def test_product_head_is_head_of_product(all_towers, fa3, t1):
-    # the head of h*g read from h*m0 settled against g's first block equals
-    # the full product's first margin and first block.  The product is also
-    # rebuilt as (g^-1 * h^-1)^-1, whose first margin is settled by the
-    # right-margin phase, so a fault in the phase-1 loop that the view and
-    # h*g share shows too
+    # each entry of a row, the head of h*g read from h*m0 settled against
+    # g's first block, equals the full product's first margin and first
+    # block.  The product is also rebuilt as (g^-1 * h^-1)^-1, whose first
+    # margin is settled by the right-margin phase, so a fault in the
+    # phase-1 loop that the row and h*g share shows too.  Rows run both
+    # paths: the word path where h, m0 and the head period are words, the
+    # general one elsewhere (the rank-3+ towers have higher h and periods)
     rng = random.Random(10)
     moved = 0
+    paths = {True: 0, False: 0}
     for name, t in _scan_towers(all_towers, fa3, t1).items():
         hs = _zero_ball(t)
         pos = _positive(t, 13)
-        for _ in range(60):
-            g, h = rng.choice(pos), rng.choice(hs)
-            got = T._product_head(t, h, g)
-            full = T.multiply(t, h, g)
-            again = T.invert(t, T.multiply(t, T.invert(t, g), T.invert(t, h)))
-            where = f"{name}: h={render(t, h)} g={render(t, g)}"
-            for x in (full, again):
-                if t.rank == 1:
-                    assert got == x.word[:1], where
-                    continue
-                assert x.level == t.rank, where
-                assert got == (x.parts[0].key, x.parts[1].letter,
-                               x.parts[1].sign), where
-            if t.rank > 1:
-                moved += got[0] != T.multiply(t, h, g.parts[0]).key
+        for g in rng.sample(pos, min(6, len(pos))):
+            row = T._product_heads(t, g, hs)
+            assert len(row) == len(hs)
+            for h, got in zip(hs, row):
+                full = T.multiply(t, h, g)
+                again = T.invert(t, T.multiply(t, T.invert(t, g),
+                                               T.invert(t, h)))
+                where = f"{name}: h={render(t, h)} g={render(t, g)}"
+                for x in (full, again):
+                    if t.rank == 1:
+                        assert got == x.word[:1], where
+                        continue
+                    assert x.level == t.rank, where
+                    assert got == (x.parts[0].key, x.parts[1].letter,
+                                   x.parts[1].sign), where
+                if t.rank > 1:
+                    moved += got[0] != T.multiply(t, h, g.parts[0]).key
+                    paths[h.level == 1 and g.parts[0].level == 1
+                          and T._side(t, g.parts[1]).head.level == 1] += 1
     assert moved  # the settling loop did some work
+    assert paths[True] and paths[False], paths
 
 
 def test_weight_zero_conjugate_is_pinch_chain(all_towers, fa3, t1):
@@ -417,8 +425,8 @@ def _side_records(t):
 
 def test_peel_tests_whole_only_where_the_end_cannot_decide(t1, surf2, ns3,
                                                            fa3, monkeypatch):
-    # no word is tested whole; the heads of the reducedness scan on the
-    # canonical sets come from end steps alone; on the nf-deep towers every
+    # no word is tested whole; the head rows of the reducedness scan on
+    # the canonical sets come from end steps alone; on the nf-deep towers every
     # axis list is one whose end steps decide membership, so products,
     # inverses, com and gromov2 test nothing whole; and on the w tower,
     # whose axis generator no end step peels, the whole test runs and hits
@@ -437,8 +445,7 @@ def test_peel_tests_whole_only_where_the_end_cannot_decide(t1, surf2, ns3,
         hs = N.ball(t, Y.zero(), N.H_RADIUS)
         calls.clear()
         for g in Y.positive():
-            for h in hs:
-                T._product_head(t, h, g)
+            T._product_heads(t, g, hs)
         assert calls == [], ss
     rng = random.Random(47)
     for name, t in (("fa3", fa3), ("fa4", factory.free_abelian(4)),
