@@ -94,10 +94,10 @@ def decompose(t, Z, x: Elem) -> Decomposition | None:
     The margin ambiguity (axis material crossing the first letter) is
     resolved by an exponent search bounded by _RADIUS in each coordinate, so
     very large axis corrections can be missed; the check that closes each
-    candidate is exact.  The candidates come by l1 norm, and within a norm
-    in itertools.product order (_candidates); they are made lazily, per
-    generator tried, in the order a sort of the whole box gives, so the
-    first hit is the same."""
+    candidate is exact.  The search order is unchanged: by l1 norm, ties in
+    itertools.product order, which is the whole box sorted by norm; the
+    candidates are made lazily for each generator tried (_candidates), so
+    no table of the box is held."""
     if not isinstance(Z, N.GenSet):
         Z = N.GenSet(t, Z)
     if t.rank == 1:
