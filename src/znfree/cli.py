@@ -95,7 +95,7 @@ def cmd_centralizer(t, args):
 
 def cmd_reduce_gens(t, args):
     Y = nielsen.GenSet(t, [_word(t, s) for s in args.gens])
-    R = nielsen.reduce_genset(t, Y, args.h_radius)
+    R = nielsen.reduce_genset(t, Y)
     for g in R.pair_reps():
         print(f"gen: {render(t, g)}")
     print(f"weight: {nielsen.lambda_weight(R)}")
@@ -222,7 +222,6 @@ def _build_parser():
     sp = tower_cmd("reduce-gens", "reduce a generating set with witnesses",
                    cmd_reduce_gens)
     sp.add_argument("gens", nargs="+")
-    sp.add_argument("--h-radius", type=int, default=nielsen.H_RADIUS)
 
     sp = tower_cmd("split-level", "split the top HNN layer of a reduced set",
                    cmd_split_level)

@@ -31,24 +31,24 @@ A GenSet never changes its members, so it holds what it computes about
 them.  It holds each member's inverse from construction (GenSet.inverse).
 pair_reps, replace, mu, the closure step and pregroup read it instead of
 inverting a member again, and the set replace builds takes the kept
-members' inverses along.  It holds its reducedness scan (_scan), at most
-one per h-radius, made when first asked for: the weight-zero multiplier
-ball, the head table, the zero part's membership test (_membership: the
-subgroup graph is folded once, or above the base layer the keys of its
-ball are collected once) and the self-overlaps, found when first read.
-Each pass of the loop reads the scan of the set it works on; the pass that
-ends the loop leaves the result's scan held, and is_reduced and
+members' inverses along.  It holds one reducedness scan (_scan), made when
+first asked for: the weight-zero multiplier ball of radius H_RADIUS, the
+head table, the zero part's membership test (_membership: the subgroup
+graph is folded once, or above the base layer the keys of its ball are
+collected once) and the self-overlaps, found when first read.  Each pass
+of the loop reads the scan of the set it works on; the pass that ends the
+loop leaves the result's scan held, and is_reduced and
 pregroup.split_level read that scan instead of building their own.  The
 closure step starts from the held membership test and makes a new one only
 when it adds elements.  Over word generators, ball runs on the word tuples
 and builds one Elem per new element.
 
 When the loop's last pass finds no (d) record either, its result is
-certified: GenSet.reduced_at holds the h-radius at which (a)-(d) are known
-to hold (None on every new set), and pregroup trusts it.  is_reduced never
-reads it: it evaluates (a)-(d) itself on the set's scan, so it stays an
-independent check of reduce_genset's conditions, and a set and a fresh
-copy of it get the same answer.
+certified: GenSet.certified, False on every new set, is read and written
+only here, by reduce_genset and by _require_reduced (pregroup's entry
+check).  is_reduced never reads it: it evaluates (a)-(d) itself on the
+set's scan, so it stays an independent check of reduce_genset's
+conditions, and a set and a fresh copy of it get the same answer.
 """
 
 from __future__ import annotations
@@ -70,9 +70,9 @@ class Inapplicable(Exception):
 class GenSet:
     """A finite symmetric set of tower elements with a witness log."""
 
-    def __init__(self, t, elements, witness_log=None):
+    def __init__(self, t, elements):
         self._fill(t, [(g, T.invert(t, g)) for g in elements
-                       if not T.is_identity(g)], witness_log)
+                       if not T.is_identity(g)], [])
 
     def _fill(self, t, pairs, witness_log):
         """Hold the members of the (g, g^-1) pairs, each one's inverse, and
@@ -91,9 +91,9 @@ class GenSet:
                                if T.lam_len(t, g) > 0)
         self._zero = tuple(g for g in self.elements if T.lam_len(t, g) == 0)
         self._inverse = {k: seen[ik] for k, ik in inv.items()}
-        self.witness_log = list(witness_log or [])
-        self.reduced_at = None  # see the module docstring
-        self._scans = {}  # h-radius -> _Scan, filled by _scan
+        self.witness_log = witness_log
+        self.certified = False  # see the module docstring
+        self._held_scan = None  # a _Scan, made by _scan on first use
 
     def __iter__(self):
         return iter(self.elements)
@@ -247,16 +247,16 @@ def _fold_graph(words):
 H_RADIUS = 3  # radius of the weight-zero multiplier ball and ball searches
 
 
-def subgroup_contains(t, gens, x: Elem, radius: int = H_RADIUS) -> bool:
+def subgroup_contains(t, gens, x: Elem) -> bool:
     """Membership of x in <gens>.  Exact when everything lives in the base
-    free layer (folded subgroup graph); otherwise a ball search of the
-    given radius, which is sound but not complete."""
-    return _membership(t, gens, radius)(x)
+    free layer (folded subgroup graph); otherwise a search of the ball of
+    radius H_RADIUS, which is sound but not complete."""
+    return _membership(t, gens)(x)
 
 
-def _membership(t, gens, radius):
-    """subgroup_contains(t, gens, ., radius) for many queries: the subgroup
-    graph is folded once, on the first word query, and the ball's keys are
+def _membership(t, gens):
+    """subgroup_contains(t, gens, .) for many queries: the subgroup graph
+    is folded once, on the first word query, and the ball's keys are
     collected once, on the first other one."""
     words = all(g.level == 1 for g in gens)
     fold = keys = None
@@ -278,7 +278,7 @@ def _membership(t, gens, radius):
                     return False
             return cur == base
         if keys is None:
-            keys = {h.key for h in ball(t, gens, radius)}
+            keys = {h.key for h in ball(t, gens, H_RADIUS)}
         return x.key in keys
 
     return contains
@@ -429,32 +429,30 @@ _MAX_AUGMENT = 8
 
 
 class _Scan:
-    """A set's reducedness scan at one h-radius (see the module
-    docstring)."""
+    """A set's reducedness scan (see the module docstring)."""
 
     __slots__ = ("ball", "prods", "member", "overlaps")
 
-    def __init__(self, Y, h_radius):
+    def __init__(self, Y):
         t = Y.tower
         zero = Y.zero()
-        self.ball = ball(t, zero, h_radius)
+        self.ball = ball(t, zero, H_RADIUS)
         self.prods = _products(Y, self.ball)
-        self.member = _membership(t, zero, h_radius)
+        self.member = _membership(t, zero)
         self.overlaps = None  # read through _overlaps
 
 
-def _scan(Y, h_radius):
-    """Y's scan at h_radius, made on first use and held by Y."""
-    s = Y._scans.get(h_radius)
-    if s is None:
-        s = Y._scans[h_radius] = _Scan(Y, h_radius)
-    return s
+def _scan(Y):
+    """Y's scan, made on first use and held by Y."""
+    if Y._held_scan is None:
+        Y._held_scan = _Scan(Y)
+    return Y._held_scan
 
 
-def _overlaps(Y, h_radius):
+def _overlaps(Y):
     """_self_overlaps of Y's scan, found on first use: a pass that finds a
     mu or nu move never reads them."""
-    s = _scan(Y, h_radius)
+    s = _scan(Y)
     if s.overlaps is None:
         s.overlaps = _self_overlaps(Y, s.prods)
     return s.overlaps
@@ -522,7 +520,7 @@ def _escapes(t, member, f, h):
     return x is None or not member(x), x
 
 
-def _augment_closure(Y: GenSet, h_radius):
+def _augment_closure(Y: GenSet):
     """Add the centralizer elements making condition (d) hold: whenever a
     positive generator is weight-preservingly conjugated by some h of the
     weight-zero subgroup, keep the conjugation inside that subgroup.
@@ -530,12 +528,12 @@ def _augment_closure(Y: GenSet, h_radius):
     t = Y.tower
     added = []
     zero = Y.zero()
-    member = _scan(Y, h_radius).member
+    member = _scan(Y).member
     held = True
     # reduce_genset calls this only once _find_eta finds no overlap with
     # lam_len(u) < lam_len(f), and u = com(f, h*f) is a prefix of f, so
     # every overlap here is total
-    for f, h, u in _overlaps(Y, h_radius):
+    for f, h, u in _overlaps(Y):
         escaped, x = _escapes(t, member, f, h)
         if not escaped:
             continue
@@ -549,7 +547,7 @@ def _augment_closure(Y: GenSet, h_radius):
                 added.append(c)
                 added.append(T.multiply(t, T.multiply(t, fi, c), f))
         if len(added) > before:
-            member = _membership(t, [*zero, *added], h_radius)
+            member = _membership(t, [*zero, *added])
     if not added:
         return Y, held
     entry = {"op": "augment",
@@ -559,7 +557,7 @@ def _augment_closure(Y: GenSet, h_radius):
     return Y.replace([], added, entry), False
 
 
-def reduce_genset(t, Y, h_radius: int = H_RADIUS) -> GenSet:
+def reduce_genset(t, Y) -> GenSet:
     """Apply the three moves to exhaustion, then close the weight-zero part.
 
     Halts within (initial weight)^2 move applications; a failure to do so is
@@ -572,7 +570,7 @@ def reduce_genset(t, Y, h_radius: int = H_RADIUS) -> GenSet:
     steps = 0
     augments = 0
     while True:
-        cand = _find_mu(Y, _scan(Y, h_radius).prods)
+        cand = _find_mu(Y, _scan(Y).prods)
         if cand is not None:
             Y = mu(Y, *cand)
         else:
@@ -580,14 +578,14 @@ def reduce_genset(t, Y, h_radius: int = H_RADIUS) -> GenSet:
             if cand is not None:
                 Y = nu(Y, cand)
             else:
-                cand = _find_eta(t, _overlaps(Y, h_radius))
+                cand = _find_eta(t, _overlaps(Y))
                 if cand is not None:
                     Y = eta(Y, *cand)
                 else:
-                    Y2, held = _augment_closure(Y, h_radius)
+                    Y2, held = _augment_closure(Y)
                     if Y2 is Y:
                         if held:
-                            Y.reduced_at = h_radius
+                            Y.certified = True
                         return Y
                     Y = Y2
                     augments += 1
@@ -603,21 +601,21 @@ def reduce_genset(t, Y, h_radius: int = H_RADIUS) -> GenSet:
                 f" ({bound})")
 
 
-def is_reduced(t, Y, h_radius: int = H_RADIUS) -> list[str]:
+def is_reduced(t, Y) -> list[str]:
     """Violations of the reducedness conditions (empty list = reduced).
 
     (a) every positive generator is cyclically reduced; (b) distinct
     positive generators never share a positive-weight head, under any
     weight-zero multiplier; (c) a positive-weight self-overlap is total;
     (d) total self-overlaps conjugate back into the weight-zero subgroup.
-    The weight-zero multipliers h are enumerated in a ball, so (b)-(d) are
-    sound but bounded.  The records are read from Y's scan at h_radius: the
-    one reduce_genset's last pass left on its result, else one made now.
-    Y.reduced_at is not read."""
+    The weight-zero multipliers h are enumerated in the ball of radius
+    H_RADIUS, so (b)-(d) are sound but bounded.  The records are read from
+    Y's scan: the one reduce_genset's last pass left on its result, else
+    one made now.  Y.certified is not read."""
     if not isinstance(Y, GenSet):
         Y = GenSet(t, Y)
     out = []
-    scan = _scan(Y, h_radius)
+    scan = _scan(Y)
     for f in Y.pair_reps(Y.positive()):
         if not T.is_cyclically_reduced(t, f):
             out.append(f"(a) not cyclically reduced: {render(t, f)}")
@@ -626,7 +624,7 @@ def is_reduced(t, Y, h_radius: int = H_RADIUS) -> list[str]:
             out.append(f"(b) shared head: f={render(t, f)} g={render(t, g)}"
                        f" h={render(t, h)}")
             break
-    for f, h, u in _overlaps(Y, h_radius):
+    for f, h, u in _overlaps(Y):
         if T.lam_len(t, u) != T.lam_len(t, f):
             out.append(f"(c) partial self-overlap: f={render(t, f)} "
                        f"h={render(t, h)}")
@@ -634,6 +632,20 @@ def is_reduced(t, Y, h_radius: int = H_RADIUS) -> list[str]:
             out.append(f"(d) conjugate escapes the weight-zero part: "
                        f"f={render(t, f)} h={render(t, h)}")
     return out
+
+
+def _require_reduced(t, Z) -> GenSet:
+    """Z as a certified GenSet, or a TowerRejection naming the violations
+    that is_reduced finds (see the module docstring)."""
+    if not isinstance(Z, GenSet):
+        Z = GenSet(t, Z)
+    if not Z.certified:
+        bad = is_reduced(t, Z)
+        if bad:
+            raise T.TowerRejection("generating-set-not-reduced",
+                                   "; ".join(bad))
+        Z.certified = True
+    return Z
 
 
 def verify_witnesses(t, Y: GenSet) -> bool:

@@ -38,18 +38,6 @@ class LevelSplit:
     stable_letters: list  # (letter elem, source gens, target gens)
 
 
-def _require_reduced(t, Z):
-    if not isinstance(Z, N.GenSet):
-        Z = N.GenSet(t, Z)
-    if Z.reduced_at != N.H_RADIUS:
-        bad = N.is_reduced(t, Z, N.H_RADIUS)
-        if bad:
-            raise T.TowerRejection("generating-set-not-reduced",
-                                   "; ".join(bad))
-        Z.reduced_at = N.H_RADIUS
-    return Z
-
-
 _RADIUS = 8  # exponent bound of decompose's axis search
 
 
@@ -58,25 +46,25 @@ def _skeleton(t, x):
             if isinstance(p, T.Block)]
 
 
-def _candidates(k, r=_RADIUS):
-    """The exponent vectors of [-r, r]^k by l1 norm, and within one norm in
-    itertools.product order: sorted(product(range(-r, r + 1), repeat=k),
-    key=l1), made lazily, without a table."""
-    for n in range(k * r + 1):
-        yield from _shell(k, n, r)
+def _candidates(k):
+    """The exponent vectors of [-_RADIUS, _RADIUS]^k by l1 norm, and within
+    one norm in itertools.product order: sorted(product(range(-_RADIUS,
+    _RADIUS + 1), repeat=k), key=l1), made lazily, without a table."""
+    for n in range(k * _RADIUS + 1):
+        yield from _shell(k, n)
 
 
-def _shell(k, n, r):
-    """The vectors of [-r, r]^k with l1 norm n, in product order."""
+def _shell(k, n):
+    """The vectors of that box with l1 norm n, in product order."""
     if k == 0:
         if n == 0:
             yield ()
         return
-    m = min(n, r)
+    m = min(n, _RADIUS)
     for v in range(-m, m + 1):
         rest = n - abs(v)
-        if rest <= (k - 1) * r:
-            for tail in _shell(k - 1, rest, r):
+        if rest <= (k - 1) * _RADIUS:
+            for tail in _shell(k - 1, rest):
                 yield (v, *tail)
 
 
@@ -126,7 +114,7 @@ def decompose(t, Z, x: Elem) -> Decomposition | None:
 def pz_membership(t, Z, x: Elem) -> bool:
     """True iff x has weight zero or splits around a single positive
     generator of Z."""
-    Z = _require_reduced(t, Z)
+    Z = N._require_reduced(t, Z)
     if t.rank == 1 or T.lam_len(t, x) == 0:
         return True
     return decompose(t, Z, x) is not None
@@ -136,7 +124,7 @@ def pz_product_defined(t, Z, x: Elem, y: Elem) -> bool:
     """Whether the product of two pieces is again a piece: the inner
     generators must be mutually inverse and the conjugated middle must drop
     to weight zero."""
-    Z = _require_reduced(t, Z)
+    Z = N._require_reduced(t, Z)
     if t.rank == 1:
         return True
     lx, ly = T.lam_len(t, x), T.lam_len(t, y)
@@ -161,7 +149,7 @@ def reduce_psequence(t, Z, seq: PSequence) -> PSequence:
     # into the top while the product is defined, which is the leftmost
     # defined pair, so the merges are those of rescanning from the start
     # after each one, in the same order.  Identities drop out.
-    Z = _require_reduced(t, Z)
+    Z = N._require_reduced(t, Z)
     items = []
     for x in seq.items:
         while (items and not T.is_identity(x)
@@ -205,7 +193,7 @@ def verify_pregroup(t, Z, sample_size: int, seed: int = 0) -> PregroupReport:
     """Sampled checks: pieces are closed under inverse; independently
     refactored sequences for one element reduce to the same length; the
     weight of the product is the sum of the weights of a reduced sequence."""
-    Z = _require_reduced(t, Z)
+    Z = N._require_reduced(t, Z)
     rng = random.Random(seed)
     rep = PregroupReport(ok=True)
     for _ in range(sample_size):
@@ -263,7 +251,7 @@ def split_level(t, Z) -> LevelSplit:
     y's settled first margin as it is.  So head(c*y) = head(y), c != 1 is
     an overlap of y, and the first witness is the one a test of the whole
     ball would find."""
-    Z = _require_reduced(t, Z)
+    Z = N._require_reduced(t, Z)
     if t.rank == 1:
         return LevelSplit(base_gens=Z.pair_reps(), stable_letters=[])
     base = Z.pair_reps(Z.zero())
@@ -273,7 +261,7 @@ def split_level(t, Z) -> LevelSplit:
     # pair, and Z.zero() is closed under inversion and in the render order
     # in which pair_reps keeps the first member of each pair.  The overlaps
     # of each f come in that ball order.
-    overlaps = N._overlaps(Z, N.H_RADIUS)
+    overlaps = N._overlaps(Z)
     stable = []
     for y in Z.pair_reps(Z.positive()):
         witness = next(

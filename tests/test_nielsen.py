@@ -103,7 +103,7 @@ def test_canonical_sets_are_reduced(t1, t_ab, fa3, surf2, ns3):
         assert N.is_reduced(t, gens(t, *ss)) == []
 
 
-def test_reduce_certifies_its_radius(t1, t_ab, fa3, surf2, ns3):
+def test_reduce_certifies_the_result(t1, t_ab, fa3, surf2, ns3):
     cases = [
         (t1, ["a", "b", "z"]),
         (t_ab, ["a", "z"]),
@@ -114,18 +114,17 @@ def test_reduce_certifies_its_radius(t1, t_ab, fa3, surf2, ns3):
     ]
     for t, ss in cases:
         Y = gens(t, *ss)
-        assert Y.reduced_at is None
-        for h_radius in (2, N.H_RADIUS):
-            R = N.reduce_genset(t, Y, h_radius=h_radius)
-            assert R.reduced_at == h_radius, ss
-            assert N.is_reduced(t, R, h_radius) == [], ss
+        assert not Y.certified
+        R = N.reduce_genset(t, Y)
+        assert R.certified, ss
+        assert N.is_reduced(t, R) == [], ss
 
 
 def test_new_sets_carry_no_certificate(t1):
     R = N.reduce_genset(t1, gens(t1, "a*z", "b*z"))
-    assert R.reduced_at == N.H_RADIUS
-    assert N.GenSet(t1, R).reduced_at is None
-    assert R.replace([], [W(t1, "a")], {"op": "test"}).reduced_at is None
+    assert R.certified
+    assert not N.GenSet(t1, R).certified
+    assert not R.replace([], [W(t1, "a")], {"op": "test"}).certified
 
 
 def test_reduce_without_closure_is_not_certified(t1, monkeypatch):
@@ -134,13 +133,13 @@ def test_reduce_without_closure_is_not_certified(t1, monkeypatch):
     monkeypatch.setattr(T, "subgroup_gens", lambda t, cen: [])
     R = N.reduce_genset(t1, gens(t1, "a", "z"))
     assert [e["op"] for e in R.witness_log] == []
-    assert R.reduced_at is None
+    assert not R.certified
     assert any(v.startswith("(d)") for v in N.is_reduced(t1, R))
 
 
 def test_is_reduced_ignores_the_certificate(t1):
     Y = gens(t1, "a", "z")
-    Y.reduced_at = N.H_RADIUS
+    Y.certified = True
     assert any(v.startswith("(d)") for v in N.is_reduced(t1, Y))
 
 
@@ -356,7 +355,7 @@ def test_fold_graph_is_the_stallings_core(ws):
     assert all(n >= 2 for s, n in degree.items() if s != base), ws
 
 
-def _subgroup_contains_general(t, gens, x, radius):
+def _subgroup_contains_general(t, gens, x):
     """Membership with a fresh fold per word query and a ball walk per
     other one: the reference the scans' shared membership test must agree
     with.  The fold is checked on its own against the Stallings core
@@ -373,7 +372,8 @@ def _subgroup_contains_general(t, gens, x, radius):
             if cur is None:
                 return False
         return cur == base
-    return any(T.equals(t, h, x) for h in _ball_general(t, gens, radius))
+    return any(T.equals(t, h, x)
+               for h in _ball_general(t, gens, N.H_RADIUS))
 
 
 def test_scan_membership_matches_subgroup_contains(t1, t_ab, fa3, surf2, ns3,
@@ -383,12 +383,12 @@ def test_scan_membership_matches_subgroup_contains(t1, t_ab, fa3, surf2, ns3,
     real = N._membership
     queries = []
 
-    def recording(t, gs, radius):
-        contains = real(t, gs, radius)
+    def recording(t, gs):
+        contains = real(t, gs)
 
         def query(x):
             got = contains(x)
-            queries.append((t, list(gs), radius, x, got))
+            queries.append((t, list(gs), x, got))
             return got
 
         return query
@@ -399,10 +399,10 @@ def test_scan_membership_matches_subgroup_contains(t1, t_ab, fa3, surf2, ns3,
         N.reduce_genset(t, gens(t, *ss))
     monkeypatch.undo()
     seen = set()
-    for t, gs, radius, x, got in queries:
-        want = _subgroup_contains_general(t, gs, x, radius)
+    for t, gs, x, got in queries:
+        want = _subgroup_contains_general(t, gs, x)
         assert got == want, [render(t, g) for g in gs] + [render(t, x)]
-        assert got == N.subgroup_contains(t, gs, x, radius)
+        assert got == N.subgroup_contains(t, gs, x)
         seen.add((got, all(g.level == 1 for g in gs)))
     assert seen == {(False, True), (True, True), (True, False)}
 
@@ -553,28 +553,25 @@ def _split_view(t, Z):
 
 
 def test_held_scan_answers_as_a_fresh_one(all_towers):
-    # is_reduced and split_level on a set that holds its scans, made by
+    # is_reduced and split_level on a set that holds its scan, made by
     # is_reduced or by reduce_genset's passes, answer as on a fresh copy
     answers = set()
     for name, base in _BASES.items():
         t = all_towers[name]
         for seed in range(6):
             xs = _sampled_set(t, base, seed)
-            for h_radius in (2, 3):
-                for reduce_first in (False, True):
-                    Y = N.GenSet(t, xs)
-                    if reduce_first:
-                        R = N.reduce_genset(t, Y, h_radius)
-                    want = N.is_reduced(t, _fresh(t, Y), h_radius)
-                    for _ in range(2):
-                        assert N.is_reduced(t, Y, h_radius) == want, (
-                            name, seed, h_radius)
-                    if not reduce_first:
-                        R = N.reduce_genset(t, Y, h_radius)
-                    assert (N.is_reduced(t, R, h_radius)
-                            == N.is_reduced(t, _fresh(t, R), h_radius))
-                    assert _split_view(t, R) == _split_view(t, _fresh(t, R))
-                    answers.add(bool(want))
+            for reduce_first in (False, True):
+                Y = N.GenSet(t, xs)
+                if reduce_first:
+                    R = N.reduce_genset(t, Y)
+                want = N.is_reduced(t, _fresh(t, Y))
+                for _ in range(2):
+                    assert N.is_reduced(t, Y) == want, (name, seed)
+                if not reduce_first:
+                    R = N.reduce_genset(t, Y)
+                assert N.is_reduced(t, R) == N.is_reduced(t, _fresh(t, R))
+                assert _split_view(t, R) == _split_view(t, _fresh(t, R))
+                answers.add(bool(want))
     assert answers == {False, True}
 
 
@@ -587,8 +584,8 @@ def test_weight_zero_conjugators_are_self_overlaps(all_towers):
         t = all_towers[name]
         for seed in range(6):
             R = N.reduce_genset(t, N.GenSet(t, _sampled_set(t, base, seed)))
-            ball = N._scan(R, N.H_RADIUS).ball
-            overlaps = N._overlaps(R, N.H_RADIUS)
+            ball = N._scan(R).ball
+            overlaps = N._overlaps(R)
             for y in R.positive():
                 mine = [h.key for f, h, _ in overlaps if f.key == y.key]
                 assert mine == [c.key for c in ball if c.key in mine]
@@ -601,7 +598,7 @@ def test_weight_zero_conjugators_are_self_overlaps(all_towers):
     assert met
 
 
-def _count_scans(monkeypatch):
+def _count_scan_builds(monkeypatch):
     """Calls of the builders a reducedness scan is made of."""
     calls = {"_products": 0, "ball": 0, "_product_heads": 0}
     for mod, name in ((N, "_products"), (N, "ball"), (T, "_product_heads")):
@@ -619,9 +616,9 @@ def test_reduced_set_is_scanned_once(all_towers, monkeypatch):
     # reduce_genset's last pass leaves its scan on the result: is_reduced
     # and split_level on it build no ball and no head.  A second is_reduced
     # on any set builds nothing (the first may still fold or collect the
-    # membership test a pass never queried); another radius is one new
-    # scan
-    calls = _count_scans(monkeypatch)
+    # membership test a pass never queried); a fresh copy of the result is
+    # one new scan
+    calls = _count_scan_builds(monkeypatch)
     none = {"_products": 0, "ball": 0, "_product_heads": 0}
     for name, base in _BASES.items():
         t = all_towers[name]
@@ -638,17 +635,17 @@ def test_reduced_set_is_scanned_once(all_towers, monkeypatch):
                 calls[k] = 0
             N.is_reduced(t, Y)
             assert calls == none, (name, seed)
-            N.is_reduced(t, R, 2)
+            F = _fresh(t, R)
+            N.is_reduced(t, F)
             assert calls["_products"] == 1, (name, seed)
             assert calls["ball"] >= 1, (name, seed)
             # one head row per positive generator
-            assert calls["_product_heads"] == len(R.positive()) > 0, (
+            assert calls["_product_heads"] == len(F.positive()) > 0, (
                 name, seed)
             for k in calls:
                 calls[k] = 0
-            N.is_reduced(t, R, 2)
+            N.is_reduced(t, F)
             assert calls == none, (name, seed)
-            assert sorted(R._scans) == [2, N.H_RADIUS]
 
 
 # ---------------------------------------------------------------------------
@@ -666,7 +663,7 @@ def test_step_bound_error_names_the_set(t1, monkeypatch):
 
 def test_closure_error_names_the_set(t1, monkeypatch):
     # a closure step that always makes a new set never stabilizes
-    monkeypatch.setattr(N, "_augment_closure", lambda Y, h_radius: (
+    monkeypatch.setattr(N, "_augment_closure", lambda Y: (
         Y.replace([], [], {"op": "augment"}), False))
     with pytest.raises(T.EngineError, match=re.escape(
             "closure augmentation of {a, b, z} did not stabilize")):
@@ -675,7 +672,7 @@ def test_closure_error_names_the_set(t1, monkeypatch):
 
 def test_mu_weight_error_names_the_set(t1, monkeypatch):
     Y = gens(t1, "a*z", "b*z")
-    cand = N._find_mu(Y, N._scan(Y, N.H_RADIUS).prods)
+    cand = N._find_mu(Y, N._scan(Y).prods)
     monkeypatch.setattr(N, "lambda_weight", lambda Y: 1)
     with pytest.raises(T.EngineError, match=re.escape(
             "mu did not decrease the weight of {b*z, z*b}")):

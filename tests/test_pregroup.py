@@ -52,7 +52,7 @@ def test_membership_requires_reduced(t1):
         with pytest.raises(TowerRejection) as ei:
             P.pz_membership(t1, Z, W(t1, "a"))
         assert ei.value.condition == "generating-set-not-reduced"
-        assert Z.reduced_at is None
+        assert not Z.certified
 
 
 def test_product_with_a_non_piece_is_rejected(t1):
@@ -65,13 +65,13 @@ def test_product_with_a_non_piece_is_rejected(t1):
     assert ei.value.detail == render(t1, W(t1, "z*a*z"))
 
 
-def _count_scans(monkeypatch):
+def _count_is_reduced(monkeypatch):
     calls = []
     real = N.is_reduced
 
-    def counting(t, Y, h_radius=N.H_RADIUS):
-        calls.append(h_radius)
-        return real(t, Y, h_radius)
+    def counting(t, Y):
+        calls.append(Y)
+        return real(t, Y)
 
     monkeypatch.setattr(N, "is_reduced", counting)
     return calls
@@ -95,21 +95,12 @@ def test_certified_set_is_not_scanned(t1, monkeypatch):
 
 
 def test_uncertified_set_is_scanned_once(t1, monkeypatch):
-    calls = _count_scans(monkeypatch)
+    calls = _count_is_reduced(monkeypatch)
     Z = zset(t1, "a", "b", "z")
     _use_pieces(t1, Z)
     _use_pieces(t1, Z)
-    assert calls == [N.H_RADIUS]
-    assert Z.reduced_at == N.H_RADIUS
-
-
-def test_other_radius_is_scanned_again(t1, monkeypatch):
-    R = N.reduce_genset(t1, zset(t1, "a*z", "b*z"), h_radius=2)
-    assert R.reduced_at == 2
-    calls = _count_scans(monkeypatch)
-    _use_pieces(t1, R)
-    assert calls == [N.H_RADIUS]
-    assert R.reduced_at == N.H_RADIUS
+    assert calls == [Z]
+    assert Z.certified
 
 
 def test_product_defined_examples(t1):
@@ -201,7 +192,7 @@ def test_split_level_builds_no_top_level_conjugate(t1, t_ab, fa3, surf2,
 
     for t, ss in cases:
         Z = zset(t, *ss)
-        Z.reduced_at = N.H_RADIUS  # canonical sets are reduced
+        Z.certified = True  # canonical sets are reduced
         monkeypatch.setattr(T, "multiply", counting)
         sp = P.split_level(t, Z)
         monkeypatch.setattr(T, "multiply", real)
