@@ -248,16 +248,18 @@ H_RADIUS = 3  # radius of the weight-zero multiplier ball and ball searches
 
 
 def subgroup_contains(t, gens, x: Elem) -> bool:
-    """Membership of x in <gens>.  Exact when everything lives in the base
-    free layer (folded subgroup graph); otherwise a search of the ball of
-    radius H_RADIUS, which is sound but not complete."""
+    """Membership of x in <gens>.  Exact whenever the generators are words:
+    a word x is tested on the folded subgroup graph (Stallings), and an x
+    above the base layer is outside, as every product of words is a word.
+    Otherwise a search of the ball of radius H_RADIUS, which is sound but
+    not complete."""
     return _membership(t, gens)(x)
 
 
 def _membership(t, gens):
     """subgroup_contains(t, gens, .) for many queries: the subgroup graph
     is folded once, on the first word query, and the ball's keys are
-    collected once, on the first other one."""
+    collected once, on the first query the ball decides."""
     words = all(g.level == 1 for g in gens)
     fold = keys = None
 
@@ -267,7 +269,9 @@ def _membership(t, gens):
             return True
         if not gens:
             return False
-        if words and x.level == 1:
+        if words:
+            if x.level > 1:
+                return False
             if fold is None:
                 fold = _fold_graph([g.word for g in gens])
             base, trans = fold

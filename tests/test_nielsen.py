@@ -495,6 +495,26 @@ def test_subgroup_contains_exact_base(t1):
                                    W(t1, "a"))
 
 
+def test_word_generators_answer_higher_elements_without_a_ball(
+        t1, monkeypatch):
+    # every product of words is a word, so an element above the base layer
+    # lies outside a subgroup generated by words; no ball is walked to say
+    # so, and a product that normalizes to a word is tested on the fold
+    real = N.ball
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(N, "ball", counting)
+    a, b = W(t1, "a"), W(t1, "b")
+    assert not N.subgroup_contains(t1, [a, b], W(t1, "z"))
+    assert not N.subgroup_contains(t1, [a, b], W(t1, "a*z*a^-1"))
+    assert N.subgroup_contains(t1, [a, b], W(t1, "z^-1*a*z*a"))
+    assert calls == []
+
+
 def test_ball_deterministic(t1):
     g = [W(t1, "a"), W(t1, "b")]
     b1 = [x.key for x in N.ball(t1, g, 2)]
