@@ -18,8 +18,8 @@ FORMAT = "znfree-tower-v1"
 
 
 class TowerFileError(ValueError):
-    """Malformed tower document (syntax, schema, or unknown keys), or a
-    letter that extend_hnn rejects."""
+    """Malformed tower document (syntax, schema, or unknown keys), or an
+    alphabet or a letter that the tower rejects."""
 
 
 _TOP_KEYS = {"format", "alphabet", "letters", "aliases"}
@@ -77,7 +77,10 @@ def from_dict(doc) -> GroupTower:
     if doc.get("format") != FORMAT:
         raise TowerFileError(f"format must be {FORMAT!r}")
     alphabet = _strings(doc.get("alphabet"), "alphabet")
-    t = base_tower([_name(s, "alphabet symbol") for s in alphabet])
+    try:
+        t = base_tower([_name(s, "alphabet symbol") for s in alphabet])
+    except TowerRejection as e:
+        raise TowerFileError(f"alphabet {alphabet!r} rejected: {e}")
     letters = doc.get("letters", [])
     if not isinstance(letters, list):
         raise TowerFileError("letters must be a list")

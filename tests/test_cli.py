@@ -172,6 +172,17 @@ def test_rejected_letter_exit_2(capsys, tmp_path):
                    "admissible-pair: proper-power\n")
 
 
+def test_rejected_alphabet_exit_2(capsys, tmp_path):
+    # a repeated alphabet symbol is a bad input file too, not an answer
+    path = tmp_path / "duplicate.tower"
+    path.write_text('{"format": "znfree-tower-v1", "alphabet": ["a", "a"], '
+                    '"letters": []}')
+    code, out, err = run(capsys, "eval", "-t", str(path), "a")
+    assert (code, out) == (2, "")
+    assert err == ("error: alphabet ['a', 'a'] rejected: "
+                   "alphabet-duplicate\n")
+
+
 def test_missing_tower_exit_2(capsys):
     code, _, err = run(capsys, "eval", "-t", "/nonexistent.tower", "a")
     assert code == 2

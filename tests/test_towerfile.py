@@ -3,6 +3,7 @@
 import pytest
 
 from znfree import axioms, factory, towerfile as TF
+from znfree.tower import TowerRejection
 
 
 def test_roundtrip_all_factory_towers(all_towers):
@@ -44,6 +45,15 @@ def test_rejects_invalid_json():
 def test_rejects_bad_alphabet():
     with pytest.raises(TF.TowerFileError):
         TF.loads('{"format": "znfree-tower-v1", "alphabet": "ab"}')
+
+
+def test_rejects_repeated_alphabet_symbol():
+    # the tower's own rejection, named with the alphabet it came from
+    with pytest.raises(TF.TowerFileError) as ei:
+        TF.loads('{"format": "znfree-tower-v1", "alphabet": ["a", "b", "a"]}')
+    assert str(ei.value) == ("alphabet ['a', 'b', 'a'] rejected: "
+                             "alphabet-duplicate")
+    assert isinstance(ei.value.__context__, TowerRejection)
 
 
 _LETTERS = '"format": "znfree-tower-v1", "alphabet": ["a", "b"], "letters": '
