@@ -3,8 +3,9 @@ rejection, 2 usage or syntax error, 3 internal engine error."""
 
 import pytest
 
-from znfree import factory, tower as T, towerfile
+from znfree import factory, pregroup, tower as T, towerfile
 from znfree.cli import run_command
+from znfree.wordexpr import parse_word
 
 
 @pytest.fixture(scope="module")
@@ -98,6 +99,30 @@ def test_verify_pregroup(capsys, t1_file):
     code, out, _ = run(capsys, "verify-pregroup", "-t", t1_file,
                        "a", "b", "z", "--samples", "30")
     assert code == 0 and "pregroup OK" in out
+
+
+def test_check_axioms_violation_exit_1(capsys, t1_file, monkeypatch):
+    # with the identity made to read a nonzero length, the suite's report
+    # is printed on stdout and the command exits 1
+    real = T.length
+    monkeypatch.setattr(T, "length", lambda t, g: (
+        (0, 1) if T.is_identity(g) else real(t, g)))
+    code, out, err = run(capsys, "check-axioms", "-t", t1_file,
+                         "--samples", "0")
+    assert (code, out, err) == (
+        1, "L1 g0=1 detail=identity has nonzero length\n", "")
+
+
+def test_verify_pregroup_failure_exit_1(capsys, t1_file, monkeypatch):
+    # with every reduced sequence one z too heavy, the failure is printed
+    # on stdout and the command exits 1
+    real = pregroup.reduce_psequence
+    monkeypatch.setattr(pregroup, "reduce_psequence", lambda t, Z, seq: (
+        pregroup.PSequence(real(t, Z, seq).items + [parse_word(t, "z")])))
+    code, out, err = run(capsys, "verify-pregroup", "-t", t1_file,
+                         "a", "b", "z", "--samples", "1")
+    assert (code, out, err) == (
+        1, "weight-not-additive: b^-1*z sum=2 weight=1\n", "")
 
 
 def test_verify_pregroup_rejects_unreduced(capsys, t1_file):

@@ -169,6 +169,39 @@ def test_verify_trivial_free(t1):
     assert rep.ok
 
 
+def _membership_alternates(monkeypatch, t):
+    # x and x^-1 get different answers
+    answers = itertools.cycle([True, False])
+    monkeypatch.setattr(P, "pz_membership", lambda t, Z, x: next(answers))
+
+
+def _second_reduction_longer(monkeypatch, t):
+    # the refactored sequence, reduced second, gains an identity item
+    real = P.reduce_psequence
+    calls = itertools.count()
+    monkeypatch.setattr(P, "reduce_psequence", lambda t, Z, seq: P.PSequence(
+        real(t, Z, seq).items + [T.EPS] * (next(calls) % 2)))
+
+
+def _reductions_gain_z(monkeypatch, t):
+    # both reductions gain z, so their weights sum one too high
+    real = P.reduce_psequence
+    z = W(t, "z")
+    monkeypatch.setattr(P, "reduce_psequence", lambda t, Z, seq: P.PSequence(
+        real(t, Z, seq).items + [z]))
+
+
+@pytest.mark.parametrize("broken, want", [
+    (_membership_alternates, "inverse-closure: z^-1*a^2"),
+    (_second_reduction_longer, "length-mismatch: b^-1*z -> 1 vs 2"),
+    (_reductions_gain_z, "weight-not-additive: b^-1*z sum=2 weight=1"),
+], ids=["inverse-closure", "length-mismatch", "weight-not-additive"])
+def test_verify_pregroup_reports_each_failure(t1, monkeypatch, broken, want):
+    broken(monkeypatch, t1)
+    rep = P.verify_pregroup(t1, zset(t1, "a", "b", "z"), 1, seed=0)
+    assert (rep.ok, rep.checked, rep.failures) == (False, 1, [want])
+
+
 def test_split_level_builds_no_top_level_conjugate(t1, t_ab, fa3, surf2,
                                                    ns3, monkeypatch):
     # witnesses and their images are read along y's pinch chain, so no
