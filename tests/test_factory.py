@@ -85,6 +85,21 @@ def test_free_product_embeds_lengths(t1, t_ab):
     assert T.verify_phi_conjugation(tp) == []
 
 
+def test_free_product_remaps_second_factor_aliases(t1, ns3):
+    # ns3's alias x1 = x1r*x2^-1 comes along from the second factor, with a
+    # prime where its name is taken, and the relator it satisfies holds
+    rel = "x1*x2*x3*x1^-1*(x3^-1*x2)^-1"
+    tp = factory.free_product(t1, ns3)
+    assert list(tp.aliases) == ["x1"]
+    assert T.is_identity(W(tp, rel))
+    tq = factory.free_product(ns3, ns3)
+    assert list(tq.aliases) == ["x1", "x1'"]
+    assert T.equals(tq, W(tq, "x1'"), W(tq, "x1r'*x2'^-1"))
+    assert T.is_identity(W(tq, rel))
+    assert T.is_identity(W(tq, rel.replace("x1", "x1'").replace(
+        "x2", "x2'").replace("x3", "x3'")))
+
+
 def test_check_regular_basis(t1):
     assert factory.check_regular_basis(t1, [W(t1, "a"), W(t1, "b")])
     assert not factory.check_regular_basis(

@@ -423,6 +423,18 @@ def _side_records(t):
             for name in t.letters for sign in (1, -1)]
 
 
+def test_ends_decide_needs_a_letters_axes_before_it(t1, fa3):
+    # a letter element that is not first decides by its end steps only when
+    # its letter's source and target generators all come earlier: z (a -> b)
+    # after b alone does not, after a and b it does, and first it always
+    # does, as z2 (a -> a) after a does
+    a, b, z = W(t1, "a"), W(t1, "b"), W(t1, "z")
+    assert not T._ends_decide(t1, [b, z])
+    assert T._ends_decide(t1, [a, b, z])
+    assert T._ends_decide(t1, [z])
+    assert T._ends_decide(fa3, [W(fa3, "a"), W(fa3, "z2")])
+
+
 def test_peel_tests_whole_only_where_the_end_cannot_decide(t1, surf2, ns3,
                                                            fa3, monkeypatch):
     # no word is tested whole; the head rows of the reducedness scan on
