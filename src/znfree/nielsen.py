@@ -15,14 +15,19 @@ The searches over weight-zero multipliers h have one owner each, read by
 both the reduction loop and is_reduced: _shared_heads yields the (b) records
 (the mu candidates), _self_overlaps the self-overlaps, whose partial ones
 are (c) records and eta candidates and whose total ones feed the closure and
-(d).  They read the head of h*g for every positive generator g and every
-multiplier h, from one table with a row per g.  com(f, h*g) has positive
-weight exactly when the heads of f and h*g (tower._head: the first margin
-and the first block) are equal.  The row of g is tower._product_heads: each
-head is h times g's first margin, settled against g's first block; the row
-reads that margin, the block and its side record once, and settles a word
-margin on the word tuples without making an Elem.  So the (b) scan builds
-no product and no com at all.
+(d).  They read the heads of the products h*g, from one table with a row
+per positive generator g.  com(f, h*g) has positive weight exactly when
+the heads of f and h*g (tower._head: the first margin and the first block)
+are equal, so both read only the entries equal to some positive
+generator's head, and a row holds just those, in ball order
+(tower._product_hits).  Each head is h times g's first margin m_g, settled
+against g's first block (tower._product_heads).  Where h, m_g and the
+block's head period are words, settling multiplies by powers of the left
+axis generator c on the right only, so h*g has the head of an f with first
+margin m_f only if h = m_f*c^k*m_g^-1.  The row looks these candidates up
+in the ball by their words, over the k that the ball's longest word
+allows, and settles only the ones it finds; any other row is the full row,
+cut to its hits.  So the (b) scan builds no product and no com at all.
 The overlap scan builds h*f and its com only for each positive-weight
 overlap, whose head u it keeps, and the (d) test follows f's pinch chain
 (tower._weight_zero_conjugate) instead of building f^-1*h*f.
@@ -463,12 +468,15 @@ def _overlaps(Y):
 
 
 def _products(Y, hs):
-    """{g.key: [(h, head of h*g) for h in hs]} over the positive generators
-    g: the one table that a pass's scans read, one row per g
-    (tower._product_heads); no h*g is built."""
+    """{g.key: [(h, head of h*g) for h in hs if that head is a positive
+    generator's]} over the positive generators g: the one table that a
+    pass's scans read, one row per g (tower._product_hits); no h*g is
+    built."""
     t = Y.tower
-    return {g.key: list(zip(hs, T._product_heads(t, g, hs)))
-            for g in Y.positive()}
+    pos = Y.positive()
+    heads = {T._head(t, g) for g in pos}
+    index = T._ball_index(hs)
+    return {g.key: T._product_hits(t, g, hs, index, heads) for g in pos}
 
 
 def _shared_heads(Y, prods, f):

@@ -126,8 +126,8 @@ block's head period are both words, the block's left axis is <c> and the
 head period is c^+-1.  `_settle_word` then takes margin phase 1's steps on
 the tuple: copies of c^+-1 stripped off the right end, as `_peel`'s level-1
 step strips them, and the head period multiplied in where the junction
-cancels, as `_additive` finds it.  `_settle_left` chooses it, and so does
-`_product_heads` for a row whose products are words.  On a word,
+cancels, as `_additive` finds it.  `_settle_left` chooses it, and
+`_product_hits` settles its hits with it.  On a word,
 `abelian_exponents` is `_peel`'s strip reaching the identity: c is
 cyclically reduced, so c^k is c's word k times over.  Each kernel takes the
 general path's steps in the same order, so its answers are the general
@@ -154,6 +154,21 @@ h*g over h in hs (each its first margin with the letter and sign of its
 first block, see `_head`): h*g has g's blocks, and its first margin is h
 times g's settled against g's first block by margin phase 1
 (`_settle_left`, the loop `_margin_pass` runs too).
+`_product_hits(t, g, hs, index, heads)` is that row cut to its entries in
+heads, a set of heads, in the order of hs; where the products are words it
+settles only those.  Let every h of hs, g's first margin m and its first
+block's head period be words, so the left axis is <c> and the period
+c^+-1.  `_settle_word` takes two kinds of step on a word, stripping a copy
+of c^+-1 off its right end and multiplying the period in on the right, so
+the entry of h is the word h*m*c^j for some j.  It equals a head with the
+block's letter and sign and a word margin m_f only if h = m_f*c^k*m^-1,
+k = -j.  c is cyclically reduced, so c^k is c's word |k| times over, and
+c^k = m_f^-1*h*m gives |k|*|c| <= |m_f| + l + |m|, l the length of the
+longest word of hs.  So every hit is one of the candidates m_f*c^k*m^-1 over
+that range of k, and the row looks each one up in hs by its word
+(`_ball_index`, made once per hs), settles the ones it finds as the full
+row does and keeps those whose head is in heads.  A row with a non-word
+h, margin or period is the full row, cut.
 `_weight_zero_conjugate(t, y, c)`, for c of weight zero, is y^-1*c*y when
 that has weight 0 and None otherwise: it follows the middle of the word
 through y's blocks, one pinch at a time, and stops at the first block whose
@@ -341,6 +356,11 @@ class GroupTower:
             self.letters[sl.name] = sl
         self.rank = max([1] + [sl.level for sl in self.letters.values()])
         self.aliases = dict(aliases or {})
+        for name in self.aliases:
+            # gen_elem reads symbols and letters first: such an alias is
+            # never read
+            if name in self.index or name in self.letters:
+                raise TowerRejection("alias-name-conflict", name)
         self._sides: dict[tuple[str, int], _Side] = {}
         self._transfers: dict[tuple[str, int, str, int], tuple] = {}
 
@@ -1052,8 +1072,8 @@ def _head(t: GroupTower, x: Elem):
 
 def _product_heads(t: GroupTower, g: Elem, hs):
     """[_head(t, h*g) for h in hs], for hs of weight zero and g of positive
-    weight, without building any h*g: one row of the reducedness scan's
-    head table."""
+    weight, without building any h*g: the full row of the reducedness scan's
+    head table, which _product_hits cuts to its hits."""
     # At rank 1 the only element of weight zero is the identity, so this is
     # g's own head.  Above it let g = m0 B1 m1 ... Bk mk; multiply hands
     # build the list [h*m0, B1, m1, ..., Bk, mk], all of whose pinch
@@ -1073,25 +1093,67 @@ def _product_heads(t: GroupTower, g: Elem, hs):
     #    write blocks and the elements right of them.  Phase 1 reads only
     #    the block's letter and sign, and its loop stops at a fixed point, so
     #    later passes leave parts[0] as the first pass left it.
-    # Hence the first margin of h*g is h*m0 settled against B1.  The row
-    # reads m0, B1 and its side record once.  Where h, m0 and B1's head
-    # period are words, _settle_left would take _settle_word's path, and the
-    # row takes it on the word h*m0 directly; a word's key is ("w", word).
+    # Hence the first margin of h*g is h*m0 settled against B1.
     if t.rank == 1:
         return [_head(t, multiply(t, h, g)) for h in hs]
     m0, blk = g.parts[0], g.parts[1]
-    s = _side(t, blk)
-    letter, sign = blk.letter, blk.sign
-    m0w = m0.word if m0.level == 1 and s.head.level == 1 else None
-    out = []
-    for h in hs:
-        if m0w is not None and h.level == 1:
-            w = _settle_word(t, W.w_mul(h.word, m0w), blk, s)[0]
-            out.append((("w", w), letter, sign))
-        else:
-            e = _settle_left(t, multiply(t, h, m0), blk)[0]
-            out.append((e.key, letter, sign))
-    return out
+    return [(_settle_left(t, multiply(t, h, m0), blk)[0].key, blk.letter,
+             blk.sign) for h in hs]
+
+
+def _ball_index(hs):
+    """(word -> position in hs, the longest word's length) when every
+    element of hs is a word, else None: what _product_hits looks up."""
+    at = {}
+    for i, h in enumerate(hs):
+        if h.level > 1:
+            return None
+        at[h.word] = i
+    return at, max(map(len, at), default=0)
+
+
+def _product_hits(t: GroupTower, g: Elem, hs, index, heads):
+    """[(h, _head(t, h*g)) for h in hs if that head is in heads], in the
+    order of hs, for hs of weight zero with index = _ball_index(hs), g of
+    positive weight and heads a set of heads: the hits of one row of the
+    reducedness scan's head table.  Where the row's products are words they
+    are found by a lookup, without settling the other entries."""
+    # Where every h, g's first margin m0 and its first block's head period
+    # are words, a hit on a head with word margin m is h = m*c^k*m0^-1 with
+    # |k|*|c| <= l + |m| + |m0|, l the longest word of hs (module
+    # docstring); each candidate in hs is settled as _product_heads settles
+    # it.  Any other row is the full row, cut to its hits.
+    if t.rank > 1 and index is not None:
+        m0, blk = g.parts[0], g.parts[1]
+        s = _side(t, blk)
+        if m0.level == 1 and s.head.level == 1:
+            at, longest = index
+            letter, sign = blk.letter, blk.sign
+            c, ci = s.left[0].word, s.left_inv[0].word
+            m0w = m0.word
+            m0i = W.w_inv(m0w)
+            found = set()
+            for key, f_letter, f_sign in heads:
+                if f_letter != letter or f_sign != sign or key[0] != "w":
+                    continue
+                m = key[1]
+                reach = (longest + len(m) + len(m0w)) // len(c)
+                mc = W.w_mul(m, ci * reach)
+                for _ in range(2 * reach + 1):
+                    i = at.get(W.w_mul(mc, m0i))
+                    if i is not None:
+                        found.add(i)
+                    mc = W.w_mul(mc, c)
+            out = []
+            for i in sorted(found):
+                h = hs[i]
+                w = _settle_word(t, W.w_mul(h.word, m0w), blk, s)[0]
+                head = (("w", w), letter, sign)
+                if head in heads:
+                    out.append((h, head))
+            return out
+    return [(h, x) for h, x in zip(hs, _product_heads(t, g, hs))
+            if x in heads]
 
 
 def _weight_zero_conjugate(t: GroupTower, y: Elem, c: Elem) -> Elem | None:

@@ -19,7 +19,7 @@ FORMAT = "znfree-tower-v1"
 
 class TowerFileError(ValueError):
     """Malformed tower document (syntax, schema, or unknown keys), or an
-    alphabet or a letter that the tower rejects."""
+    alphabet, a letter or an alias that the tower rejects."""
 
 
 _TOP_KEYS = {"format", "alphabet", "letters", "aliases"}
@@ -106,9 +106,12 @@ def from_dict(doc) -> GroupTower:
         if not isinstance(v, str):
             raise TowerFileError(f"alias {k!r} must be a string")
     if aliases:
-        t = GroupTower(t.symbols, t.letters.values(),
-                       {k: _words(t, [v], f"alias {k!r}")[0]
-                        for k, v in aliases.items()})
+        parsed = {k: _words(t, [v], f"alias {k!r}")[0]
+                  for k, v in aliases.items()}
+        try:
+            t = GroupTower(t.symbols, t.letters.values(), parsed)
+        except TowerRejection as e:
+            raise TowerFileError(f"alias {e.detail!r} rejected: {e}")
     return t
 
 

@@ -208,6 +208,18 @@ def test_rejected_alphabet_exit_2(capsys, tmp_path):
                    "alphabet-duplicate\n")
 
 
+def test_rejected_alias_exit_2(capsys, tmp_path):
+    # an alias named after an alphabet symbol would never be read: the file
+    # is rejected, where it used to print the symbol's own normal form
+    path = tmp_path / "alias.tower"
+    path.write_text('{"format": "znfree-tower-v1", "alphabet": ["a", "b"], '
+                    '"letters": [], "aliases": {"a": "b"}}')
+    code, out, err = run(capsys, "eval", "-t", str(path), "a")
+    assert (code, out) == (2, "")
+    assert err == ("error: alias 'a' rejected: "
+                   "alias-name-conflict: a\n")
+
+
 def test_missing_tower_exit_2(capsys):
     code, _, err = run(capsys, "eval", "-t", "/nonexistent.tower", "a")
     assert code == 2

@@ -170,6 +170,7 @@ _REJECTED = {
     "alphabet-duplicate": lambda: T.GroupTower(["a", "a"]),
     "letter-name-conflict":
         lambda: T.GroupTower(["a"], [T.StableLetter("a", 2, (_A,), (_A,))]),
+    "alias-name-conflict": lambda: T.GroupTower(["a"], aliases={"a": _A}),
     "centralizer-not-cyclically-reduced":
         lambda: _w(factory.t1(), ["b*a*b^-1", "z"], ["b*a*b^-1", "z"]),
     "centralizer-not-abelian":

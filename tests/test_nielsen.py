@@ -618,10 +618,62 @@ def test_weight_zero_conjugators_are_self_overlaps(all_towers):
     assert met
 
 
+def test_scan_rows_are_the_full_rows_hits(all_towers, monkeypatch):
+    # each row of every scan that reduce_genset's passes make is the full
+    # row of heads (tower._product_heads) cut to the entries equal to a
+    # positive generator's head, in ball order.  t1, t_ab, surf2 and ns3
+    # take the lookup, fa3 the full row; on the lookup path a hit is
+    # h = m_f*c^k*m_g^-1, and the sets reach both block signs, a first
+    # margin m_g != 1 and hits at k < 0 and at k > 0
+    seen = []
+    real = N._products
+
+    def recording(Y, hs):
+        seen.append((Y, hs))
+        return real(Y, hs)
+
+    monkeypatch.setattr(N, "_products", recording)
+    met = {"lookup": set(), "full": 0}
+    for name, base in _BASES.items():
+        t = all_towers[name]
+        seen.clear()
+        for seed in range(6):
+            N.reduce_genset(t, N.GenSet(t, _sampled_set(t, base, seed)))
+        for Y, hs in seen:
+            pos = Y.positive()
+            heads = {T._head(t, g) for g in pos}
+            words = T._ball_index(hs) is not None
+            prods = N._scan(Y).prods
+            for g in pos:
+                row = prods[g.key]
+                m_g, blk = g.parts[0], g.parts[1]
+                lookup = (words and m_g.level == 1
+                          and T._side(t, blk).head.level == 1)
+                assert lookup == (name != "fa3"), name
+                want = [(h.key, x) for h, x in
+                        zip(hs, T._product_heads(t, g, hs)) if x in heads]
+                assert [(h.key, x) for h, x in row] == want, (
+                    name, render(t, g))
+                if not lookup:
+                    met["full"] += len(row)
+                    continue
+                c = T._side(t, blk).left[0].word
+                for h, x in row:
+                    ck = w_mul(w_mul(w_inv(x[0][1]), h.word), m_g.word)
+                    k = len(ck) // len(c) * (1 if ck[:len(c)] == c else -1)
+                    assert ck == (c * k if k > 0 else w_inv(c) * -k)
+                    met["lookup"].add(("sign", blk.sign))
+                    met["lookup"].add(("m_g", m_g.word != ()))
+                    met["lookup"].add(("k", (k > 0) - (k < 0)))
+    assert met["lookup"] >= {("sign", 1), ("sign", -1), ("m_g", True),
+                             ("k", -1), ("k", 1)}, met
+    assert met["full"], met
+
+
 def _count_scan_builds(monkeypatch):
     """Calls of the builders a reducedness scan is made of."""
-    calls = {"_products": 0, "ball": 0, "_product_heads": 0}
-    for mod, name in ((N, "_products"), (N, "ball"), (T, "_product_heads")):
+    calls = {"_products": 0, "ball": 0, "_product_hits": 0}
+    for mod, name in ((N, "_products"), (N, "ball"), (T, "_product_hits")):
         real = getattr(mod, name)
 
         def counting(*args, _real=real, _name=name):
@@ -639,7 +691,7 @@ def test_reduced_set_is_scanned_once(all_towers, monkeypatch):
     # membership test a pass never queried); a fresh copy of the result is
     # one new scan
     calls = _count_scan_builds(monkeypatch)
-    none = {"_products": 0, "ball": 0, "_product_heads": 0}
+    none = {"_products": 0, "ball": 0, "_product_hits": 0}
     for name, base in _BASES.items():
         t = all_towers[name]
         for seed in range(3):
@@ -660,7 +712,7 @@ def test_reduced_set_is_scanned_once(all_towers, monkeypatch):
             assert calls["_products"] == 1, (name, seed)
             assert calls["ball"] >= 1, (name, seed)
             # one head row per positive generator
-            assert calls["_product_heads"] == len(F.positive()) > 0, (
+            assert calls["_product_hits"] == len(F.positive()) > 0, (
                 name, seed)
             for k in calls:
                 calls[k] = 0

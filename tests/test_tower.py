@@ -437,8 +437,8 @@ def test_ends_decide_needs_a_letters_axes_before_it(t1, fa3):
 
 def test_peel_tests_whole_only_where_the_end_cannot_decide(t1, surf2, ns3,
                                                            fa3, monkeypatch):
-    # no word is tested whole; the head rows of the reducedness scan on
-    # the canonical sets come from end steps alone; on the nf-deep towers every
+    # no word is tested whole; the full head rows (_product_heads) on the
+    # canonical sets come from end steps alone; on the nf-deep towers every
     # axis list is one whose end steps decide membership, so products,
     # inverses, com and gromov2 test nothing whole; and on the w tower,
     # whose axis generator no end step peels, the whole test runs and hits

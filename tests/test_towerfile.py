@@ -17,9 +17,13 @@ def test_roundtrip_all_factory_towers(all_towers):
         assert bad == [], name
 
 
-def test_alias_survives_roundtrip(ns3):
-    t2 = TF.loads(TF.dumps(ns3))
-    assert "x1" in t2.aliases
+def test_alias_survives_roundtrip(ns3, t1):
+    # ns3's x1, and the aliases free_product keeps or renames (x1, x1')
+    for t, names in ((ns3, {"x1"}), (factory.free_product(ns3, ns3),
+                                     {"x1", "x1'"}),
+                     (factory.free_product(t1, ns3), {"x1"})):
+        t2 = TF.loads(TF.dumps(t))
+        assert set(t2.aliases) == names
 
 
 def test_rejects_bad_format():
@@ -53,6 +57,20 @@ def test_rejects_repeated_alphabet_symbol():
         TF.loads('{"format": "znfree-tower-v1", "alphabet": ["a", "b", "a"]}')
     assert str(ei.value) == ("alphabet ['a', 'b', 'a'] rejected: "
                              "alphabet-duplicate")
+    assert isinstance(ei.value.__context__, TowerRejection)
+
+
+@pytest.mark.parametrize("name", ["a", "z"])
+def test_rejects_alias_named_after_a_symbol_or_letter(name):
+    # symbols and letters are read before aliases, so such an alias would
+    # never be read
+    with pytest.raises(TF.TowerFileError) as ei:
+        TF.loads('{"format": "znfree-tower-v1", "alphabet": ["a", "b"], '
+                 '"letters": [{"name": "z", "source_gens": ["a"], '
+                 '"target_gens": ["b"]}], '
+                 f'"aliases": {{"{name}": "b"}}}}')
+    assert str(ei.value) == (f"alias {name!r} rejected: "
+                             f"alias-name-conflict: {name}")
     assert isinstance(ei.value.__context__, TowerRejection)
 
 
