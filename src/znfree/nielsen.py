@@ -37,16 +37,16 @@ them.  It holds each member's inverse from construction (GenSet.inverse).
 pair_reps, replace, mu, the closure step and pregroup read it instead of
 inverting a member again, and the set replace builds takes the kept
 members' inverses along.  It holds one reducedness scan (_scan), made when
-first asked for: the weight-zero multiplier ball of radius H_RADIUS, the
-head table, the zero part's membership test (_membership: the subgroup
-graph is folded once, or above the base layer the keys of its ball are
-collected once) and the self-overlaps, found when first read.  Each pass
-of the loop reads the scan of the set it works on; the pass that ends the
-loop leaves the result's scan held, and is_reduced and
-pregroup.split_level read that scan instead of building their own.  The
-closure step starts from the held membership test and makes a new one only
-when it adds elements.  Over word generators, ball runs on the word tuples
-and builds one Elem per new element.
+first asked for: the head table over the weight-zero multiplier ball of
+radius H_RADIUS (the ball itself is not kept), the zero part's membership
+test (_membership: the subgroup graph is folded once, or above the base
+layer the keys of its ball are collected once) and the self-overlaps, found
+when first read.  Each pass of the loop reads the scan of the set it works
+on; the pass that ends the loop leaves the result's scan held, and
+is_reduced and pregroup.split_level read that scan instead of building
+their own.  The closure step starts from the held membership test and makes
+a new one only when it adds elements.  Over word generators, ball runs on
+the word tuples and builds one Elem per new element.
 
 When the loop's last pass finds no (d) record either, its result is
 certified: GenSet.certified, False on every new set, is read and written
@@ -440,14 +440,11 @@ _MAX_AUGMENT = 8
 class _Scan:
     """A set's reducedness scan (see the module docstring)."""
 
-    __slots__ = ("ball", "prods", "member", "overlaps")
+    __slots__ = ("prods", "member", "overlaps")
 
     def __init__(self, Y):
-        t = Y.tower
-        zero = Y.zero()
-        self.ball = ball(t, zero, H_RADIUS)
-        self.prods = _products(Y, self.ball)
-        self.member = _membership(t, zero)
+        self.prods = _products(Y)
+        self.member = _membership(Y.tower, Y.zero())
         self.overlaps = None  # read through _overlaps
 
 
@@ -467,12 +464,13 @@ def _overlaps(Y):
     return s.overlaps
 
 
-def _products(Y, hs):
+def _products(Y):
     """{g.key: [(h, head of h*g) for h in hs if that head is a positive
-    generator's]} over the positive generators g: the one table that a
-    pass's scans read, one row per g (tower._product_hits); no h*g is
-    built."""
+    generator's]} over the positive generators g, hs being the weight-zero
+    multiplier ball of radius H_RADIUS: the one table that a pass's scans
+    read, one row per g (tower._product_hits); no h*g is built."""
     t = Y.tower
+    hs = ball(t, Y.zero(), H_RADIUS)
     pos = Y.positive()
     heads = {T._head(t, g) for g in pos}
     index = T._ball_index(hs)

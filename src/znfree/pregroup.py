@@ -8,6 +8,26 @@ greedily and all reduced sequences of the same element share their length
 and are weight-additive.  split_level recovers from Z the data of the top
 HNN layer: the weight-zero base, the stable letters, and the commuting
 subgroups each letter conjugates.
+
+decompose reads its one unknown off x and f instead of searching for it.
+Let x = h1*f*h2 with f a positive generator and h1, h2 of weight zero, and
+let p0 and q0 be the first margins of x and f.  By Britton's lemma
+(Lyndon-Schupp IV.2) h1*f keeps f's blocks, and margin phase 1 settles
+h1*q0 against f's first block and leaves x's first margin p0, taking off
+only material of that block's left axis: h1 = p0*a*q0^-1 with a in the
+first block's left axis.  a slides into that block's offset.  Either it
+stays there, and then equals the difference of x's and f's offsets at that
+block, or it passes on.  It passes only where the next block's left axis
+is the same maximal abelian subgroup across an identity margin: axes are
+maximal, and groups with a free Lambda-valued length function are
+commutative-transitive (Alperin-Bass, "Length functions of group actions
+on Lambda-trees", 1987).  There the normal form carries it whole into the
+next block, where the same holds.  So the first block j whose offset
+differs fixes a: with Q the part of f from its first block through block
+j, and r^d that difference over block j's right axis, a*Q = Q*r^d, so
+a = Q*r^d*Q^-1.  If no offset differs before the last block, a = 1 works,
+since h2 may take up any difference at the last block.  decompose tries
+a = 1, then that correction, and nothing else.
 """
 
 from __future__ import annotations
@@ -38,34 +58,9 @@ class LevelSplit:
     stable_letters: list  # (letter elem, source gens, target gens)
 
 
-_RADIUS = 8  # exponent bound of decompose's axis search
-
-
 def _skeleton(t, x):
     return [(p.letter, p.sign) for p in T._parts_at(t, x, t.rank)
             if isinstance(p, T.Block)]
-
-
-def _candidates(k):
-    """The exponent vectors of [-_RADIUS, _RADIUS]^k by l1 norm, and within
-    one norm in itertools.product order: sorted(product(range(-_RADIUS,
-    _RADIUS + 1), repeat=k), key=l1), made lazily, without a table."""
-    for n in range(k * _RADIUS + 1):
-        yield from _shell(k, n)
-
-
-def _shell(k, n):
-    """The vectors of that box with l1 norm n, in product order."""
-    if k == 0:
-        if n == 0:
-            yield ()
-        return
-    m = min(n, _RADIUS)
-    for v in range(-m, m + 1):
-        rest = n - abs(v)
-        if rest <= (k - 1) * _RADIUS:
-            for tail in _shell(k - 1, rest):
-                yield (v, *tail)
 
 
 @dataclass
@@ -79,13 +74,12 @@ def decompose(t, Z, x: Elem) -> Decomposition | None:
     """Write x as h1 * f * h2 with f in the positive part of Z and h1, h2 of
     weight zero, or return None.
 
-    The margin ambiguity (axis material crossing the first letter) is
-    resolved by an exponent search bounded by _RADIUS in each coordinate, so
-    very large axis corrections can be missed; the check that closes each
-    candidate is exact.  The search order is unchanged: by l1 norm, ties in
-    itertools.product order, which is the whole box sorted by norm; the
-    candidates are made lazily for each generator tried (_candidates), so
-    no table of the box is held."""
+    Exact, with no search: for each f with x's weight and blocks, h1 is
+    p0*a*q0^-1, p0 and q0 the first margins of x and f, and a is 1 or the
+    correction read off the first block before the last whose offset
+    differs between x and f (_axis_material, module docstring).  A correction carried past a
+    junction it does not pass leaves the axis, so h1 is checked to have
+    weight zero as h2 is."""
     if not isinstance(Z, N.GenSet):
         Z = N.GenSet(t, Z)
     if t.rank == 1:
@@ -95,20 +89,35 @@ def decompose(t, Z, x: Elem) -> Decomposition | None:
         return None
     sk = _skeleton(t, x)
     p0 = x.parts[0]
-    # axis generators that commute across the first block from the left
-    gens = T._side(t, x.parts[1]).left
     for f in Z.positive():
         if T.lam_len(t, f) != lam or _skeleton(t, f) != sk:
             continue
         q0i = T.invert(t, f.parts[0])
         fi = Z.inverse(f)
-        for exps in _candidates(len(gens)):
-            h1 = T.multiply(t, T.multiply(t, p0, T.gens_power(t, gens, exps)),
-                            q0i)
+        for a in _axis_material(t, x, f):
+            h1 = T.multiply(t, T.multiply(t, p0, a), q0i)
+            if T.lam_len(t, h1) != 0:
+                continue
             h2 = T.multiply(t, T.multiply(t, fi, T.invert(t, h1)), x)
             if T.lam_len(t, h2) == 0:
                 return Decomposition(h1, f, h2)
     return None
+
+
+def _axis_material(t, x, f):
+    """The two values decompose tries for a: 1, then, if some block before
+    the last has an offset that differs between x and f, Q*r^d*Q^-1 for the
+    first such block j, where Q is f's blocks and margins from the first
+    block through j and r^d is the offset difference over j's right axis:
+    a*Q = Q*r^d."""
+    yield EPS
+    j = next((j for j in range(1, len(f.parts) - 2, 2)
+              if x.parts[j].offset != f.parts[j].offset), None)
+    if j is not None:
+        q = T.build(t, t.rank, [EPS, *f.parts[1:j + 1], EPS])
+        d = [u - v for u, v in zip(x.parts[j].offset, f.parts[j].offset)]
+        r = T.gens_power(t, T._side(t, f.parts[j]).right, d)
+        yield T.multiply(t, T.multiply(t, q, r), T.invert(t, q))
 
 
 def pz_membership(t, Z, x: Elem) -> bool:

@@ -1,16 +1,18 @@
 """No module of the package imports a name it never uses, no private
-function or class is left behind, every guard rail and every named
+function, class or constant is left behind, every guard rail and every named
 rejection has a test, the Britton-lemma oracle reads no private name, and
 every expected failure names its exception.
 
 Six stdlib `ast` scans.  Every name a `src/znfree/*.py` module binds by an
 import must occur as a name somewhere in that module; `__init__.py` is
 exempt (it re-exports through `__all__`), and so are `from __future__`
-imports.  Every private (underscore) module-level function or class must be
-named somewhere in the package outside its own definition: as a name, an
-attribute or an imported name.  Every package function that raises
-`EngineError` (directly, as `T.EngineError`, or through `_margin_error`) must
-be named by a test function that also names `EngineError` or `_stuck`.
+imports.  Every private (underscore) module-level function, class or
+constant must be named somewhere in the package outside its own
+definition: as a name, an attribute or an imported name.  Dunder names are
+exempt, and a use in a test or the benchmark does not count.  Every
+package function that raises `EngineError` (directly, as `T.EngineError`,
+or through `_margin_error`) must be named by a test function that also
+names `EngineError` or `_stuck`.
 Every condition string the package passes to `TowerRejection` as a literal
 must occur as a string literal in a test file.
 `tests/britton_oracle.py` imports no underscore name and reads no underscore
@@ -67,18 +69,28 @@ def _names(node) -> set[str]:
     return out
 
 
+def _defined(node) -> list[str]:
+    """The names a top-level statement defines: a function's or class's
+    name, or the plain names an assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = (node.targets if isinstance(node, ast.Assign)
+               else [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [n.id for tg in targets for n in ast.walk(tg)
+            if isinstance(n, ast.Name)]
+
+
 def unnamed_privates(sources: dict[str, str]) -> list[str]:
-    """Private module-level functions and classes of the given modules (file
-    name -> source) that no other top-level statement of any of them
-    names."""
+    """Private module-level functions, classes and constants of the given
+    modules (file name -> source) that no other top-level statement of any
+    of them names; dunder names are exempt."""
     stmts = [(name, node, _names(node)) for name, source in sources.items()
              for node in ast.parse(source).body]
     return sorted(
-        f"{node.name} ({name} line {node.lineno})"
-        for name, node, _ in stmts
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and node.name.startswith("_")
-        and not any(node.name in used for _, other, used in stmts
+        f"{d} ({name} line {node.lineno})"
+        for name, node, _ in stmts for d in _defined(node)
+        if d.startswith("_") and not d.startswith("__")
+        and not any(d in used for _, other, used in stmts
                     if other is not node))
 
 
@@ -89,11 +101,16 @@ def test_scan_finds_unnamed_private():
                  "class _Lone:\n    pass\n"
                  "def _attr():\n    pass\n"
                  "def _imported():\n    pass\n"
-                 "def f():\n    return _called()\n"),
-        "b.py": "import a\nfrom a import _imported\na._attr()\n",
+                 "def f():\n    return _called()\n"
+                 "_RADIUS = 8\n_USED: int = 3\n__all__ = []\n"
+                 "_x, _y = 1, 2\n"),
+        "b.py": ("import a\nfrom a import _imported\na._attr()\n"
+                 "def g():\n    return a._USED + a._y\n"),
     }
     assert unnamed_privates(srcs) == ["_Lone (a.py line 5)",
-                                      "_recursive (a.py line 3)"]
+                                      "_RADIUS (a.py line 13)",
+                                      "_recursive (a.py line 3)",
+                                      "_x (a.py line 16)"]
 
 
 def test_every_private_is_named():

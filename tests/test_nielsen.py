@@ -58,6 +58,13 @@ def test_moves_raise_inapplicable(t1):
         N.mu(Y, z, a, T.EPS)  # g has weight zero
     with pytest.raises(N.Inapplicable):
         N.eta(Y, z, a)  # head overlap is total, not proper
+    Y = gens(t1, "a", "b", "z")
+    with pytest.raises(N.Inapplicable, match="positive-weight common head"):
+        N.mu(Y, z, T.invert(t1, z), T.EPS)  # com(z, z^-1) = 1
+    with pytest.raises(N.Inapplicable, match="eta needs positive-weight f"):
+        N.eta(Y, a, z)
+    with pytest.raises(N.Inapplicable, match="nu needs positive-weight f"):
+        N.nu(Y, a)
 
 
 def test_reduce_adds_closure(t1):
@@ -223,7 +230,7 @@ def test_scan_builds_h_f_only_for_self_overlaps(t1, t_ab, fa3, surf2, ns3,
 
 
 def _total_overlaps(t, Y):
-    prods = N._products(Y, N.ball(t, Y.zero(), N.H_RADIUS))
+    prods = N._products(Y)
     return [(f, h) for f, h, u in N._self_overlaps(Y, prods)
             if T.lam_len(t, u) == T.lam_len(t, f)]
 
@@ -411,7 +418,7 @@ def test_members_are_never_inverted_again(t1, monkeypatch):
     # a set holds each member's inverse from construction; pair_reps,
     # replace, mu, decompose and pz_product_defined read it
     Y = gens(t1, "a*z", "b*z")
-    f, g, h = N._find_mu(Y, N._products(Y, N.ball(t1, Y.zero(), 3)))
+    f, g, h = N._find_mu(Y, N._products(Y))
     Z = N.reduce_genset(t1, Y)
     readers = {"pair_reps", "replace", "mu", "decompose",
                "pz_product_defined"}
@@ -493,6 +500,10 @@ def test_subgroup_contains_exact_base(t1):
     assert N.subgroup_contains(t1, [a, ab], W(t1, "a^9*b*a^-9"))
     assert not N.subgroup_contains(t1, [W(t1, "a^2"), W(t1, "b")],
                                    W(t1, "a"))
+    # the trivial subgroup holds only the identity
+    assert N.subgroup_contains(t1, [], T.EPS)
+    assert not N.subgroup_contains(t1, [], a)
+    assert not N.subgroup_contains(t1, [], W(t1, "z"))
 
 
 def test_word_generators_answer_higher_elements_without_a_ball(
@@ -521,6 +532,27 @@ def test_ball_deterministic(t1):
     b2 = [x.key for x in N.ball(t1, g, 2)]
     assert b1 == b2
     assert T.EPS.key in b1
+
+
+def test_verify_witnesses_rejects_a_broken_log(t1):
+    # a log whose factors no longer rebuild their element fails the check
+    R = N.reduce_genset(t1, gens(t1, "a*z", "b*z"))
+    assert N.verify_witnesses(t1, R)
+    w = R.witness_log[0]["witnesses"][0]
+    w["factors"] = w["factors"] + [W(t1, "a")]
+    assert not N.verify_witnesses(t1, R)
+
+
+def test_plain_lists_are_taken_as_sets(t1):
+    # reduce_genset and is_reduced wrap a list in a GenSet: same answers
+    xs = [W(t1, "a*z"), W(t1, "b*z")]
+    R = N.reduce_genset(t1, xs)
+    assert isinstance(R, N.GenSet)
+    assert ([render(t1, g) for g in R.elements]
+            == [render(t1, g) for g in N.reduce_genset(t1, N.GenSet(t1, xs))
+                .elements])
+    assert N.is_reduced(t1, xs) == N.is_reduced(t1, N.GenSet(t1, xs)) != []
+    assert N.is_reduced(t1, list(R.pair_reps())) == []
 
 
 def test_witness_log_renders(t1):
@@ -604,7 +636,7 @@ def test_weight_zero_conjugators_are_self_overlaps(all_towers):
         t = all_towers[name]
         for seed in range(6):
             R = N.reduce_genset(t, N.GenSet(t, _sampled_set(t, base, seed)))
-            ball = N._scan(R).ball
+            ball = N.ball(t, R.zero(), N.H_RADIUS)
             overlaps = N._overlaps(R)
             for y in R.positive():
                 mine = [h.key for f, h, _ in overlaps if f.key == y.key]
@@ -628,9 +660,9 @@ def test_scan_rows_are_the_full_rows_hits(all_towers, monkeypatch):
     seen = []
     real = N._products
 
-    def recording(Y, hs):
-        seen.append((Y, hs))
-        return real(Y, hs)
+    def recording(Y):
+        seen.append(Y)
+        return real(Y)
 
     monkeypatch.setattr(N, "_products", recording)
     met = {"lookup": set(), "full": 0}
@@ -639,7 +671,8 @@ def test_scan_rows_are_the_full_rows_hits(all_towers, monkeypatch):
         seen.clear()
         for seed in range(6):
             N.reduce_genset(t, N.GenSet(t, _sampled_set(t, base, seed)))
-        for Y, hs in seen:
+        for Y in seen:
+            hs = N.ball(t, Y.zero(), N.H_RADIUS)
             pos = Y.positive()
             heads = {T._head(t, g) for g in pos}
             words = T._ball_index(hs) is not None

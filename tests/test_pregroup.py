@@ -1,11 +1,14 @@
 """Piece arithmetic, sequence reduction, and level splitting."""
 
 import itertools
+import random
 import sys
+import time
 
 import pytest
 
 from znfree import nielsen as N, pregroup as P, tower as T
+from znfree.hnn import extend_hnn
 from znfree.tower import TowerRejection
 from znfree.wordexpr import parse_word, render
 
@@ -31,11 +34,12 @@ def test_membership_examples(t1):
 def test_decompose_searches_the_left_axis(t1):
     # in x = h1 * a^k * f * h2 the a^k slides through f's first block
     # (a*z = z*b) into x's normal form; f = z*z*b has a second block, so
-    # only the candidate a^k over the first block's left axis rebuilds h1
+    # only the correction a^k over the first block's left axis rebuilds h1;
+    # it is read off the offsets at any k
     f = W(t1, "z*a*z")
     Z = zset(t1, "z*a*z")
     for h1 in (T.EPS, W(t1, "b")):
-        for k in (-3, -1, 2):
+        for k in (-12, -3, -1, 2, 9, 20):
             for h2 in (T.EPS, W(t1, "a"), W(t1, "b^-1")):
                 h1k = T.multiply(t1, h1, W(t1, f"a^{k}"))
                 x = T.multiply(t1, T.multiply(t1, h1k, f), h2)
@@ -44,6 +48,69 @@ def test_decompose_searches_the_left_axis(t1):
                 assert d.f.key == f.key
                 assert d.h1.key == h1k.key, render(t1, x)
                 assert d.h2.key == h2.key, render(t1, x)
+
+
+@pytest.fixture(scope="module")
+def chain():
+    """F(a, b, c) with z: a -> b, then y: b -> c at level 2: a's material
+    slides through a z block into the next y block."""
+    t = T.base_tower(["a", "b", "c"])
+    t = extend_hnn(t, "z", [W(t, "a")], [W(t, "b")])
+    return extend_hnn(t, "y", [W(t, "b")], [W(t, "c")], level=2)
+
+
+@pytest.mark.parametrize("k", [3, 9])
+def test_decompose_reads_the_first_differing_offset(chain, k):
+    # a^k*z = z*b^k, and b^k*y = y*c^k, so x's first block keeps f's offset
+    # and the material lands in the y block: the correction is read off
+    # that block, the first whose offset differs, not off the first block
+    t = chain
+    Z = zset(t, "z*y*a*b*z", "a", "b", "c")
+    x = W(t, f"a^{k}*z*y*a*b*z")
+    assert x.parts[1].offset == W(t, "z*y*a*b*z").parts[1].offset
+    d = P.decompose(t, Z, x)
+    assert d is not None
+    assert (render(t, d.h1), render(t, d.f), render(t, d.h2)) == (
+        f"a^{k}", "z*y*a*b*z", "1")
+
+
+@pytest.mark.parametrize("name, gens", [
+    ("t1", ["a", "b", "z", "z*a*z", "z*b*z^-1"]),
+    ("surf2", ["x2", "x3", "x4", "x1", "x1*x2*x1"]),
+    ("ns3", ["x2", "x3", "x1r", "x1r*x3*x1r"]),
+    ("chain", ["a", "b", "c", "z", "y", "z*y*a*b*z"]),
+])
+def test_decompose_never_misses_a_piece(all_towers, chain, name, gens):
+    # x = m1 * A^e * f * m2 with f a positive generator of one or more
+    # blocks, m1 and m2 weight-zero words and A f's first left axis, |e_i|
+    # up to 20: decompose answers every one with a rebuilding split
+    t = chain if name == "chain" else all_towers[name]
+    Z = zset(t, *gens)
+    zero = Z.zero()
+    rng = random.Random(name)
+
+    def margin():
+        out = T.EPS
+        for _ in range(rng.randrange(4)):
+            out = T.multiply(t, out, rng.choice(zero))
+        return out
+
+    blocks = set()
+    start = time.perf_counter()
+    for _ in range(300):
+        f = rng.choice(Z.positive())
+        A = T._side(t, f.parts[1]).left
+        e = [rng.randint(-20, 20) for _ in A]
+        x = T.multiply(t, T.multiply(t, T.multiply(
+            t, margin(), T.gens_power(t, A, e)), f), margin())
+        d = P.decompose(t, Z, x)
+        assert d is not None, render(t, x)
+        back = T.multiply(t, T.multiply(t, d.h1, d.f), d.h2)
+        assert back.key == x.key, render(t, x)
+        assert T.lam_len(t, d.h1) == T.lam_len(t, d.h2) == 0, render(t, x)
+        blocks.add(len(f.parts) // 2)
+    assert time.perf_counter() - start < 2.0
+    assert max(blocks) > 1, blocks
 
 
 def test_membership_requires_reduced(t1):
@@ -117,15 +184,10 @@ def test_decompose_shape(t1):
     assert T.lam_len(t1, d.h1) == 0 and T.lam_len(t1, d.h2) == 0
     back = T.multiply(t1, T.multiply(t1, d.h1, d.f), d.h2)
     assert T.equals(t1, back, W(t1, "a^2*z*b^-1"))
-
-
-@pytest.mark.parametrize("k", [1, 2, 3])
-def test_candidates_come_in_the_sorted_order(k):
-    # decompose's lazy candidates are the box sorted by l1 norm, ties in
-    # itertools.product order, as the whole-box sort gave them
-    box = itertools.product(range(-P._RADIUS, P._RADIUS + 1), repeat=k)
-    want = sorted(box, key=lambda e: sum(abs(v) for v in e))
-    assert list(P._candidates(k)) == want
+    # a plain list is taken as its GenSet
+    e = P.decompose(t1, [W(t1, s) for s in ("a", "b", "z")],
+                    W(t1, "a^2*z*b^-1"))
+    assert (e.h1.key, e.f.key, e.h2.key) == (d.h1.key, d.f.key, d.h2.key)
 
 
 def test_reduce_sequence_examples(t1):

@@ -269,6 +269,7 @@ def test_primitive_root(t1):
     assert k == 3 and T.equals(t1, root, W(t1, "z*a*z"))
     root, k = T.primitive_root(t1, W(t1, "z^6"))
     assert k == 6 and T.equals(t1, root, W(t1, "z"))
+    assert T.primitive_root(t1, T.EPS) == (T.EPS, 0)
     # the cut of (z*a*b)^k falls inside a margin: prefix_of cuts an element
     # part, down to a whole word
     for k in (2, 3):
@@ -340,11 +341,28 @@ def test_is_conjugate(t1):
     assert T.is_conjugate(t1, W(t1, "a*z"), W(t1, "z*a"))
     assert not T.is_conjugate(t1, W(t1, "a"), W(t1, "a^2"))
     assert not T.is_conjugate(t1, W(t1, "a"), W(t1, "a^-1"))
+    # cores of different levels are never conjugate
+    assert not T.is_conjugate(t1, W(t1, "a"), W(t1, "z"))
+    assert not T.is_conjugate(t1, W(t1, "z*a"), W(t1, "b"))
 
 
 def test_phi_conjugation_everywhere(all_towers):
     for t in all_towers.values():
         assert T.verify_phi_conjugation(t) == []
+
+
+def test_verify_phi_conjugation_reports_a_letter(t1, monkeypatch):
+    # a product that drops its right operand breaks z^-1*a*z = b
+    monkeypatch.setattr(T, "multiply", lambda t, g, h: g)
+    assert T.verify_phi_conjugation(t1) == [
+        "z: conjugation of source generator does not match its image"]
+
+
+def test_phi_of_rejects_an_element_off_the_source_axis(t1):
+    z = t1.letters["z"]
+    assert T.equals(t1, T.phi_of(t1, z, W(t1, "a^3")), W(t1, "b^3"))
+    with pytest.raises(T.TowerError, match="not in the source axis of z"):
+        T.phi_of(t1, z, W(t1, "b"))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Free-group word layer against a naive scan-and-cancel oracle."""
 
+import pytest
 from hypothesis import given, strategies as st
 
 from znfree import words as W
@@ -76,6 +77,18 @@ def test_primitive_root(a):
     root, k = W.w_primitive_root(ra)
     assert k >= 1
     assert W.w_pow(root, k) == ra
+
+
+def test_w_gen_is_one_based():
+    assert W.w_gen(2, -1) == (-2,)
+    with pytest.raises(ValueError, match="1-based"):
+        W.w_gen(0)
+
+
+def test_primitive_root_edge_cases():
+    assert W.w_primitive_root(W.EPS) == (W.EPS, 0)
+    with pytest.raises(ValueError, match="cyclically reduced"):
+        W.w_primitive_root((1, 2, -1))
 
 
 def test_conjugate_rotations():
