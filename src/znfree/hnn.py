@@ -78,7 +78,7 @@ def check_admissible(t: GroupTower, u: Elem, v: Elem) -> AdmissibilityReport:
 
 
 def _attach(t: GroupTower, name: str, source_gens: tuple,
-            target_gens: tuple, level, aliases) -> GroupTower:
+            target_gens: tuple, level) -> GroupTower:
     """Attach a stable letter conjugating <source_gens> onto <target_gens>
     whose top pair has passed check_admissible: the remaining generators'
     axis conditions, maximality, the level, then validate_tower on the
@@ -119,8 +119,7 @@ def _attach(t: GroupTower, name: str, source_gens: tuple,
                                     for sl in t.letters.values()):
         raise TowerRejection("level-gap", f"level {level} would leave a gap")
     sl = StableLetter(name, level, source_gens, target_gens)
-    t2 = GroupTower(t.symbols, list(t.letters.values()) + [sl],
-                    {**t.aliases, **(aliases or {})})
+    t2 = GroupTower(t.symbols, list(t.letters.values()) + [sl], t.aliases)
     validate_tower(t2)
     return t2
 
@@ -134,7 +133,7 @@ def _rotation_conjugators(t: GroupTower, w: Elem) -> list[Elem]:
 
 
 def extend_hnn(t: GroupTower, name: str, source_gens, target_gens,
-               level: int | None = None, aliases=None,
+               level: int | None = None,
                auto_rotate: bool = True) -> GroupTower:
     """Adjoin a stable letter z with z^{-1} source z = target.
 
@@ -157,7 +156,7 @@ def extend_hnn(t: GroupTower, name: str, source_gens, target_gens,
     if fail is not None:
         raise TowerRejection(fail)
     try:
-        return _attach(t, name, source_gens, target_gens, level, aliases)
+        return _attach(t, name, source_gens, target_gens, level)
     except TowerRejection as exc:
         if not auto_rotate or exc.condition not in (
                 "junction-misalignment", "orientation-clash"):
@@ -173,7 +172,7 @@ def extend_hnn(t: GroupTower, name: str, source_gens, target_gens,
             tg = tuple(multiply(t, multiply(t, cti, x), ct)
                        for x in target_gens)
             try:
-                return _attach(t, name, sg, tg, level, aliases)
+                return _attach(t, name, sg, tg, level)
             except TowerRejection:
                 continue
     raise first

@@ -12,10 +12,6 @@ from __future__ import annotations
 from itertools import zip_longest
 
 
-def vzero(n: int = 0) -> tuple[int, ...]:
-    return (0,) * n
-
-
 def vunit(level: int, n: int | None = None) -> tuple[int, ...]:
     """Unit vector for height ``level`` (1-based)."""
     n = level if n is None else n

@@ -28,9 +28,22 @@ margin m_f only if h = m_f*c^k*m_g^-1.  The row looks these candidates up
 in the ball by their words, over the k that the ball's longest word
 allows, and settles only the ones it finds; any other row is the full row,
 cut to its hits.  So the (b) scan builds no product and no com at all.
-The overlap scan builds h*f and its com only for each positive-weight
-overlap, whose head u it keeps, and the (d) test follows f's pinch chain
-(tower._weight_zero_conjugate) instead of building f^-1*h*f.
+
+(c) and (d) ask one question of a self-overlap (f, h): whether f^-1*h*f
+has weight zero.  Its record is (f, h, x), x that conjugate, read along
+f's pinch chain (tower._weight_zero_conjugate), or None when it has
+positive weight; the overlap is total exactly when x is not None.  Both
+directions rest on Britton's lemma (Lyndon-Schupp IV.2); lam is the top
+weight and u o v a product whose lengths add.
+ * Total => weight 0.  h*f keeps f's blocks, so lam(h*f) = lam(f).  If
+   com(f, h*f) = u has lam(u) = lam(f), then f = u o f' and h*f = u o g'
+   with f' and g' of weight 0, so f^-1*h*f = f'^-1*g' has weight 0.
+ * Weight 0 => total.  If f^-1*h*f = d has weight 0, then h*f = f*d.  That
+   product changes only f's last margin and last offset, and com keeps a
+   shared part of a block whose offsets differ, so lam(com) = lam(f).
+So the records with x None are the (c) records and the eta candidates, the
+others are (d) records where x lies outside the weight-zero subgroup, and
+the scan builds no com and no top-level product for them either.
 
 A GenSet never changes its members, so it holds what it computes about
 them.  It holds each member's inverse from construction (GenSet.inverse).
@@ -489,16 +502,17 @@ def _shared_heads(Y, prods, f):
 
 
 def _self_overlaps(Y, prods):
-    """(f, h, u), f positive, with u = com(f, h*f) of positive weight; h = 1
-    is skipped, as it overlaps f totally and conjugates it trivially.  h*f
-    is built only where the heads meet, for its com with f."""
+    """(f, h, x), f positive, for each h != 1 with com(f, h*f) of positive
+    weight, x = f^-1*h*f when it has weight zero (the overlap is total),
+    else None (module docstring); h = 1 is skipped, as it overlaps f
+    totally and conjugates it trivially."""
     t = Y.tower
     out = []
     for f in Y.positive():
         head = T._head(t, f)
         for h, hf in prods[f.key]:
             if not T.is_identity(h) and hf == head:
-                out.append((f, h, T.com(t, f, T.multiply(t, h, f))))
+                out.append((f, h, T._weight_zero_conjugate(t, f, h)))
     return out
 
 
@@ -517,17 +531,8 @@ def _find_nu(Y):
 
 
 def _find_eta(t, overlaps):
-    return min(((f, h) for f, h, u in overlaps
-                if T.lam_len(t, u) < T.lam_len(t, f)),
+    return min(((f, h) for f, h, x in overlaps if x is None),
                key=lambda c: [render(t, x) for x in c], default=None)
-
-
-def _escapes(t, member, f, h):
-    """(whether f^-1 * h * f lies outside the subgroup that member tests
-    (see _membership), that conjugate when it has weight zero, else
-    None)."""
-    x = T._weight_zero_conjugate(t, f, h)
-    return x is None or not member(x), x
 
 
 def _augment_closure(Y: GenSet):
@@ -540,16 +545,12 @@ def _augment_closure(Y: GenSet):
     zero = Y.zero()
     member = _scan(Y).member
     held = True
-    # reduce_genset calls this only once _find_eta finds no overlap with
-    # lam_len(u) < lam_len(f), and u = com(f, h*f) is a prefix of f, so
-    # every overlap here is total
-    for f, h, u in _overlaps(Y):
-        escaped, x = _escapes(t, member, f, h)
-        if not escaped:
+    # reduce_genset calls this only once _find_eta finds no partial
+    # overlap, so every x here is f^-1*h*f, of weight zero
+    for f, h, x in _overlaps(Y):
+        if member(x):
             continue
         held = False
-        if x is None:
-            continue
         fi = Y.inverse(f)
         before = len(added)
         for c in T.subgroup_gens(t, T.centralizer(t, h)):
@@ -621,7 +622,10 @@ def is_reduced(t, Y) -> list[str]:
     The weight-zero multipliers h are enumerated in the ball of radius
     H_RADIUS, so (b)-(d) are sound but bounded.  The records are read from
     Y's scan: the one reduce_genset's last pass left on its result, else
-    one made now.  Y.certified is not read."""
+    one made now.  A self-overlap (f, h, x) is a (c) record where x is None
+    and a (d) record where the weight-zero conjugate x = f^-1*h*f is not in
+    the weight-zero subgroup (module docstring).  Y.certified is not
+    read."""
     if not isinstance(Y, GenSet):
         Y = GenSet(t, Y)
     out = []
@@ -634,11 +638,11 @@ def is_reduced(t, Y) -> list[str]:
             out.append(f"(b) shared head: f={render(t, f)} g={render(t, g)}"
                        f" h={render(t, h)}")
             break
-    for f, h, u in _overlaps(Y):
-        if T.lam_len(t, u) != T.lam_len(t, f):
+    for f, h, x in _overlaps(Y):
+        if x is None:
             out.append(f"(c) partial self-overlap: f={render(t, f)} "
                        f"h={render(t, h)}")
-        elif _escapes(t, scan.member, f, h)[0]:
+        elif not scan.member(x):
             out.append(f"(d) conjugate escapes the weight-zero part: "
                        f"f={render(t, f)} h={render(t, h)}")
     return out

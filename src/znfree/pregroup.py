@@ -249,17 +249,18 @@ def split_level(t, Z) -> LevelSplit:
     letter per positive inverse pair, and for each letter the commuting
     subgroup it pinches (found through centralizers of pinch witnesses).
     A witness is the first c of the base ball, in ball order, with
-    y^-1*c*y of weight zero; it and each image are read along y's pinch
-    chain (tower._weight_zero_conjugate), so no top-level conjugate is
-    built.
+    y^-1*c*y of weight zero: the first self-overlap of y, held by Z's
+    reducedness scan, whose record carries that weight-zero conjugate (it
+    is total, see nielsen's module docstring).  Each image is read along
+    y's pinch chain (tower._weight_zero_conjugate), so no top-level
+    conjugate is built.
 
-    Only y's self-overlaps, held by Z's reducedness scan, are tested: if
-    y^-1*c*y = d has weight zero, then c*y = y*d, and the head of y*d is
-    y's own head, since by Britton's lemma (Lyndon-Schupp IV.2) y*d keeps
-    y's blocks and only the last margin takes d, so margin phase 1 leaves
-    y's settled first margin as it is.  So head(c*y) = head(y), c != 1 is
-    an overlap of y, and the first witness is the one a test of the whole
-    ball would find."""
+    Only y's self-overlaps are looked at: if y^-1*c*y = d has weight zero,
+    then c*y = y*d, and the head of y*d is y's own head, since by Britton's
+    lemma (Lyndon-Schupp IV.2) y*d keeps y's blocks and only the last
+    margin takes d, so margin phase 1 leaves y's settled first margin as it
+    is.  So head(c*y) = head(y), c != 1 is an overlap of y, and the first
+    witness is the one a test of the whole ball would find."""
     Z = N._require_reduced(t, Z)
     if t.rank == 1:
         return LevelSplit(base_gens=Z.pair_reps(), stable_letters=[])
@@ -273,11 +274,8 @@ def split_level(t, Z) -> LevelSplit:
     overlaps = N._overlaps(Z)
     stable = []
     for y in Z.pair_reps(Z.positive()):
-        witness = next(
-            (c for f, c, _ in overlaps
-             if f.key == y.key
-             and T._weight_zero_conjugate(t, y, c) is not None),
-            None)
+        witness = next((c for f, c, x in overlaps
+                        if f.key == y.key and x is not None), None)
         src, tgt = [], []
         if witness is not None:
             for g in T.subgroup_gens(t, T.centralizer(t, witness)):

@@ -126,8 +126,8 @@ block's head period are both words, the block's left axis is <c> and the
 head period is c^+-1.  `_settle_word` then takes margin phase 1's steps on
 the tuple: copies of c^+-1 stripped off the right end, as `_peel`'s level-1
 step strips them, and the head period multiplied in where the junction
-cancels, as `_additive` finds it.  `_settle_left` chooses it, and
-`_product_hits` settles its hits with it.  On a word,
+cancels, as `_additive` finds it.  `_settle_left` alone chooses it, so
+the scan's rows reach it through `_product_heads`.  On a word,
 `abelian_exponents` is `_peel`'s strip reaching the identity: c is
 cyclically reduced, so c^k is c's word k times over.  Each kernel takes the
 general path's steps in the same order, so its answers are the general
@@ -166,9 +166,10 @@ k = -j.  c is cyclically reduced, so c^k is c's word |k| times over, and
 c^k = m_f^-1*h*m gives |k|*|c| <= |m_f| + l + |m|, l the length of the
 longest word of hs.  So every hit is one of the candidates m_f*c^k*m^-1 over
 that range of k, and the row looks each one up in hs by its word
-(`_ball_index`, made once per hs), settles the ones it finds as the full
-row does and keeps those whose head is in heads.  A row with a non-word
-h, margin or period is the full row, cut.
+(`_ball_index`, made once per hs), narrows hs to the ones it finds,
+settles them through `_product_heads` as the full row does and keeps those
+whose head is in heads.  A row with a non-word h, margin or period is the
+full row, cut.
 `_weight_zero_conjugate(t, y, c)`, for c of weight zero, is y^-1*c*y when
 that has weight 0 and None otherwise: it follows the middle of the word
 through y's blocks, one pinch at a time, and stops at the first block whose
@@ -1116,42 +1117,34 @@ def _product_hits(t: GroupTower, g: Elem, hs, index, heads):
     """[(h, _head(t, h*g)) for h in hs if that head is in heads], in the
     order of hs, for hs of weight zero with index = _ball_index(hs), g of
     positive weight and heads a set of heads: the hits of one row of the
-    reducedness scan's head table.  Where the row's products are words they
-    are found by a lookup, without settling the other entries."""
+    reducedness scan's head table.  Where the row's products are words the
+    candidates for a hit are found by a lookup, and only they are
+    settled."""
     # Where every h, g's first margin m0 and its first block's head period
     # are words, a hit on a head with word margin m is h = m*c^k*m0^-1 with
     # |k|*|c| <= l + |m| + |m0|, l the longest word of hs (module
-    # docstring); each candidate in hs is settled as _product_heads settles
-    # it.  Any other row is the full row, cut to its hits.
+    # docstring).  The row narrows hs to the candidates it finds there;
+    # _product_heads settles what is left, as it settles a full row.
     if t.rank > 1 and index is not None:
         m0, blk = g.parts[0], g.parts[1]
         s = _side(t, blk)
         if m0.level == 1 and s.head.level == 1:
             at, longest = index
-            letter, sign = blk.letter, blk.sign
             c, ci = s.left[0].word, s.left_inv[0].word
-            m0w = m0.word
-            m0i = W.w_inv(m0w)
+            m0i = W.w_inv(m0.word)
             found = set()
-            for key, f_letter, f_sign in heads:
-                if f_letter != letter or f_sign != sign or key[0] != "w":
+            for key, letter, sign in heads:
+                if letter != blk.letter or sign != blk.sign or key[0] != "w":
                     continue
                 m = key[1]
-                reach = (longest + len(m) + len(m0w)) // len(c)
+                reach = (longest + len(m) + len(m0i)) // len(c)
                 mc = W.w_mul(m, ci * reach)
                 for _ in range(2 * reach + 1):
                     i = at.get(W.w_mul(mc, m0i))
                     if i is not None:
                         found.add(i)
                     mc = W.w_mul(mc, c)
-            out = []
-            for i in sorted(found):
-                h = hs[i]
-                w = _settle_word(t, W.w_mul(h.word, m0w), blk, s)[0]
-                head = (("w", w), letter, sign)
-                if head in heads:
-                    out.append((h, head))
-            return out
+            hs = [hs[i] for i in sorted(found)]
     return [(h, x) for h, x in zip(hs, _product_heads(t, g, hs))
             if x in heads]
 

@@ -35,15 +35,6 @@ def w_mul(a: Word, b: Word) -> Word:
     return a[:i] + b[j:]
 
 
-def w_pow(w: Word, k: int) -> Word:
-    if k < 0:
-        return w_pow(w_inv(w), -k)
-    out: Word = EPS
-    for _ in range(k):
-        out = w_mul(out, w)
-    return out
-
-
 def w_com(a: Word, b: Word) -> Word:
     """Longest common prefix."""
     n = min(len(a), len(b))

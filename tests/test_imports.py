@@ -1,9 +1,10 @@
 """No module of the package imports a name it never uses, no private
 function, class or constant is left behind, every guard rail and every named
-rejection has a test, the Britton-lemma oracle reads no private name, and
-every expected failure names its exception.
+rejection has a test, the Britton-lemma oracle reads no private name, every
+expected failure names its exception, and the prose names no private name
+the code lacks.
 
-Six stdlib `ast` scans.  Every name a `src/znfree/*.py` module binds by an
+Six stdlib `ast` scans and one text scan.  Every name a `src/znfree/*.py` module binds by an
 import must occur as a name somewhere in that module; `__init__.py` is
 exempt (it re-exports through `__all__`), and so are `from __future__`
 imports.  Every private (underscore) module-level function, class or
@@ -19,9 +20,16 @@ must occur as a string literal in a test file.
 attribute, so it stays apart from the engine's internals.  Every
 `pytest.mark.xfail` under `tests/` passes `raises=`, so a test pinned as
 failing one way cannot pass as expected when it fails another way.
+Every underscore name that a docstring or comment of the package, or
+README.md, mentions in backquotes or as an attribute of a one-letter module
+alias or a package module (`T._head`, `tower._head`) is a name in the code
+of the package or the tests, so the prose never names a deleted helper.
 """
 
 import ast
+import io
+import re
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -278,3 +286,65 @@ def test_every_xfail_names_its_exception():
     found = {p.name: xfails_without_raises(p.read_text())
              for p in sorted(TESTS.rglob("*.py"))}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def prose(source: str) -> str:
+    """The docstrings and comments of a Python source, one per line."""
+    tree = ast.parse(source)
+    docs = [ast.get_docstring(n, clean=False) for n in ast.walk(tree)
+            if isinstance(n, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                              ast.AsyncFunctionDef))]
+    comments = [tok.string for tok in
+                tokenize.generate_tokens(io.StringIO(source).readline)
+                if tok.type == tokenize.COMMENT]
+    return "\n".join([d for d in docs if d] + comments)
+
+
+def _code_names(source: str) -> set[str]:
+    """The names, attributes, imported names, definitions and parameters of
+    a Python source."""
+    tree = ast.parse(source)
+    out = _names(tree)
+    for n in ast.walk(tree):
+        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef,
+                          ast.ClassDef)):
+            out.add(n.name)
+        elif isinstance(n, ast.arg):
+            out.add(n.arg)
+    return out
+
+
+def stale_mentions(texts: dict[str, str], names: set[str],
+                   modules: set[str]) -> list[str]:
+    """The underscore names the texts (file name -> text) mention, in
+    backquotes or after a one-letter alias or a module of the package and a
+    dot, that are not among the names; dunder names are exempt."""
+    qualifier = "|".join(["[A-Z]", *sorted(modules)])
+    pattern = re.compile(rf"`(_\w+)|\b(?:{qualifier})\.(_\w+)")
+    return sorted({f"{m.group(1) or m.group(2)} ({name})"
+                   for name, text in texts.items()
+                   for m in pattern.finditer(text)
+                   if not (m.group(1) or m.group(2)).startswith("__")
+                   and (m.group(1) or m.group(2)) not in names})
+
+
+def test_scan_finds_stale_mention():
+    text = prose('''"""Uses `_kept(t)` and T._kept, not `_escapes`."""
+def f():
+    """tower._gone and N._shell, but `__init__`, _bare and x._other."""
+    return _kept  # `_old` and P._kept
+''')
+    assert "return" not in text
+    assert stale_mentions({"m.py": text}, _code_names("_kept = 1\n"),
+                          {"tower"}) == ["_escapes (m.py)", "_gone (m.py)",
+                                         "_old (m.py)", "_shell (m.py)"]
+
+
+def test_prose_names_no_missing_private():
+    code = [p.read_text() for p in sorted(SRC.glob("*.py"))]
+    code += [p.read_text() for p in sorted(TESTS.glob("*.py"))]
+    names = set().union(*map(_code_names, code))
+    texts = {p.name: prose(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    texts["README.md"] = (SRC.parent.parent / "README.md").read_text()
+    modules = {p.stem for p in SRC.glob("*.py")}
+    assert stale_mentions(texts, names, modules) == []

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from znfree import factory, nielsen as N, pregroup as P, tower as T
+from znfree.hnn import extend_hnn
 from znfree.wordexpr import parse_word, render
 from znfree.words import w_inv, w_mul
 
@@ -175,64 +176,45 @@ def _self_overlaps(t, Y):
             if T.lam_len(t, T.com(t, f, hf)) > 0]
 
 
-def test_scan_builds_com_only_for_self_overlaps(t1, t_ab, fa3, surf2, ns3,
-                                                monkeypatch):
-    # the (b) scan and the overlap filter use the head test; com is built
-    # once per positive-weight self-overlap, for its u
-    cases = _scan_cases(t1, t_ab, fa3, surf2, ns3)
-    real = T.com
+def test_scan_builds_no_com_and_no_top_level_product(t1, t_ab, fa3, surf2,
+                                                      ns3, monkeypatch):
+    # the product table holds heads read off the first margin, and each
+    # self-overlap is decided by its weight-zero conjugate, read along f's
+    # pinch chain: is_reduced makes no com and no top-level product
+    real_com, real_mul = T.com, T.multiply
     calls = []
     overlaps = 0
 
-    def counting(t, g, h):
-        if sys._getframe(1).f_globals["__name__"] == N.__name__:
-            calls.append((g.key, h.key))
-        return real(t, g, h)
+    def from_nielsen():
+        return sys._getframe(2).f_globals["__name__"] == N.__name__
 
-    for t, ss in cases:
-        Y = gens(t, *ss)
-        want = [(f.key, hf.key) for f, h, hf in _self_overlaps(t, Y)]
-        calls.clear()
-        monkeypatch.setattr(T, "com", counting)
-        N.is_reduced(t, Y)
-        monkeypatch.setattr(T, "com", real)
-        assert calls == want, ss
-        overlaps += len(want)
-    assert overlaps
+    def counting_com(t, g, h):
+        if from_nielsen():
+            calls.append(("com", g.key, h.key))
+        return real_com(t, g, h)
 
-
-def test_scan_builds_h_f_only_for_self_overlaps(t1, t_ab, fa3, surf2, ns3,
-                                                monkeypatch):
-    # the product table holds heads read off the first margin, and the (d)
-    # test follows f's pinch chain: the one top-level product is_reduced
-    # makes is h*f for each positive-weight self-overlap, for its com
-    real = T.multiply
-    calls = []
-    overlaps = 0
-
-    def counting(t, g, h):
-        out = real(t, g, h)
-        if (out.level == t.rank
-                and sys._getframe(1).f_globals["__name__"] == N.__name__):
-            calls.append((g.key, h.key))
+    def counting_mul(t, g, h):
+        out = real_mul(t, g, h)
+        if out.level == t.rank and from_nielsen():
+            calls.append(("multiply", g.key, h.key))
         return out
 
     for t, ss in _scan_cases(t1, t_ab, fa3, surf2, ns3):
         Y = gens(t, *ss)
-        want = [(h.key, f.key) for f, h, hf in _self_overlaps(t, Y)]
+        overlaps += len(_self_overlaps(t, Y))
         calls.clear()
-        monkeypatch.setattr(T, "multiply", counting)
+        monkeypatch.setattr(T, "com", counting_com)
+        monkeypatch.setattr(T, "multiply", counting_mul)
         N.is_reduced(t, Y)
-        monkeypatch.setattr(T, "multiply", real)
-        assert calls == want, ss
-        overlaps += len(want)
+        monkeypatch.setattr(T, "com", real_com)
+        monkeypatch.setattr(T, "multiply", real_mul)
+        assert calls == [], ss
     assert overlaps
 
 
 def _total_overlaps(t, Y):
-    prods = N._products(Y)
-    return [(f, h) for f, h, u in N._self_overlaps(Y, prods)
-            if T.lam_len(t, u) == T.lam_len(t, f)]
+    return [(f, h) for f, h, x in N._self_overlaps(Y, N._products(Y))
+            if x is not None]
 
 
 def test_is_reduced_folds_once_per_scan(t1, surf2, ns3, monkeypatch):
@@ -648,6 +630,41 @@ def test_weight_zero_conjugators_are_self_overlaps(all_towers):
                                                render(t, c))
                         met += 1
     assert met
+
+
+def _chain():
+    """F(a, b, c) with z: a -> b, then y: b -> c at level 2."""
+    t = T.base_tower(["a", "b", "c"])
+    t = extend_hnn(t, "z", [W(t, "a")], [W(t, "b")])
+    return extend_hnn(t, "y", [W(t, "b")], [W(t, "c")], level=2)
+
+
+def test_self_overlap_is_total_iff_its_conjugate_has_weight_zero(all_towers):
+    # the scan records f^-1*h*f of weight zero in place of com(f, h*f):
+    # com(f, h*f) has f's weight exactly when that conjugate exists (the
+    # argument in nielsen's module docstring), on the sampled sets and the
+    # sets reduce_genset makes from them
+    fa3 = all_towers["fa3"]
+    towers = {**all_towers, "fa4": factory.free_abelian(4),
+              "fp": factory.free_product(fa3, factory.t1()),
+              "chain": _chain()}
+    bases = {**_BASES, "fa4": ["a", "z2", "z3", "z4"],
+             "fp": ["a", "a'", "b", "z2", "z3", "z"],
+             "chain": ["a", "b", "c", "z", "y"]}
+    t1 = all_towers["t1"]
+    sets = [(t1, [W(t1, "z^-1*a*z^-1"), W(t1, "b^-2")])]
+    for name, t in towers.items():
+        for seed in range(6):
+            Y = N.GenSet(t, _sampled_set(t, bases[name], seed))
+            sets += [(t, Y), (t, N.reduce_genset(t, Y))]
+    kinds = {True: 0, False: 0}
+    for t, Y in sets:
+        for f, h, x in N._overlaps(N.GenSet(t, Y)):
+            total = (T.lam_len(t, T.com(t, f, T.multiply(t, h, f)))
+                     == T.lam_len(t, f))
+            assert total == (x is not None), (render(t, f), render(t, h))
+            kinds[total] += 1
+    assert kinds[True] and kinds[False], kinds
 
 
 def test_scan_rows_are_the_full_rows_hits(all_towers, monkeypatch):
