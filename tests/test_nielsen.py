@@ -176,38 +176,55 @@ def _self_overlaps(t, Y):
             if T.lam_len(t, T.com(t, f, hf)) > 0]
 
 
-def test_scan_builds_no_com_and_no_top_level_product(t1, t_ab, fa3, surf2,
-                                                      ns3, monkeypatch):
-    # the product table holds heads read off the first margin, and each
-    # self-overlap is decided by its weight-zero conjugate, read along f's
-    # pinch chain: is_reduced makes no com and no top-level product
-    real_com, real_mul = T.com, T.multiply
+def test_scan_builds_com_only_for_self_overlaps(t1, t_ab, fa3, surf2, ns3,
+                                                monkeypatch):
+    # the (b) scan and the overlap filter use the head test, and each
+    # self-overlap is decided by its weight-zero conjugate: the cases do
+    # hold self-overlaps, yet is_reduced builds no com at all
+    real = T.com
     calls = []
     overlaps = 0
 
-    def from_nielsen():
-        return sys._getframe(2).f_globals["__name__"] == N.__name__
+    def counting(t, g, h):
+        if sys._getframe(1).f_globals["__name__"] == N.__name__:
+            calls.append((g.key, h.key))
+        return real(t, g, h)
 
-    def counting_com(t, g, h):
-        if from_nielsen():
-            calls.append(("com", g.key, h.key))
-        return real_com(t, g, h)
+    for t, ss in _scan_cases(t1, t_ab, fa3, surf2, ns3):
+        Y = gens(t, *ss)
+        overlaps += len(_self_overlaps(t, Y))
+        calls.clear()
+        monkeypatch.setattr(T, "com", counting)
+        N.is_reduced(t, Y)
+        monkeypatch.setattr(T, "com", real)
+        assert calls == [], ss
+    assert overlaps
 
-    def counting_mul(t, g, h):
-        out = real_mul(t, g, h)
-        if out.level == t.rank and from_nielsen():
-            calls.append(("multiply", g.key, h.key))
+
+def test_scan_builds_h_f_only_for_self_overlaps(t1, t_ab, fa3, surf2, ns3,
+                                                monkeypatch):
+    # the product table holds heads read off the first margin, and each
+    # self-overlap's conjugate is read along f's pinch chain: the cases do
+    # hold self-overlaps, yet is_reduced makes no top-level product, h*f
+    # included
+    real = T.multiply
+    calls = []
+    overlaps = 0
+
+    def counting(t, g, h):
+        out = real(t, g, h)
+        if (out.level == t.rank
+                and sys._getframe(1).f_globals["__name__"] == N.__name__):
+            calls.append((g.key, h.key))
         return out
 
     for t, ss in _scan_cases(t1, t_ab, fa3, surf2, ns3):
         Y = gens(t, *ss)
         overlaps += len(_self_overlaps(t, Y))
         calls.clear()
-        monkeypatch.setattr(T, "com", counting_com)
-        monkeypatch.setattr(T, "multiply", counting_mul)
+        monkeypatch.setattr(T, "multiply", counting)
         N.is_reduced(t, Y)
-        monkeypatch.setattr(T, "com", real_com)
-        monkeypatch.setattr(T, "multiply", real_mul)
+        monkeypatch.setattr(T, "multiply", real)
         assert calls == [], ss
     assert overlaps
 
