@@ -13,6 +13,10 @@ The six axioms for a free regular length function l : G -> Z^n:
 where c(g,f) = (l(g) + l(f) - l(g^{-1}f)) / 2 is the Gromov product.  All
 comparisons are done on doubled values to stay in exact integer arithmetic;
 an odd coordinate is itself an L4 violation.
+
+`com` cuts g at c(g,f) with `prefix_of`, so L6's length check tests that
+cut.  Its additivity check, on both operands, is the independent check of
+regularity: the cut must be an initial segment of f as well as of g.
 """
 
 from __future__ import annotations

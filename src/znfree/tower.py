@@ -52,9 +52,9 @@ no element above level 1 (its height is above the word's), or a letter
 element alone, whose powers are lists of zero-offset blocks.  So on such a
 list every element of the group loses an end step, and the whole test,
 reached only where none does, can never hit; `_peel` skips it.
-`_settle_left`, `_settle_right` and `_com_ext` pass the flag of the list
-they peel by.  The test stays on for a list with a generator that is
-neither, such as z*a.
+`_settle_left` and `_settle_right` pass the flag of the list they peel
+by.  The test stays on for a list with a generator that is neither, such
+as z*a.
 
 The inverse of a one-block element m0*B*m1 is its mirror image
 m1^-1*(B's letter, -sign, -offset)*m0^-1, already normal: with one block
@@ -175,11 +175,18 @@ that has weight 0 and None otherwise: it follows the middle of the word
 through y's blocks, one pinch at a time, and stops at the first block whose
 left axis the middle leaves.
 
-`com` is one stream comparison.  Past the margins and blocks that two
-elements share, each element goes on as a lower-level base followed by the
-periodic head of its next block, and `_com_ext` compares the two streams
-exactly: the common prefix of the bases, then the whole copies of a period
-that `_peel` reads off the other base, pass by pass.
+`com` cuts g at the Gromov product.  The length function is regular
+(Chiswell, Introduction to Lambda-trees, 2001; Myasnikov-Remeslennikov-
+Serbin, "Regular free length functions on Lyndon's free Z[t]-group",
+2005): any g and h have a common initial segment of length
+c(g, h) = (l(g) + l(h) - l(g^-1*h))/2, and an initial segment of a given
+length is unique, so com(g, h) is `prefix_of`'s cut of g at c(g, h).
+Elements whose first base letters differ share only the identity, which
+`com` returns without a product.  An element's first letter is its first
+margin's, or, where that margin is the identity, its first block's head
+period's, down the levels: a stabilized margin does not cancel into its
+block, so lengths add over the two, and a block's value begins with its
+head period.  Two words take `W.w_com`.
 
 `prefix_of` cuts an element at a length by one rule.  Lengths add over the
 parts, so the cut falls in one part, and the initial segment is the parts
@@ -206,6 +213,7 @@ from .lamvec import (
     vat,
     vcmp,
     veq,
+    vhalf,
     vheight,
     vpad,
     vscale,
@@ -407,10 +415,9 @@ class _Side:
     head period's infinite head and ends with the tail period.  unit is the
     letter element's length and axis_lens those of the axis generators, all
     padded to the letter's level; letter_keys are the keys of the letter
-    element and its inverse, the same for both signs.  left_ends,
-    right_ends and head_ends say whether _peel's end steps alone decide
-    membership in the group over left, right and (head,) (see
-    _ends_decide)."""
+    element and its inverse, the same for both signs.  left_ends and
+    right_ends say whether _peel's end steps alone decide membership in
+    the group over left and right (see _ends_decide)."""
 
     left: tuple
     right: tuple
@@ -423,7 +430,6 @@ class _Side:
     letter_keys: tuple
     left_ends: bool
     right_ends: bool
-    head_ends: bool
 
 
 def _side(t: GroupTower, blk: Block) -> _Side:
@@ -441,11 +447,10 @@ def _side(t: GroupTower, blk: Block) -> _Side:
                  (z.key, letter_elem(t, sl.name, -1).key))
         src_ends, tgt_ends = _ends_decide(t, src), _ends_decide(t, tgt)
         t._sides[sl.name, 1] = _Side(
-            src, tgt, isrc, itgt, sl.u, sl.v, *fixed, src_ends, tgt_ends,
-            _ends_decide(t, (sl.u,)))
+            src, tgt, isrc, itgt, sl.u, sl.v, *fixed, src_ends, tgt_ends)
         t._sides[sl.name, -1] = _Side(
             tgt, src, itgt, isrc, itgt[-1], isrc[-1], *fixed, tgt_ends,
-            src_ends, _ends_decide(t, (itgt[-1],)))
+            src_ends)
         s = t._sides[blk.letter, blk.sign]
     return s
 
@@ -1001,54 +1006,30 @@ def build(t: GroupTower, L: int, parts, seam=None) -> Elem:
 
 
 def com(t: GroupTower, g: Elem, h: Elem) -> Elem:
-    """Longest common initial segment: g = com o g', h = com o h'."""
-    L = max(g.level, h.level)
-    if L == 1:
-        if not g.word or not h.word or g.word[0] != h.word[0]:
-            return EPS
+    """Longest common initial segment: g = com o g', h = com o h'; g cut
+    at the length of the Gromov product c(g, h) (module docstring)."""
+    a = _first_letter(t, g)
+    if a is None or a != _first_letter(t, h):
+        return EPS
+    if g.level == 1 and h.level == 1:
         return word_elem(W.w_com(g.word, h.word))
-    pg = _parts_at(t, g, L) + (None,)  # None: no block after the margin
-    ph = _parts_at(t, h, L) + (None,)
-    out = []
-    i = 0
-    while True:
-        a, b, Ba, Bb = pg[2 * i], ph[2 * i], pg[2 * i + 1], ph[2 * i + 1]
-        if equals(t, a, b):
-            if Ba is None:
-                return g
-            if Ba == Bb:
-                out.extend([a, Ba])
-                i += 1
-                continue
-            if (Bb is not None and Ba.letter == Bb.letter
-                    and Ba.sign == Bb.sign):
-                # shared block portion: both blocks factor as a shared block
-                # followed by leftover axis material.  Offsets are compared
-                # most significant first; for a positive block more material
-                # extends the stream (share the minimum), for a negative one
-                # it cancels into the tail (share the maximum).  Components
-                # below the first difference live past the divergence point.
-                pick = min if Ba.sign > 0 else max
-                share = [0] * len(Ba.offset)
-                diverged = False
-                for ci in range(len(Ba.offset) - 1, -1, -1):
-                    da, db = Ba.offset[ci], Bb.offset[ci]
-                    if not diverged:
-                        share[ci] = pick(da, db)
-                        diverged = da != db
-                    else:
-                        # past the divergence point only cancelling material
-                        # (which shortens the shared stream) is still common
-                        share[ci] = pick(da, db, 0)
-                out.extend([a, Block(Ba.letter, Ba.sign, tuple(share))])
-                right = _side(t, Ba).right  # Bb has Ba's letter and sign
-                # each side's leftover material joins its next margin
-                a, b = (multiply(t, gens_power(t, right, [
-                    x - y for x, y in zip(ps[2 * i + 1].offset, share)]),
-                    ps[2 * i + 2]) for ps in (pg, ph))
-                Ba, Bb = pg[2 * i + 3], ph[2 * i + 3]
-        out.append(_com_ext(t, a, Ba, b, Bb))
-        return build(t, L, out)
+    c = vhalf(gromov2(t, g, h))
+    u = prefix_of(t, g, c)
+    if u is None:
+        raise EngineError(f"com of {_render_part(t, g)} and "
+                          f"{_render_part(t, h)}: no initial segment of the "
+                          f"first has length {c}")
+    return u
+
+
+def _first_letter(t: GroupTower, g: Elem):
+    """The first base letter of g, None for the identity: its first
+    margin's, or the first block's head period's where that margin is the
+    identity, down the levels."""
+    while g.level > 1:
+        m = g.parts[0]
+        g = _side(t, g.parts[1]).head if is_identity(m) else m
+    return g.word[0] if g.word else None
 
 
 def _head(t: GroupTower, x: Elem):
@@ -1056,15 +1037,16 @@ def _head(t: GroupTower, x: Elem):
     common initial segment of positive top weight, lam_len(com) > 0,
     exactly when their heads are equal.  No com is built."""
     # At rank 1 the weight is the word length, so the head is the first
-    # letter.  Above it the top weight counts the top-level blocks, and as in
-    # Britton's normal form (Lyndon-Schupp IV.2) the first margin and the
-    # first block decide whether a common initial segment holds one.  com
-    # keeps a top block only when both elements lie at the top level, their
-    # first margins are equal and their first blocks have the same letter
-    # and sign: it then keeps that block, or a shared part of it, whose
-    # length has top coordinate 1.  Every other branch of com (different
-    # margins, or a different letter or sign) ends in a lower-level common
-    # extension, of top weight 0.
+    # letter.  Above it the top weight counts the top-level blocks, and
+    # com(x, y) has the length of the Gromov product, so its top weight is
+    # positive exactly when x^-1*y has fewer top blocks than x and y
+    # together.  By Britton's lemma (Lyndon-Schupp IV.2) the word x^-1*y,
+    # x's parts inverted before y's, keeps all of them unless it pinches
+    # at its middle, B^-1 (m^-1*n) C with B, C the first blocks and m, n
+    # the first margins: B and C have one letter and sign and m^-1*n lies
+    # in their left axis, n = m*a.  Then a slides into C's offset, and m,
+    # settled against B, is settled against C, which has B's letter and
+    # sign; the normal form being unique, n = m.  So the heads decide.
     if t.rank == 1:
         return x.word[:1]
     blk = x.parts[1]
@@ -1176,45 +1158,6 @@ def _weight_zero_conjugate(t: GroupTower, y: Elem, c: Elem) -> Elem | None:
         x = multiply(t, multiply(t, invert(t, m),
                                  gens_power(t, s.right, exps)), m)
     return x
-
-
-def _com_ext(t, a: Elem, ba, b: Elem, bb) -> Elem:
-    """Common prefix of two lower-level streams: a followed by the periodic
-    head p^infinity of block ba, and b followed by that of bb, where a block
-    of None ends the stream with its base."""
-    # A pass reads w = com(x, y); a base is used up when w is as long as it.
-    # If neither is, the streams part there: a base begins its stream, so a
-    # longer common prefix would lengthen w.  A used-up base x (after the
-    # swap) ends its stream or goes on with its period p; only then is the
-    # rest w^-1*y of the other base built.  The whole copies of p that _peel
-    # reads off its front are common, and p becomes x.  If that uses up the
-    # other base, it goes on with its own period or ends.  Once both bases
-    # are used up, one is a whole period and the other a part of the other
-    # period: the passes run Euclid's algorithm on the periods, which ends
-    # unless they are equal up to rotation.  _GUARD bounds them.  p and q
-    # hold the blocks' side records, whose heads are the periods.
-    x, p = a, None if ba is None else _side(t, ba)
-    y, q = b, None if bb is None else _side(t, bb)
-    out = EPS
-    for _ in range(_GUARD):
-        w = com(t, x, y)
-        out = multiply(t, out, w)
-        if veq(lenvec(y), lenvec(w)):
-            x, p, y, q = y, q, x, p
-        if not veq(lenvec(x), lenvec(w)) or p is None:
-            return out
-        y = multiply(t, invert(t, w), y)
-        rest, (n,) = _peel(t, y, (p.head,), right=False, ends=p.head_ends)
-        if n > 0:
-            out, y = multiply(t, out, pow_elem(t, p.head, n)), rest
-        x = p.head
-        if is_identity(y):
-            if q is None:
-                return out
-            y = q.head
-    raise EngineError("periodic head comparison of {} then {} against {} then "
-                      "{} did not stabilize".format(
-                          *(_render_part(t, x) for x in (a, ba, b, bb))))
 
 
 def gromov2(t: GroupTower, g: Elem, h: Elem):

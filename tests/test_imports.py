@@ -20,10 +20,11 @@ must occur as a string literal in a test file.
 attribute, so it stays apart from the engine's internals.  Every
 `pytest.mark.xfail` under `tests/` passes `raises=`, so a test pinned as
 failing one way cannot pass as expected when it fails another way.
-Every underscore name that a docstring or comment of the package, or
-README.md, mentions in backquotes or as an attribute of a one-letter module
-alias or a package module (`T._head`, `tower._head`) is a name in the code
-of the package or the tests, so the prose never names a deleted helper.
+Every underscore name that a docstring or comment of the package or the
+tests, or README.md, mentions in backquotes or as an attribute of a
+one-letter module alias or a package module (`T._head`, `tower._head`) is a
+name in the code of the package or the tests, so the prose never names a
+deleted helper.
 """
 
 import ast
@@ -345,6 +346,8 @@ def test_prose_names_no_missing_private():
     code += [p.read_text() for p in sorted(TESTS.glob("*.py"))]
     names = set().union(*map(_code_names, code))
     texts = {p.name: prose(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    texts |= {f"tests/{p.name}": prose(p.read_text())
+              for p in sorted(TESTS.glob("*.py"))}
     texts["README.md"] = (SRC.parent.parent / "README.md").read_text()
     modules = {p.stem for p in SRC.glob("*.py")}
     assert stale_mentions(texts, names, modules) == []

@@ -8,7 +8,7 @@ import re
 import sys
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import britton_oracle as B
 
@@ -482,8 +482,8 @@ def test_peel_tests_whole_only_where_the_end_cannot_decide(t1, surf2, ns3,
                     ("fa5", factory.free_abelian(5)),
                     ("fp", factory.free_product(fa3, t1)), ("ns3", ns3)):
         for letter, sign, side in _side_records(t):
-            assert (side.left_ends, side.right_ends, side.head_ends) == (
-                True, True, True), (name, letter, sign)
+            assert (side.left_ends, side.right_ends) == (True, True), (
+                name, letter, sign)
         gs = sample_elements(t, SampleSpec(seed=48, samples=40))
         calls.clear()
         for _ in range(150):
@@ -496,8 +496,8 @@ def test_peel_tests_whole_only_where_the_end_cannot_decide(t1, surf2, ns3,
     tw = _w_tower(t1)
     for letter, sign, side in _side_records(tw):
         want = letter != "w"
-        assert (side.left_ends, side.right_ends, side.head_ends) == (
-            want, want, want), (letter, sign)
+        assert (side.left_ends, side.right_ends) == (want, want), (
+            letter, sign)
     gens = tw.letters["w"].source_gens
     calls.clear()
     for k in (-2, 1, 3):
@@ -1067,6 +1067,14 @@ def test_centralizer_error_names_its_input(t1, monkeypatch):
         T.centralizer(t1, g)
 
 
+def test_com_error_names_its_input(t1, monkeypatch):
+    # a cut that prefix_of cannot make at the Gromov product
+    monkeypatch.setattr(T, "prefix_of", lambda t, g, target: None)
+    with _stuck("com of z*a and z*b: no initial segment of the first has "
+                "length (0, 1)"):
+        T.com(t1, W(t1, "z*a"), W(t1, "z*b"))
+
+
 def _mixed_tower():
     """F(a, b, c) with y: a -> b at level 2 and z: c -> c at level 3, so a
     level-2 margin before a z block can share any number of copies of c
@@ -1106,56 +1114,6 @@ def test_com_on_mixed_height_tower(n, swap):
     assert render(t, got) == f"c^{n}"
 
 
-def test_com_ext_pass_count_is_independent_of_the_copies(monkeypatch):
-    # the peel takes all n shared copies of c in one pass, so com makes as
-    # many com calls from _com_ext for n = 1 as for n = 300
-    t = _mixed_tower()
-    real = T.com
-    calls = []
-
-    def counting(t, x, y):
-        calls.append(sys._getframe(1).f_code.co_name)
-        return real(t, x, y)
-
-    monkeypatch.setattr(T, "com", counting)
-    counts = []
-    for n in (1, 2, 300):
-        calls.clear()
-        T.com(t, W(t, "z"), W(t, f"c^{n}*y*z"))
-        counts.append(calls.count("_com_ext"))
-    assert counts[0] > 1 and len(set(counts)) == 1, counts
-
-
-def _shared_head_tower():
-    """F(a, b, c) with y: a*b -> b*c and z: a*c -> c*b at level 2, built
-    past validate_tower: the head periods a*b and a*c share the letter a,
-    which junction cleanliness forbids on a valid tower."""
-    f = factory.free_tower(["a", "b", "c"])
-    return T.GroupTower(f.symbols, [
-        T.StableLetter(n, 2, (W(f, u),), (W(f, v),))
-        for n, u, v in (("y", "a*b", "b*c"), ("z", "a*c", "c*b"))])
-
-
-@pytest.mark.parametrize("h, want", [("z", "a"),
-                                     ("(a*b)^2*z", "a*b*a*b*a")])
-def test_com_ext_goes_on_with_each_period(h, want):
-    # once the bases are used up each stream goes on with its own period:
-    # (a*b)^infinity against (a*c)^infinity, and against (a*b)^2 then
-    # (a*c)^infinity; on a valid tower two head periods at one level share
-    # no prefix, so only a tower built past validation shows this
-    t = _shared_head_tower()
-    assert render(t, T.com(t, W(t, "y"), W(t, h))) == want
-
-
-def test_com_ext_error_names_its_input(monkeypatch):
-    t = _mixed_tower()
-    blk, b = T.Block("z", 1, (0,)), W(t, "c^3*y")
-    monkeypatch.setattr(T, "_GUARD", 0)
-    with _stuck("periodic head comparison of 1 then (z, +1, (0,)) against "
-                "c^3*y then no block did not stabilize"):
-        T._com_ext(t, T.EPS, blk, b, None)
-
-
 _COM_TOWERS = {
     "t1": factory.t1, "t_ab": factory.t_ab,
     "fa3": lambda: factory.free_abelian(3),
@@ -1165,6 +1123,9 @@ _COM_TOWERS = {
     "fa5": lambda: factory.free_abelian(5),
     "fp": lambda: factory.free_product(factory.free_abelian(3), factory.t1()),
     "mixed": _mixed_tower,
+    "surf3": lambda: factory.surface_orientable(3),
+    "fp2": lambda: factory.free_product(factory.t1(),
+                                        factory.surface_orientable(2)),
 }
 
 
@@ -1201,6 +1162,24 @@ def _draw_com_pair(name, kind, data):
         g = T.multiply(t, T.pow_elem(t, p, j), g)
         h = T.multiply(t, T.pow_elem(t, p, k), h)
     return t, g, h
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(sorted(_COM_TOWERS)), st.sampled_from(
+    ["sampled", "shared", "power"]), st.data())
+def test_com_is_trivial_iff_first_letters_differ(name, kind, data):
+    # for nontrivial g and h, com(g, h) is the identity exactly when their
+    # first base letters differ, and exactly when the Gromov product is 0;
+    # each first letter is also the element's initial segment of length 1
+    t, g, h = _draw_com_pair(name, kind, data)
+    assume(not T.is_identity(g) and not T.is_identity(h))
+    where = f"{name}: g = {render(t, g)}, h = {render(t, h)}"
+    first = [T._first_letter(t, x) for x in (g, h)]
+    for x, a in zip((g, h), first):
+        assert T.prefix_of(t, x, (1,)).word == (a,), where
+    trivial = T.is_identity(T.com(t, g, h))
+    assert trivial == (first[0] != first[1]), where
+    assert trivial == (not any(T.gromov2(t, g, h))), where
 
 
 @settings(max_examples=400, deadline=None)
@@ -1372,20 +1351,19 @@ def test_hand_made_seams_match_full_passes(fa3):
 
 @settings(max_examples=400, deadline=None)
 @given(st.sampled_from(sorted(n for n in _SEAM_TOWERS if n != "free2")),
-       st.sampled_from(["left", "right", "head"]), st.booleans(),
+       st.sampled_from(["left", "right"]), st.booleans(),
        st.integers(-3, 3), st.data())
 def test_peel_flag_gives_the_whole_test_answers(name, which, right, k, data):
-    # on each side record's left, right and (head,) list, _peel with the
-    # record's flag peels what it peels with the whole-element test on, at
-    # both ends, for a sampled element (or the identity) with k copies of a
-    # list generator put at the end peeled; on ns4 the same error or none
+    # on each side record's left and right list, _peel with the record's
+    # flag peels what it peels with the whole-element test on, at both ends,
+    # for a sampled element (or the identity) with k copies of a list
+    # generator put at the end peeled; on ns4 the same error or none
     t, gs = _seam_sample(name)
     letter = data.draw(st.sampled_from(sorted(t.letters)))
     side = T._side(t, T.Block(letter, data.draw(st.sampled_from([1, -1])),
                               T.zero_offset(t, letter)))
     gens, ends = {"left": (side.left, side.left_ends),
-                  "right": (side.right, side.right_ends),
-                  "head": ((side.head,), side.head_ends)}[which]
+                  "right": (side.right, side.right_ends)}[which]
     g = data.draw(st.sampled_from([T.EPS, *gs]))
     m = T.pow_elem(t, data.draw(st.sampled_from(gens)), k)
 
