@@ -26,8 +26,9 @@ block's head period are words, settling multiplies by powers of the left
 axis generator c on the right only, so h*g has the head of an f with first
 margin m_f only if h = m_f*c^k*m_g^-1.  The row looks these candidates up
 in the ball by their words, over the k that the ball's longest word
-allows, and settles only the ones it finds; any other row is the full row,
-cut to its hits.  So the (b) scan builds no product and no com at all.
+allows, and makes and settles only the ones it finds; any other row is the
+full row, cut to its hits.  So the (b) scan builds no product and no com
+at all.
 
 (c) and (d) ask one question of a self-overlap (f, h): whether f^-1*h*f
 has weight zero.  Its record is (f, h, x), x that conjugate, read along
@@ -48,18 +49,28 @@ the scan builds no com and no top-level product for them either.
 A GenSet never changes its members, so it holds what it computes about
 them.  It holds each member's inverse from construction (GenSet.inverse).
 pair_reps, replace, mu, the closure step and pregroup read it instead of
-inverting a member again, and the set replace builds takes the kept
-members' inverses along.  It holds one reducedness scan (_scan), made when
-first asked for: the head table over the weight-zero multiplier ball of
-radius H_RADIUS (the ball itself is not kept), the zero part's membership
-test (_membership: the subgroup graph is folded once, or above the base
-layer the keys of its ball are collected once) and the self-overlaps, found
-when first read.  Each pass of the loop reads the scan of the set it works
-on; the pass that ends the loop leaves the result's scan held, and
-is_reduced and pregroup.split_level read that scan instead of building
-their own.  The closure step starts from the held membership test and makes
-a new one only when it adds elements.  Over word generators, ball runs on
-the word tuples and builds one Elem per new element.
+inverting a member again.  It holds each member's rendered name, which its
+sort into render order computes; _find_mu, _find_nu and _render_set read
+the names instead of rendering a member again.  The set replace builds
+takes the kept members' inverses and names along.  It holds pair_reps of
+all members, of the positive and of the zero ones, and each call returns a
+new list.  It holds one reducedness scan (_scan), made when first asked
+for: the head table over the weight-zero multiplier ball of radius
+H_RADIUS (the ball itself is not kept), the zero part's membership test
+(_membership: the subgroup graph is folded once, or above the base layer
+the keys of its ball are collected once) and the self-overlaps, found when
+first read.  Each pass of the loop reads the scan of the set it works on;
+the pass that ends the loop leaves the result's scan held, and is_reduced
+and pregroup.split_level read that scan instead of building their own.
+The closure step starts from the held membership test and makes a new one
+only when it adds elements.
+
+Over word generators the ball is walked on the word tuples (_word_ball),
+which gives each word its position in ball order; ball makes one Elem per
+word of that walk.  The scan keeps the walk: a row whose products are
+words makes Elems only for the candidates its lookup finds, and the first
+row that needs the full row makes the ball's Elems, once per scan, for
+every such row.
 
 When the loop's last pass finds no (d) record either, its result is
 certified: GenSet.certified, False on every new set, is read and written
@@ -70,6 +81,8 @@ conditions, and a set and a fresh copy of it get the same answer.
 """
 
 from __future__ import annotations
+
+import functools
 
 from . import tower as T
 from . import words as W
@@ -90,12 +103,14 @@ class GenSet:
 
     def __init__(self, t, elements):
         self._fill(t, [(g, T.invert(t, g)) for g in elements
-                       if not T.is_identity(g)], [])
+                       if not T.is_identity(g)], [], {})
 
-    def _fill(self, t, pairs, witness_log):
-        """Hold the members of the (g, g^-1) pairs, each one's inverse, and
-        the members of positive and of zero top weight (a set never
-        changes, so each is split off once)."""
+    def _fill(self, t, pairs, witness_log, names):
+        """Hold the members of the (g, g^-1) pairs, each one's inverse and
+        rendered name (taken from names, key -> name, where it is there),
+        the members of positive and of zero top weight, and one member per
+        inverse pair of all, of the positive and of the zero members (a set
+        never changes, so each is computed once)."""
         self.tower = t
         seen = {}
         inv = {}
@@ -104,11 +119,21 @@ class GenSet:
             seen[gi.key] = gi
             inv[g.key] = gi.key
             inv[gi.key] = g.key
-        self.elements = tuple(sorted(seen.values(), key=lambda g: render(t, g)))
-        self._positive = tuple(g for g in self.elements
-                               if T.lam_len(t, g) > 0)
-        self._zero = tuple(g for g in self.elements if T.lam_len(t, g) == 0)
+        self._names = {k: names[k] if k in names else render(t, g)
+                       for k, g in seen.items()}
+        self.elements = tuple(sorted(seen.values(),
+                                     key=lambda g: self._names[g.key]))
         self._inverse = {k: seen[ik] for k, ik in inv.items()}
+        pos = {g.key for g in self.elements if T.lam_len(t, g) > 0}
+        self._positive = tuple(g for g in self.elements if g.key in pos)
+        self._zero = tuple(g for g in self.elements if g.key not in pos)
+        # each part is closed under inversion and in render order, so its
+        # pair_reps are the reps of all members that lie in it
+        reps = self._pair_reps(self.elements)
+        self._held_reps = (
+            (self.elements, reps),
+            (self._positive, [g for g in reps if g.key in pos]),
+            (self._zero, [g for g in reps if g.key not in pos]))
         self.witness_log = witness_log
         self.certified = False  # see the module docstring
         self._held_scan = None  # a _Scan, made by _scan on first use
@@ -141,10 +166,20 @@ class GenSet:
         return self._zero
 
     def pair_reps(self, members=None):
-        """One representative per inverse pair of members, in render order."""
+        """One representative per inverse pair of members (all of them by
+        default), in render order, as a new list.  Held for all members,
+        positive() and zero()."""
+        if members is None:
+            members = self.elements
+        for part, reps in self._held_reps:
+            if members is part:
+                return list(reps)
+        return self._pair_reps(members)
+
+    def _pair_reps(self, members):
         out = []
         seen = set()
-        for g in (self.elements if members is None else members):
+        for g in members:
             gi = self.inverse(g)
             if g.key in seen:
                 continue
@@ -155,7 +190,8 @@ class GenSet:
 
     def replace(self, removed, added, log_entry):
         """The set without the removed members and their inverses, with the
-        added elements; kept members bring their held inverses along."""
+        added elements; kept members bring their held inverses and names
+        along."""
         t = self.tower
         gone = set()
         for g in removed:
@@ -166,7 +202,7 @@ class GenSet:
                       if g.key not in gone]
                   + [(g, T.invert(t, g)) for g in added
                      if not T.is_identity(g)],
-                  self.witness_log + [log_entry])
+                  self.witness_log + [log_entry], self._names)
         return out
 
 
@@ -178,7 +214,7 @@ def lambda_weight(Y: GenSet) -> int:
 
 def _render_set(Y: GenSet) -> str:
     """One member per inverse pair, rendered, for error messages."""
-    return "{" + ", ".join(render(Y.tower, g) for g in Y.pair_reps()) + "}"
+    return "{" + ", ".join(Y._names[g.key] for g in Y.pair_reps()) + "}"
 
 
 def _rebuilds(t, g, factors) -> bool:
@@ -310,7 +346,8 @@ def ball(t, gens, radius: int):
     """All products of at most `radius` generators (with inverses), plus
     the identity, deduplicated; deterministic order."""
     if all(g.level == 1 for g in gens):
-        return _word_ball([g.word for g in gens], radius)
+        return [T.word_elem(w) for w in _word_ball([g.word for g in gens],
+                                                   radius)]
     reps = []
     seen = set()
     for g in gens:
@@ -335,27 +372,26 @@ def ball(t, gens, radius: int):
 
 
 def _word_ball(gens, radius):
-    """ball over word generators, run on the word tuples: a word is its own
-    key, so the same words come out in the same order, one Elem each."""
+    """ball over word generators, run on the word tuples: {word: position},
+    in ball order.  A word is its own key, so the same words come in the
+    same order."""
     reps = []
     for g in gens:
         for x in (g, W.w_inv(g)):
             if x and x not in reps:
                 reps.append(x)
-    out = [EPS]
-    known = {W.EPS}
+    at = {W.EPS: 0}
     frontier = [W.EPS]
     for _ in range(radius):
         nxt = []
         for cur in frontier:
             for g in reps:
                 cand = W.w_mul(cur, g)
-                if cand not in known:
-                    known.add(cand)
+                if cand not in at:
+                    at[cand] = len(at)
                     nxt.append(cand)
-                    out.append(T.word_elem(cand))
         frontier = nxt
-    return out
+    return at
 
 
 # ---------------------------------------------------------------------------
@@ -369,16 +405,15 @@ def mu(Y: GenSet, f: Elem, g: Elem, h: Elem) -> GenSet:
     if lam(f) <= 0 or lam(g) <= 0 or f.key == g.key:
         raise Inapplicable("mu needs distinct positive-weight f, g")
     hg = T.multiply(t, h, g)
-    u = T.com(t, f, hg)
+    rest = T.multiply(t, Y.inverse(f), hg)
+    u = T._gromov_cut(t, f, hg, rest)  # com(f, hg), from f^-1*hg
     if lam(u) <= 0:
         raise Inapplicable("mu needs a positive-weight common head")
     ui = T.invert(t, u)
-    fi = Y.inverse(f)
     if f.key != Y.inverse(g).key:
         w1 = T.multiply(t, ui, f)
-        w2 = T.multiply(t, ui, hg)
+        w2 = T.multiply(t, w1, rest)  # u^-1*hg, as f = u*w1
         added = [u, w1, w2]
-        rest = T.multiply(t, fi, hg)
         if lam(rest) == 0 and not T.is_identity(rest):
             added.append(rest)
         entry = {
@@ -481,12 +516,20 @@ def _products(Y):
     """{g.key: [(h, head of h*g) for h in hs if that head is a positive
     generator's]} over the positive generators g, hs being the weight-zero
     multiplier ball of radius H_RADIUS: the one table that a pass's scans
-    read, one row per g (tower._product_hits); no h*g is built."""
+    read, one row per g (tower._product_hits); no h*g is built.  Over a
+    word zero part the ball stays word tuples, and its Elems are made for
+    the first full row only (module docstring)."""
     t = Y.tower
-    hs = ball(t, Y.zero(), H_RADIUS)
+    zero = Y.zero()
+    if all(h.level == 1 for h in zero):
+        at = _word_ball([h.word for h in zero], H_RADIUS)
+        index = at, max(map(len, at))
+        hs = functools.cache(lambda: [T.word_elem(w) for w in at])
+    else:
+        index, full = None, ball(t, zero, H_RADIUS)
+        hs = lambda: full  # noqa: E731
     pos = Y.positive()
     heads = {T._head(t, g) for g in pos}
-    index = T._ball_index(hs)
     return {g.key: T._product_hits(t, g, hs, index, heads) for g in pos}
 
 
@@ -517,17 +560,18 @@ def _self_overlaps(Y, prods):
 
 
 def _find_mu(Y, prods):
-    t = Y.tower
+    t, names = Y.tower, Y._names
     return min(((f, g, h) for f in Y.positive()
                 for g, h in _shared_heads(Y, prods, f)),
-               key=lambda c: [render(t, x) for x in c], default=None)
+               key=lambda c: [names[c[0].key], names[c[1].key],
+                              render(t, c[2])], default=None)
 
 
 def _find_nu(Y):
     t = Y.tower
     return min((f for f in Y.pair_reps(Y.positive())
                 if not T.is_cyclically_reduced(t, f)),
-               key=lambda f: render(t, f), default=None)
+               key=lambda f: Y._names[f.key], default=None)
 
 
 def _find_eta(t, overlaps):

@@ -265,7 +265,8 @@ def split_level(t, Z) -> LevelSplit:
     if t.rank == 1:
         return LevelSplit(base_gens=Z.pair_reps(), stable_letters=[])
     base = Z.pair_reps(Z.zero())
-    # The scan's ball is N.ball(t, Z.zero(), H_RADIUS), which lists the
+    # The scan's ball is N.ball(t, Z.zero(), H_RADIUS), kept as the words
+    # of that walk where they are words, in its order.  It lists the
     # elements of N.ball(t, base, H_RADIUS) in the same order: ball walks
     # each generator and then its inverse, at the first member of their
     # pair, and Z.zero() is closed under inversion and in the render order

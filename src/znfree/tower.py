@@ -126,8 +126,9 @@ block's head period are both words, the block's left axis is <c> and the
 head period is c^+-1.  `_settle_word` then takes margin phase 1's steps on
 the tuple: copies of c^+-1 stripped off the right end, as `_peel`'s level-1
 step strips them, and the head period multiplied in where the junction
-cancels, as `_additive` finds it.  `_settle_left` alone chooses it, so
-the scan's rows reach it through `_product_heads`.  On a word,
+cancels, as `_additive` finds it.  `_settle_left` chooses it for a word
+margin, and `_product_heads`, the scan's one settling path, calls it on
+the tuple h*m0 where that is a word.  On a word,
 `abelian_exponents` is `_peel`'s strip reaching the identity: c is
 cyclically reduced, so c^k is c's word k times over.  Each kernel takes the
 general path's steps in the same order, so its answers are the general
@@ -154,9 +155,15 @@ h*g over h in hs (each its first margin with the letter and sign of its
 first block, see `_head`): h*g has g's blocks, and its first margin is h
 times g's settled against g's first block by margin phase 1
 (`_settle_left`, the loop `_margin_pass` runs too).
-`_product_hits(t, g, hs, index, heads)` is that row cut to its entries in
-heads, a set of heads, in the order of hs; where the products are words it
-settles only those.  Let every h of hs, g's first margin m and its first
+Where h, g's first margin and its first block's head period are words,
+`_product_heads` settles on the tuples: the head's margin is
+`_settle_word` of the word h*m0, the steps `_settle_left` takes there, and
+no Elem is made for h*m0 or for the settled margin.
+`_product_hits(t, g, hs, index, heads)` is the row over the ball cut to its
+entries in heads, a set of heads, in ball order; hs() gives the ball's
+elements, made on the caller's first call, and index, where they are all
+words, maps each word to its position in the ball and gives the longest
+word's length.  Let every h of the ball, g's first margin m and its first
 block's head period be words, so the left axis is <c> and the period
 c^+-1.  `_settle_word` takes two kinds of step on a word, stripping a copy
 of c^+-1 off its right end and multiplying the period in on the right, so
@@ -164,12 +171,12 @@ the entry of h is the word h*m*c^j for some j.  It equals a head with the
 block's letter and sign and a word margin m_f only if h = m_f*c^k*m^-1,
 k = -j.  c is cyclically reduced, so c^k is c's word |k| times over, and
 c^k = m_f^-1*h*m gives |k|*|c| <= |m_f| + l + |m|, l the length of the
-longest word of hs.  So every hit is one of the candidates m_f*c^k*m^-1 over
-that range of k, and the row looks each one up in hs by its word
-(`_ball_index`, made once per hs), narrows hs to the ones it finds,
-settles them through `_product_heads` as the full row does and keeps those
-whose head is in heads.  A row with a non-word h, margin or period is the
-full row, cut.
+longest word of the ball.  So every hit is one of the candidates
+m_f*c^k*m^-1 over that range of k, and the row looks each one up in
+index, makes the Elems of the ones it finds, in ball order, settles them
+through `_product_heads` as the full row does and keeps those whose head
+is in heads.  A row with a non-word h, margin or period is the full row
+over hs(), cut.
 `_weight_zero_conjugate(t, y, c)`, for c of weight zero, is y^-1*c*y when
 that has weight 0 and None otherwise: it follows the middle of the word
 through y's blocks, one pinch at a time, and stops at the first block whose
@@ -181,12 +188,13 @@ Serbin, "Regular free length functions on Lyndon's free Z[t]-group",
 2005): any g and h have a common initial segment of length
 c(g, h) = (l(g) + l(h) - l(g^-1*h))/2, and an initial segment of a given
 length is unique, so com(g, h) is `prefix_of`'s cut of g at c(g, h).
-Elements whose first base letters differ share only the identity, which
-`com` returns without a product.  An element's first letter is its first
-margin's, or, where that margin is the identity, its first block's head
-period's, down the levels: a stabilized margin does not cancel into its
-block, so lengths add over the two, and a block's value begins with its
-head period.  Two words take `W.w_com`.
+`_gromov_cut` makes that cut from g^-1*h, for a caller that holds it,
+such as `nielsen.mu`.  Elements whose first base letters differ share only
+the identity, which `com` returns without a product.  An element's first
+letter is its first margin's, or, where that margin is the identity, its
+first block's head period's, down the levels: a stabilized margin does not
+cancel into its block, so lengths add over the two, and a block's value
+begins with its head period.  Two words take `W.w_com`.
 
 `prefix_of` cuts an element at a length by one rule.  Lengths add over the
 parts, so the cut falls in one part, and the initial segment is the parts
@@ -1013,7 +1021,13 @@ def com(t: GroupTower, g: Elem, h: Elem) -> Elem:
         return EPS
     if g.level == 1 and h.level == 1:
         return word_elem(W.w_com(g.word, h.word))
-    c = vhalf(gromov2(t, g, h))
+    return _gromov_cut(t, g, h, multiply(t, invert(t, g), h))
+
+
+def _gromov_cut(t: GroupTower, g: Elem, h: Elem, d: Elem) -> Elem:
+    """com(t, g, h) for any g and h, from d = g^-1*h: g cut at the length
+    of the Gromov product (l(g) + l(h) - l(d))/2."""
+    c = vhalf(vsub(vadd(length(t, g), length(t, h)), length(t, d)))
     u = prefix_of(t, g, c)
     if u is None:
         raise EngineError(f"com of {_render_part(t, g)} and "
@@ -1080,33 +1094,31 @@ def _product_heads(t: GroupTower, g: Elem, hs):
     if t.rank == 1:
         return [_head(t, multiply(t, h, g)) for h in hs]
     m0, blk = g.parts[0], g.parts[1]
+    s = _side(t, blk)
+    if m0.level == 1 and s.head.level == 1 and all(h.level == 1 for h in hs):
+        # _settle_left's word branch, on the tuples: no Elem is made for
+        # h*m0 or for its settled margin, whose key is ("w", word)
+        return [(("w", _settle_word(t, W.w_mul(h.word, m0.word), blk, s)[0]),
+                 blk.letter, blk.sign) for h in hs]
     return [(_settle_left(t, multiply(t, h, m0), blk)[0].key, blk.letter,
              blk.sign) for h in hs]
 
 
-def _ball_index(hs):
-    """(word -> position in hs, the longest word's length) when every
-    element of hs is a word, else None: what _product_hits looks up."""
-    at = {}
-    for i, h in enumerate(hs):
-        if h.level > 1:
-            return None
-        at[h.word] = i
-    return at, max(map(len, at), default=0)
-
-
 def _product_hits(t: GroupTower, g: Elem, hs, index, heads):
-    """[(h, _head(t, h*g)) for h in hs if that head is in heads], in the
-    order of hs, for hs of weight zero with index = _ball_index(hs), g of
-    positive weight and heads a set of heads: the hits of one row of the
-    reducedness scan's head table.  Where the row's products are words the
-    candidates for a hit are found by a lookup, and only they are
-    settled."""
+    """[(h, _head(t, h*g)) for h in hs() if that head is in heads], in the
+    order of hs(), for g of positive weight and heads a set of heads: the
+    hits of one row of the reducedness scan's head table.  hs() gives the
+    weight-zero ball's elements in ball order, made on the caller's first
+    call; index is None, or (word -> position in the ball, the longest
+    word's length) when the ball's elements are all words.  Where the
+    row's products are words the candidates for a hit are found by a
+    lookup, and only their elements are made and settled."""
     # Where every h, g's first margin m0 and its first block's head period
     # are words, a hit on a head with word margin m is h = m*c^k*m0^-1 with
-    # |k|*|c| <= l + |m| + |m0|, l the longest word of hs (module
-    # docstring).  The row narrows hs to the candidates it finds there;
-    # _product_heads settles what is left, as it settles a full row.
+    # |k|*|c| <= l + |m| + |m0|, l the longest word of the ball (module
+    # docstring).  The row narrows the ball to the candidates it finds
+    # there; _product_heads settles them, as it settles a full row.
+    row = None
     if t.rank > 1 and index is not None:
         m0, blk = g.parts[0], g.parts[1]
         s = _side(t, blk)
@@ -1114,7 +1126,7 @@ def _product_hits(t: GroupTower, g: Elem, hs, index, heads):
             at, longest = index
             c, ci = s.left[0].word, s.left_inv[0].word
             m0i = W.w_inv(m0.word)
-            found = set()
+            found = {}
             for key, letter, sign in heads:
                 if letter != blk.letter or sign != blk.sign or key[0] != "w":
                     continue
@@ -1122,12 +1134,15 @@ def _product_hits(t: GroupTower, g: Elem, hs, index, heads):
                 reach = (longest + len(m) + len(m0i)) // len(c)
                 mc = W.w_mul(m, ci * reach)
                 for _ in range(2 * reach + 1):
-                    i = at.get(W.w_mul(mc, m0i))
+                    h = W.w_mul(mc, m0i)
+                    i = at.get(h)
                     if i is not None:
-                        found.add(i)
+                        found[i] = h
                     mc = W.w_mul(mc, c)
-            hs = [hs[i] for i in sorted(found)]
-    return [(h, x) for h, x in zip(hs, _product_heads(t, g, hs))
+            row = [word_elem(found[i]) for i in sorted(found)]
+    if row is None:
+        row = hs()
+    return [(h, x) for h, x in zip(row, _product_heads(t, g, row))
             if x in heads]
 
 

@@ -709,7 +709,7 @@ def test_scan_rows_are_the_full_rows_hits(all_towers, monkeypatch):
             hs = N.ball(t, Y.zero(), N.H_RADIUS)
             pos = Y.positive()
             heads = {T._head(t, g) for g in pos}
-            words = T._ball_index(hs) is not None
+            words = all(h.level == 1 for h in Y.zero())
             prods = N._scan(Y).prods
             for g in pos:
                 row = prods[g.key]
@@ -738,12 +738,16 @@ def test_scan_rows_are_the_full_rows_hits(all_towers, monkeypatch):
 
 
 def _count_scan_builds(monkeypatch):
-    """Calls of the builders a reducedness scan is made of."""
+    """Calls of the builders a reducedness scan is made of; the word ball
+    counts as a ball."""
     calls = {"_products": 0, "ball": 0, "_product_hits": 0}
-    for mod, name in ((N, "_products"), (N, "ball"), (T, "_product_hits")):
+    for mod, name, counter in ((N, "_products", "_products"),
+                               (N, "ball", "ball"),
+                               (N, "_word_ball", "ball"),
+                               (T, "_product_hits", "_product_hits")):
         real = getattr(mod, name)
 
-        def counting(*args, _real=real, _name=name):
+        def counting(*args, _real=real, _name=counter):
             calls[_name] += 1
             return _real(*args)
 
@@ -785,6 +789,142 @@ def test_reduced_set_is_scanned_once(all_towers, monkeypatch):
                 calls[k] = 0
             N.is_reduced(t, F)
             assert calls == none, (name, seed)
+
+
+def _watch_products(Y, monkeypatch):
+    """(the word Elems made, the lists _product_heads settles) while
+    _products builds Y's head table."""
+    made, settled = [], []
+    real_elem, real_heads = T.word_elem, T._product_heads
+
+    def elem(w):
+        made.append(w)
+        return real_elem(w)
+
+    def heads(t, g, hs):
+        settled.append(hs)
+        return real_heads(t, g, hs)
+
+    with monkeypatch.context() as m:
+        m.setattr(T, "word_elem", elem)
+        m.setattr(T, "_product_heads", heads)
+        N._products(Y)
+    return made, settled
+
+
+def test_word_rows_make_only_their_candidates(t1, surf2, monkeypatch):
+    # over a word zero part the scan's ball stays word tuples: _products
+    # makes no word Elem beyond the candidates its rows find and settle,
+    # which on the larger balls are fewer than the ball holds
+    hits = fewer = 0
+    for t, base in ((t1, _BASES["t1"]), (surf2, _BASES["surf2"])):
+        for seed in range(3):
+            for Y in (N.GenSet(t, _sampled_set(t, base, seed)),
+                      N.GenSet(t, [W(t, s) for s in base])):
+                assert all(h.level == 1 for h in Y.zero())
+                N._products(Y)  # the tower's side records are made once
+                made, settled = _watch_products(Y, monkeypatch)
+                found = sum(map(len, settled))
+                assert len(settled) == len(Y.positive()) > 0
+                assert len(made) <= found, (base, seed)
+                fewer += found < len(N.ball(t, Y.zero(), N.H_RADIUS))
+                hits += sum(map(len, N._products(Y).values()))
+    assert hits and fewer
+
+
+def test_full_rows_share_one_ball(fa3, monkeypatch):
+    # z3's head period is no word, so each row over the word zero part {a}
+    # is the full row: the ball's Elems are made once per scan, for all
+    Y = gens(fa3, "a", "z3", "z3*a*z3")
+    assert all(h.level == 1 for h in Y.zero())
+    want = [h.key for h in N.ball(fa3, Y.zero(), N.H_RADIUS)]
+    _, settled = _watch_products(Y, monkeypatch)
+    assert len(settled) == len(Y.positive()) > 1
+    assert all(hs is settled[0] for hs in settled)
+    assert [h.key for h in settled[0]] == want
+
+
+def _corpus_sets():
+    """(tower, set) for each set of the reduce digest's corpus."""
+    from test_reduce_keys import TOWERS, corpus
+
+    for name, make in TOWERS:
+        t = make()
+        for Y in corpus(t, name):
+            yield t, Y
+
+
+def test_mu_builds_f_inverse_hg_once(monkeypatch):
+    # mu cuts com(f, h*g) from the f^-1*h*g it keeps as rest
+    # (tower._gromov_cut), so every mu of the reduce corpus builds that
+    # product once; where h*g = f, w1 = u^-1*f is that product too, u
+    # being f
+    real_mul, real_mu = T.multiply, N.mu
+    built, counts = [], []
+
+    def multiply(t, x, y):
+        built.append((x.key, y.key))
+        return real_mul(t, x, y)
+
+    def mu(Y, f, g, h):
+        t = Y.tower
+        hg = real_mul(t, h, g)
+        want = (T.invert(t, f).key, hg.key)
+        start = len(built)
+        out = real_mu(Y, f, g, h)
+        counts.append((t.rank, built[start:].count(want)
+                       - (hg.key == f.key)))
+        return out
+
+    monkeypatch.setattr(T, "multiply", multiply)
+    monkeypatch.setattr(N, "mu", mu)
+    for t, Y in _corpus_sets():
+        N.reduce_genset(t, Y)
+    assert {n for _, n in counts} == {1}, counts
+    assert max(rank for rank, _ in counts) > 1
+
+
+def _fresh_pair_reps(t, members):
+    out, seen = [], set()
+    for g in members:
+        if g.key not in seen:
+            seen |= {g.key, T.invert(t, g).key}
+            out.append(g)
+    return out
+
+
+def test_held_names_and_pair_reps_follow_replace(monkeypatch):
+    # each set that replace makes along the reduce corpus's chains holds
+    # its members' names and pair_reps as a fresh computation gives them,
+    # and a caller that changes a list pair_reps returned changes nothing
+    sets = []
+    real = N.GenSet.replace
+
+    def recording(self, *args):
+        out = real(self, *args)
+        sets.append(out)
+        return out
+
+    monkeypatch.setattr(N.GenSet, "replace", recording)
+    given = list(_corpus_sets())
+    for t, Y in given:
+        N.reduce_genset(t, Y)
+    monkeypatch.undo()
+    assert max(len(S.witness_log) for S in sets) > 1  # chains, not steps
+    for t, Y in given + [(S.tower, S) for S in sets]:
+        assert ([g.key for g in Y.elements]
+                == [g.key for g in sorted(Y, key=lambda g: render(t, g))])
+        for part in (None, Y.positive(), Y.zero()):
+            want = [g.key for g in _fresh_pair_reps(
+                t, Y.elements if part is None else part)]
+            got = Y.pair_reps(part)
+            assert [g.key for g in got] == want
+            got.reverse()
+            got.append(T.EPS)
+            assert [g.key for g in Y.pair_reps(part)] == want
+        assert N._render_set(Y) == "{" + ", ".join(
+            render(t, g) for g in _fresh_pair_reps(t, Y.elements)) + "}"
+    assert any(S.positive() and S.zero() for S in sets)
 
 
 # ---------------------------------------------------------------------------

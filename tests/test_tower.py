@@ -1075,6 +1075,16 @@ def test_com_error_names_its_input(t1, monkeypatch):
         T.com(t1, W(t1, "z*a"), W(t1, "z*b"))
 
 
+def test_gromov_cut_error_names_its_input(t1, monkeypatch):
+    # the cut a caller holding g^-1*h makes, as nielsen.mu does
+    g, h = W(t1, "z*a"), W(t1, "z*b")
+    d = T.multiply(t1, T.invert(t1, g), h)
+    monkeypatch.setattr(T, "prefix_of", lambda t, g, target: None)
+    with _stuck("com of z*a and z*b: no initial segment of the first has "
+                "length (0, 1)"):
+        T._gromov_cut(t1, g, h, d)
+
+
 def _mixed_tower():
     """F(a, b, c) with y: a -> b at level 2 and z: c -> c at level 3, so a
     level-2 margin before a z block can share any number of copies of c
