@@ -65,12 +65,14 @@ and pregroup.split_level read that scan instead of building their own.
 The closure step starts from the held membership test and makes a new one
 only when it adds elements.
 
-Over word generators the ball is walked on the word tuples (_word_ball),
-which gives each word its position in ball order; ball makes one Elem per
-word of that walk.  The scan keeps the walk: a row whose products are
-words makes Elems only for the candidates its lookup finds, and the first
-row that needs the full row makes the ball's Elems, once per scan, for
-every such row.
+Every ball is one breadth-first walk, _walk, which maps each product to
+its position in ball order.  Over word generators it runs on the word
+tuples (w_inv, w_mul), and ball makes one Elem per word of the walk;
+otherwise it runs on the Elems (invert, multiply), which hash and compare
+by their keys, so both take the same steps.  The scan keeps a word walk: a
+row whose products are words makes Elems only for the candidates its
+lookup finds, and the first row that needs the full row makes the ball's
+Elems, once per scan, for every such row.
 
 When the loop's last pass finds no (d) record either, its result is
 certified: GenSet.certified, False on every new set, is read and written
@@ -346,47 +348,30 @@ def ball(t, gens, radius: int):
     """All products of at most `radius` generators (with inverses), plus
     the identity, deduplicated; deterministic order."""
     if all(g.level == 1 for g in gens):
-        return [T.word_elem(w) for w in _word_ball([g.word for g in gens],
-                                                   radius)]
+        return [T.word_elem(w) for w in _walk([g.word for g in gens],
+                                              W.w_inv, W.w_mul, W.EPS,
+                                              radius)]
+    return list(_walk(gens, functools.partial(T.invert, t),
+                      functools.partial(T.multiply, t), EPS, radius))
+
+
+def _walk(gens, inv, mul, one, radius):
+    """The breadth-first walk of ball, over products made by mul from the
+    generators and their inverses under inv, one the identity: {product:
+    position}, in ball order.  It runs on word tuples or on Elems, which
+    hash and compare by their keys, so both take the same steps."""
     reps = []
-    seen = set()
     for g in gens:
-        for x in (g, T.invert(t, g)):
-            if x.key not in seen and not T.is_identity(x):
-                seen.add(x.key)
+        for x in (g, inv(g)):
+            if x != one and x not in reps:
                 reps.append(x)
-    out = [EPS]
-    known = {EPS.key}
-    frontier = [EPS]
+    at = {one: 0}
+    frontier = [one]
     for _ in range(radius):
         nxt = []
         for cur in frontier:
             for g in reps:
-                cand = T.multiply(t, cur, g)
-                if cand.key not in known:
-                    known.add(cand.key)
-                    nxt.append(cand)
-                    out.append(cand)
-        frontier = nxt
-    return out
-
-
-def _word_ball(gens, radius):
-    """ball over word generators, run on the word tuples: {word: position},
-    in ball order.  A word is its own key, so the same words come in the
-    same order."""
-    reps = []
-    for g in gens:
-        for x in (g, W.w_inv(g)):
-            if x and x not in reps:
-                reps.append(x)
-    at = {W.EPS: 0}
-    frontier = [W.EPS]
-    for _ in range(radius):
-        nxt = []
-        for cur in frontier:
-            for g in reps:
-                cand = W.w_mul(cur, g)
+                cand = mul(cur, g)
                 if cand not in at:
                     at[cand] = len(at)
                     nxt.append(cand)
@@ -413,29 +398,20 @@ def mu(Y: GenSet, f: Elem, g: Elem, h: Elem) -> GenSet:
     if f.key != Y.inverse(g).key:
         w1 = T.multiply(t, ui, f)
         w2 = T.multiply(t, w1, rest)  # u^-1*hg, as f = u*w1
-        added = [u, w1, w2]
+        removed, added = [f, g], [u, w1, w2]
         if lam(rest) == 0 and not T.is_identity(rest):
             added.append(rest)
-        entry = {
-            "op": "mu", "params": [render(t, x) for x in (f, g, h)],
-            "witnesses": [
-                _witness(t, f, [u, w1]),
-                _witness(t, g, [T.invert(t, h), u, w2]),
-            ],
-        }
-        out = Y.replace([f, g], [x for x in added if not T.is_identity(x)],
-                        entry)
+        witnesses = [_witness(t, f, [u, w1]),
+                     _witness(t, g, [T.invert(t, h), u, w2])]
     else:
-        w2 = T.multiply(t, ui, hg)
-        w2u = T.multiply(t, w2, u)
-        entry = {
-            "op": "mu", "params": [render(t, x) for x in (f, g, h)],
-            "witnesses": [
-                _witness(t, g, [T.invert(t, h), u, w2u, ui]),
-            ],
-        }
-        out = Y.replace([g], [x for x in (u, w2u) if not T.is_identity(x)],
-                        entry)
+        w2u = T.multiply(t, T.multiply(t, ui, hg), u)
+        removed, added = [g], [u, w2u]
+        witnesses = [_witness(t, g, [T.invert(t, h), u, w2u, ui])]
+    entry = {"op": "mu",
+             "params": [Y._names[f.key], Y._names[g.key], render(t, h)],
+             "witnesses": witnesses}
+    out = Y.replace(removed, [x for x in added if not T.is_identity(x)],
+                    entry)
     if lambda_weight(out) >= lambda_weight(Y):
         raise T.EngineError(
             f"mu did not decrease the weight of {_render_set(Y)}")
@@ -455,7 +431,9 @@ def eta(Y: GenSet, f: Elem, h: Elem) -> GenSet:
     f1 = T.multiply(t, ui, f)
     conj = T.multiply(t, T.multiply(t, ui, h), u)
     entry = {
-        "op": "eta", "params": [render(t, x) for x in (f, h)],
+        # a non-member f renders here and meets replace's ValueError
+        "op": "eta", "params": [Y._names.get(f.key) or render(t, f),
+                                render(t, h)],
         "witnesses": [_witness(t, f, [u, f1])],
     }
     added = [x for x in (f1, u, conj) if not T.is_identity(x)]
@@ -472,7 +450,8 @@ def nu(Y: GenSet, f: Elem) -> GenSet:
         raise Inapplicable("f is already cyclically reduced")
     ci = T.invert(t, c)
     entry = {
-        "op": "nu", "params": [render(t, f)],
+        # a non-member f renders here and meets replace's ValueError
+        "op": "nu", "params": [Y._names.get(f.key) or render(t, f)],
         "witnesses": [_witness(t, f, [ci, core, c])],
     }
     return Y.replace([f], [c, core], entry)
@@ -522,7 +501,8 @@ def _products(Y):
     t = Y.tower
     zero = Y.zero()
     if all(h.level == 1 for h in zero):
-        at = _word_ball([h.word for h in zero], H_RADIUS)
+        at = _walk([h.word for h in zero], W.w_inv, W.w_mul, W.EPS,
+                   H_RADIUS)
         index = at, max(map(len, at))
         hs = functools.cache(lambda: [T.word_elem(w) for w in at])
     else:
@@ -574,9 +554,10 @@ def _find_nu(Y):
                key=lambda f: Y._names[f.key], default=None)
 
 
-def _find_eta(t, overlaps):
+def _find_eta(Y, overlaps):
     return min(((f, h) for f, h, x in overlaps if x is None),
-               key=lambda c: [render(t, x) for x in c], default=None)
+               key=lambda c: [Y._names[c[0].key], render(Y.tower, c[1])],
+               default=None)
 
 
 def _augment_closure(Y: GenSet):
@@ -633,7 +614,7 @@ def reduce_genset(t, Y) -> GenSet:
             if cand is not None:
                 Y = nu(Y, cand)
             else:
-                cand = _find_eta(t, _overlaps(Y))
+                cand = _find_eta(Y, _overlaps(Y))
                 if cand is not None:
                     Y = eta(Y, *cand)
                 else:

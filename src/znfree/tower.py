@@ -52,9 +52,9 @@ no element above level 1 (its height is above the word's), or a letter
 element alone, whose powers are lists of zero-offset blocks.  So on such a
 list every element of the group loses an end step, and the whole test,
 reached only where none does, can never hit; `_peel` skips it.
-`_settle_left` and `_settle_right` pass the flag of the list they peel
-by.  The test stays on for a list with a generator that is neither, such
-as z*a.
+`_settle` passes the flag of the list it peels by, `left_ends` in phase 1
+and `right_ends` in phase 2.  The test stays on for a list with a generator
+that is neither, such as z*a.
 
 The inverse of a one-block element m0*B*m1 is its mirror image
 m1^-1*(B's letter, -sign, -offset)*m0^-1, already normal: with one block
@@ -63,17 +63,21 @@ is phase 2 on the element read backwards, and the other way round.
 `invert` returns it without `build`, with the element's length if that is
 known.
 
-Each margin rule has one owner.  Margin phase 1, a block's left margin, is
-`_settle_left`; phase 2, its right margin, is `_settle_right`; `_margin_pass`
-runs both, then phase 3, over a parts list.  Neither phase takes a step on
-an identity margin, so both return such a margin at once: `_peel` strips
-nothing off the identity, and `_additive` answers that a product with the
-identity is additive without building it, as `multiply` returns the other
-operand as is.  `build` stops after a pass that leaves at most one block,
-for the next pass would change nothing: one block has no Britton triple and
-no phase 3; phase 1's steps read only the margin and the block's letter and
-sign; with no next block, phase 2 never takes the rightward-flow branch, so
-its steps do not read the offset; and each phase loops to its own fixpoint.
+Each margin rule has one owner.  Margin phases 1 and 2, a block's left and
+right margins, are mirror images (Britton's lemma, Lyndon-Schupp IV.2) and
+one loop, `_settle`: phase 1 peels the margin's right end by the left axis
+and pulls with margin*head, phase 2 peels its left end by the right axis and
+pulls with tail*margin, and phase 2 alone, given a next block, tests the
+rightward flow.  `_margin_pass` runs phase 1, phase 2, then phase 3, over a
+parts list.  Neither phase takes a step on an identity margin, so both
+return such a margin at once: `_peel` strips nothing off the identity, and
+`_additive` answers that a product with the identity is additive without
+building it, as `multiply` returns the other operand as is.  `build` stops
+after a pass that leaves at most one block, for the next pass would change
+nothing: one block has no Britton triple and no phase 3; phase 1's steps
+read only the margin and the block's letter and sign; with no next block,
+phase 2 never takes the rightward-flow branch, so its steps do not read the
+offset; and each phase loops to its own fixpoint.
 
 Margin phase 3 moves the material m of a block's nonzero offset d across
 an identity gap into the next block's offset when m lies in that block's left
@@ -126,8 +130,8 @@ block's head period are both words, the block's left axis is <c> and the
 head period is c^+-1.  `_settle_word` then takes margin phase 1's steps on
 the tuple: copies of c^+-1 stripped off the right end, as `_peel`'s level-1
 step strips them, and the head period multiplied in where the junction
-cancels, as `_additive` finds it.  `_settle_left` chooses it for a word
-margin, and `_product_heads`, the scan's one settling path, calls it on
+cancels, as `_additive` finds it.  `_settle` chooses it for a word margin
+in phase 1, and `_product_heads`, the scan's one settling path, calls it on
 the tuple h*m0 where that is a word.  On a word,
 `abelian_exponents` is `_peel`'s strip reaching the identity: c is
 cyclically reduced, so c^k is c's word k times over.  Each kernel takes the
@@ -154,10 +158,10 @@ a word with no pinch keeps its sequence of signed stable letters.
 h*g over h in hs (each its first margin with the letter and sign of its
 first block, see `_head`): h*g has g's blocks, and its first margin is h
 times g's settled against g's first block by margin phase 1
-(`_settle_left`, the loop `_margin_pass` runs too).
+(`_settle`, the loop `_margin_pass` runs too).
 Where h, g's first margin and its first block's head period are words,
 `_product_heads` settles on the tuples: the head's margin is
-`_settle_word` of the word h*m0, the steps `_settle_left` takes there, and
+`_settle_word` of the word h*m0, the steps `_settle` takes there, and
 no Elem is made for h*m0 or for the settled margin.
 `_product_hits(t, g, hs, index, heads)` is the row over the ball cut to its
 entries in heads, a set of heads, in ball order; hs() gives the ball's
@@ -783,12 +787,12 @@ def _margin_error(t, side: str, e: Elem, blk: Block) -> EngineError:
 
 
 def _settle_word(t, w: W.Word, blk: Block, s: _Side):
-    """_settle_left on a word w, for a block whose head period s.head is a
-    word, s being its side record: (w', change of the offset's one
-    component)."""
+    """Margin phase 1 of _settle on a word w, for a block whose head period
+    s.head is a word, s being its side record: (w', change of the offset's
+    one component)."""
     # Heights rise strictly along an axis and a word has height 1, so the
     # left axis is <c>, c = s.left[0], and hp = c^sign.  The loop takes
-    # _settle_left's steps on the word: _peel's level-1 strip of copies of
+    # phase 1's steps on the word: _peel's level-1 strip of copies of
     # c^+-1 off the right end (the end letter picks the sign, as c is
     # cyclically reduced), else, where w's last letter cancels into hp,
     # w*hp (_additive's junction test), one _GUARD step each.
@@ -814,92 +818,61 @@ def _settle_word(t, w: W.Word, blk: Block, s: _Side):
     raise _margin_error(t, "left", word_elem(given), blk)
 
 
-def _settle_left(t, e: Elem, blk: Block):
-    """Margin phase 1 for one block: stabilize the element e to its left.
-    Axis material adjacent to the block's head is absorbed into the offset
-    vector; a strictly partial cancellation into the head period is resolved
-    by pulling one period out of the block (the complement stays as honest
-    element material).  Returns (e', offset list); only the block's letter
-    and sign are read, besides the offset the result starts from."""
+def _settle(t, blk: Block, e: Elem, right=False, nxt=None):
+    """Margin phase 1 for one block, or phase 2 where right is set:
+    stabilize the element e to the block's left against its head period, or
+    to its right against its tail period.  Axis material at the block's end
+    of e is absorbed into the offset vector, and a partial cancellation of
+    the period into e pulls one period out of the block.  nxt, given in
+    phase 2 only and then the block after e, brings in rightward flow: an
+    offset unit that cancels into e moves into it when the next block's left
+    margin claims the result.  Returns (e', offset list); phase 1 reads only
+    the block's letter and sign, besides the offset the result starts from."""
     off = list(blk.offset)
     if is_identity(e):
         # no step can fire: _peel strips nothing off the identity, and
         # _additive answers an identity operand additive
         return e, off
     s = _side(t, blk)
-    hp = s.head
-    if e.level == 1 and hp.level == 1:
+    if not right and e.level == 1 and s.head.level == 1:
         w, d = _settle_word(t, e.word, blk, s)
         off[-1] += d
         # each step changes the word, and the steps depend on it alone
         return (e if w == e.word else word_elem(w)), off
-    given = e
-    for _ in range(_GUARD):
-        e2, pex = _peel(t, e, s.left, right=True, ends=s.left_ends)
-        if any(pex):
-            e = e2
-            off = _vexadd(off, pex)
-            continue
-        add, prod = _additive(t, e, hp)
-        if not add:
-            e = prod
-            off[-1] -= blk.sign
-            continue
-        return e, off
-    raise _margin_error(t, "left", given, blk)
-
-
-def _right_claims(t, e: Elem, nxt):
-    """Whether the next block's left margin would absorb e: margin phase 1
-    on nxt takes a step on it.  False when there is no next block."""
-    # _settle_left hands back e itself exactly when it takes no step: every
-    # step makes a new element, and a word path that came back to its start
-    # would repeat until _GUARD
-    return nxt is not None and _settle_left(t, e, nxt)[0] is not e
-
-
-def _settle_right(t, blk: Block, e: Elem, nxt):
-    """Margin phase 2 for one block: stabilize the element e to its right
-    against the block's tail, nxt being the block after e (None if e is the
-    last part).  Right-axis material at e's start is absorbed into the
-    offset vector, and a partial cancellation of the tail period into e
-    pulls one period out of the block; but an offset unit that cancels into
-    e moves into it when the next block's left margin claims the result
-    (rightward flow).  Returns (e', offset list)."""
-    # The pull takes no claim test: on the first step phase 1 of this pass
-    # left e settled against nxt (_settle_left hands back only a fixpoint);
-    # test_letter_margin_letter_products_match_the_oracle covers the rest.
-    off = list(blk.offset)
-    if is_identity(e):
-        # no step can fire: _additive answers an identity operand additive,
-        # and _peel strips nothing off the identity
-        return e, off
-    s = _side(t, blk)
+    axis, ends = (s.right, s.right_ends) if right else (s.left, s.left_ends)
     given = e
     for _ in range(_GUARD):
         # the block's literal value ends with its lowest nonzero offset
-        # generator; when that unit cancels into the gap and the result
-        # flows onward into the next block, the material belongs to the
-        # right of the junction (rightward flow)
-        j = next((i for i in range(len(off)) if off[i]), None)
+        # generator; when that unit cancels into the gap and the next
+        # block's left margin claims the result, the material belongs to
+        # the right of the junction.  Phase 1 hands back its input itself
+        # exactly when it takes no step: every step makes a new element,
+        # and a word path that came back to its start would repeat until
+        # _GUARD.  The pull takes no claim test: on the first step phase 1
+        # of this pass left e settled against nxt;
+        # test_letter_margin_letter_products_match_the_oracle covers the
+        # rest.
+        j = None if nxt is None else next(
+            (i for i, d in enumerate(off) if d), None)
         if j is not None:
             unit = s.right[j] if off[j] > 0 else s.right_inv[j]
             addu, produ = _additive(t, unit, e)
-            if not addu and _right_claims(t, produ, nxt):
+            if not addu and _settle(t, nxt, produ)[0] is not produ:
                 off[j] -= 1 if off[j] > 0 else -1
-                return produ, off  # the next block's left margin takes it
-        e2, pex = _peel(t, e, s.right, right=False, ends=s.right_ends)
+                return produ, off
+        e2, pex = _peel(t, e, axis, right=not right, ends=ends)
         if any(pex):
             e = e2
             off = _vexadd(off, pex)
             continue
-        add, prod = _additive(t, s.tail, e)
+        add, prod = (_additive(t, s.tail, e) if right
+                     else _additive(t, e, s.head))
         if not add:
             e = prod
             off[-1] -= blk.sign
             continue
         return e, off
-    raise _margin_error(t, "right", given, blk)
+    raise _margin_error(t, "right" if right else "left", given, blk)
 
 
 def _transfer(t, blk: Block, nxt: Block):
@@ -941,31 +914,22 @@ def _margin_pass(t, parts, hot=-1) -> int:
     all) or was written earlier in this pass; returns the mask of the parts
     written, 0 when nothing changed."""
     wrote = 0
-    # phase 1: left margins, left to right; reads the margin
-    for bi in range(1, len(parts), 2):
-        if not (hot | wrote) >> (bi - 1) & 1:
-            continue
-        blk = parts[bi]
-        e, off = _settle_left(t, parts[bi - 1], blk)
-        if e is not parts[bi - 1]:  # every step of the loop makes a new e
-            parts[bi - 1] = e
-            wrote |= 1 << (bi - 1)
-        if tuple(off) != blk.offset:
-            parts[bi] = Block(blk.letter, blk.sign, tuple(off))
-            wrote |= 1 << bi
-    # phase 2: right margins, left to right; reads the block and the margin
-    for bi in range(1, len(parts), 2):
-        if not (hot | wrote) >> bi & 3:
-            continue
-        blk = parts[bi]
-        nxt = parts[bi + 2] if bi + 2 < len(parts) else None
-        e, off = _settle_right(t, blk, parts[bi + 1], nxt)
-        if e is not parts[bi + 1]:  # every step of the loop makes a new e
-            parts[bi + 1] = e
-            wrote |= 1 << (bi + 1)
-        if tuple(off) != blk.offset:
-            parts[bi] = Block(blk.letter, blk.sign, tuple(off))
-            wrote |= 1 << bi
+    # phase 1, left margins, reads the margin; then phase 2, right margins,
+    # reads the block and the margin; each left to right
+    for right in (False, True):
+        for bi in range(1, len(parts), 2):
+            mi = bi + 1 if right else bi - 1  # the margin's index
+            if not (hot | wrote) & (1 << mi | right << bi):
+                continue
+            blk = parts[bi]
+            nxt = parts[bi + 2] if right and bi + 2 < len(parts) else None
+            e, off = _settle(t, blk, parts[mi], right, nxt)
+            if e is not parts[mi]:  # every step of the loop makes a new e
+                parts[mi] = e
+                wrote |= 1 << mi
+            if tuple(off) != blk.offset:
+                parts[bi] = Block(blk.letter, blk.sign, tuple(off))
+                wrote |= 1 << bi
     # phase 3: offset material crosses an identity gap into the next block's
     # offset when it lies in that block's left axis, where the next pass's
     # phase 1 would absorb it; a run of blocks passes it along in one pass.
@@ -1090,17 +1054,18 @@ def _product_heads(t: GroupTower, g: Elem, hs):
     #    write blocks and the elements right of them.  Phase 1 reads only
     #    the block's letter and sign, and its loop stops at a fixed point, so
     #    later passes leave parts[0] as the first pass left it.
-    # Hence the first margin of h*g is h*m0 settled against B1.
+    # Hence the first margin of h*g is h*m0 settled against B1 by phase 1
+    # of _settle.
     if t.rank == 1:
         return [_head(t, multiply(t, h, g)) for h in hs]
     m0, blk = g.parts[0], g.parts[1]
     s = _side(t, blk)
     if m0.level == 1 and s.head.level == 1 and all(h.level == 1 for h in hs):
-        # _settle_left's word branch, on the tuples: no Elem is made for
-        # h*m0 or for its settled margin, whose key is ("w", word)
+        # _settle's word branch, on the tuples: no Elem is made for h*m0
+        # or for its settled margin, whose key is ("w", word)
         return [(("w", _settle_word(t, W.w_mul(h.word, m0.word), blk, s)[0]),
                  blk.letter, blk.sign) for h in hs]
-    return [(_settle_left(t, multiply(t, h, m0), blk)[0].key, blk.letter,
+    return [(_settle(t, blk, multiply(t, h, m0))[0].key, blk.letter,
              blk.sign) for h in hs]
 
 

@@ -457,6 +457,20 @@ def test_inverse_is_held_for_members_only(t1):
             call(W(t1, "a*b"))
 
 
+def test_moves_refuse_a_non_member(t1):
+    # the moves read their members' names from the set; a non-member f
+    # still meets the set's ValueError, after the Inapplicable checks
+    Y = gens(t1, "z")
+    z = W(t1, "z")
+    for move, name in (
+            (lambda: N.nu(Y, W(t1, "a*z*a^-1")), "z*b*a^-1"),
+            (lambda: N.eta(Y, W(t1, "z*a*z"), W(t1, "a")), "z*z*b"),
+            (lambda: N.mu(Y, W(t1, "z^2"), z, T.EPS), "z*z")):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{name} is not a member")):
+            move()
+
+
 def test_weight_split_is_held(all_towers, monkeypatch):
     # positive() and zero() are the members of positive and of zero top
     # weight in render order, for a new set and for one made by replace,
@@ -738,12 +752,11 @@ def test_scan_rows_are_the_full_rows_hits(all_towers, monkeypatch):
 
 
 def _count_scan_builds(monkeypatch):
-    """Calls of the builders a reducedness scan is made of; the word ball
-    counts as a ball."""
+    """Calls of the builders a reducedness scan is made of; a ball counts
+    as its one walk, on words or on elements."""
     calls = {"_products": 0, "ball": 0, "_product_hits": 0}
     for mod, name, counter in ((N, "_products", "_products"),
-                               (N, "ball", "ball"),
-                               (N, "_word_ball", "ball"),
+                               (N, "_walk", "ball"),
                                (T, "_product_hits", "_product_hits")):
         real = getattr(mod, name)
 

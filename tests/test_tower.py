@@ -666,8 +666,8 @@ def _parts_view(parts):
 
 
 def test_identity_margin_is_left_unchanged(all_towers, fa3, t1):
-    # margin phase 1 (_settle_left) and phase 2 (_settle_right) take no step
-    # on an identity margin, and hand back the margin itself, for every
+    # margin phases 1 and 2 (_settle, right unset and set) take no step on
+    # an identity margin, and hand back the margin itself, for every
     # letter and sign, from the zero offset and each unit offset, with and
     # without a next block; the first of two blocks has the zero offset,
     # which keeps phase 3 out
@@ -684,10 +684,10 @@ def test_identity_margin_is_left_unchanged(all_towers, fa3, t1):
         for blocks in by_level.values():
             for blk in blocks:
                 where = f"{tname}: {blk}"
-                e, off = T._settle_left(t, T.EPS, blk)
+                e, off = T._settle(t, blk, T.EPS)
                 assert e is T.EPS and tuple(off) == blk.offset, where
                 for nxt in [None] + blocks:
-                    e, off = T._settle_right(t, blk, T.EPS, nxt)
+                    e, off = T._settle(t, blk, T.EPS, True, nxt)
                     assert e is T.EPS and tuple(off) == blk.offset, (
                         f"{where} before {nxt}")
                 parts = [T.EPS, blk, T.EPS]
@@ -702,6 +702,48 @@ def test_identity_margin_is_left_unchanged(all_towers, fa3, t1):
                     where = f"{tname}: {b1} {b2}"
                     assert not T._margin_pass(t, parts), where
                     assert parts == [T.EPS, b1, T.EPS, b2, T.EPS], where
+
+
+def test_last_block_tests_no_rightward_flow(all_towers, fa3, t1,
+                                            monkeypatch):
+    # phase 2 of the last block has no next block to claim an offset unit,
+    # so it never multiplies the unit into its margin: on every letter and
+    # sign, with offset -sign in one coordinate (whose unit is not the tail
+    # period) and each base generator as the margin, the outer settle hands
+    # _additive the tail period first, never the unit
+    settle, additive = T._settle, T._additive
+    depth, firsts = [0], []
+
+    def nesting(*args):
+        depth[0] += 1
+        try:
+            return settle(*args)
+        finally:
+            depth[0] -= 1
+
+    def recording(t, a, b):
+        if depth[0] == 1:
+            firsts.append(a.key)
+        return additive(t, a, b)
+
+    monkeypatch.setattr(T, "_settle", nesting)
+    monkeypatch.setattr(T, "_additive", recording)
+    checked = 0
+    for tname, t in _pinned_towers(all_towers, fa3, t1).items():
+        for name in t.letters:
+            n = len(T.zero_offset(t, name))
+            for sign, j in itertools.product((1, -1), range(n)):
+                blk = T.Block(name, sign, tuple(-sign if i == j else 0
+                                                for i in range(n)))
+                s = T._side(t, blk)
+                unit = s.right_inv[j] if sign > 0 else s.right[j]
+                for sym in t.symbols:
+                    firsts.clear()
+                    T._settle(t, blk, T.gen_elem(t, sym), True)
+                    assert firsts and unit.key not in firsts, (
+                        f"{tname}: {blk}, margin {sym}")
+                    checked += 1
+    assert checked
 
 
 def _product_parts(t, g, h, L):
@@ -908,17 +950,16 @@ def test_transfer_table_matches_the_material(all_towers, fa3, t1,
 
 
 def _counting_settles(m):
-    """Patch T._settle_left and T._settle_right through m; returns the list
-    every call, nested ones included, appends its function's name to."""
+    """Patch T._settle through m; returns the list every call, nested ones
+    included, appends its phase to."""
     calls = []
-    for name in ("_settle_left", "_settle_right"):
-        real = getattr(T, name)
+    real = T._settle
 
-        def counting(*args, real=real, name=name):
-            calls.append(name)
-            return real(*args)
+    def counting(t, blk, e, right=False, nxt=None):
+        calls.append(2 if right else 1)
+        return real(t, blk, e, right, nxt)
 
-        m.setattr(T, name, counting)
+    m.setattr(T, "_settle", counting)
     return calls
 
 
@@ -1028,7 +1069,7 @@ def test_settle_left_error_names_its_input(fa3, monkeypatch):
     monkeypatch.setattr(T, "_GUARD", 0)
     with _stuck("left margin z2*a^2 of block (z3, -1, (1, 0)) did not "
                 "stabilize"):
-        T._settle_left(fa3, e, T.Block("z3", -1, (1, 0)))
+        T._settle(fa3, T.Block("z3", -1, (1, 0)), e)
 
 
 def test_settle_right_error_names_its_input(t1, monkeypatch):
@@ -1036,7 +1077,7 @@ def test_settle_right_error_names_its_input(t1, monkeypatch):
     monkeypatch.setattr(T, "_GUARD", 0)
     with _stuck("right margin a*b of block (z, -1, (1,)) did not "
                 "stabilize"):
-        T._settle_right(t1, T.Block("z", -1, (1,)), e, None)
+        T._settle(t1, T.Block("z", -1, (1,)), e, True)
 
 
 def test_build_error_names_its_input(t1, monkeypatch):
