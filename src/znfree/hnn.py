@@ -51,8 +51,7 @@ class AdmissibilityReport:
 
     @property
     def admissible(self) -> bool:
-        return (all(self.cyclically_reduced) and all(self.proper_power_free)
-                and self.equal_length and self.not_conjugate_to_inverse)
+        return self.failing_condition() is None
 
     def failing_condition(self) -> str | None:
         if not all(self.cyclically_reduced):

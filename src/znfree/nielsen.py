@@ -23,12 +23,13 @@ generator's head, and a row holds just those, in ball order
 (tower._product_hits).  Each head is h times g's first margin m_g, settled
 against g's first block (tower._product_heads).  Where h, m_g and the
 block's head period are words, settling multiplies by powers of the left
-axis generator c on the right only, so h*g has the head of an f with first
-margin m_f only if h = m_f*c^k*m_g^-1.  The row looks these candidates up
-in the ball by their words, over the k that the ball's longest word
-allows, and makes and settles only the ones it finds; any other row is the
-full row, cut to its hits.  So the (b) scan builds no product and no com
-at all.
+axis generator c on the right only, and each coset m_f*<c> holds one
+settled word, so h*g has the head of an f with first margin m_f exactly
+when h = m_f*c^k*m_g^-1.  The row looks these candidates up in the ball by
+their words, over the k that the ball's longest word allows, and makes
+only the ones it finds, each with the head it was looked up under; it
+settles nothing.  Any other row is the full row, cut to its hits.  So the
+(b) scan builds no product and no com at all.
 
 (c) and (d) ask one question of a self-overlap (f, h): whether f^-1*h*f
 has weight zero.  Its record is (f, h, x), x that conjugate, read along
@@ -54,25 +55,26 @@ sort into render order computes; _find_mu, _find_nu and _render_set read
 the names instead of rendering a member again.  The set replace builds
 takes the kept members' inverses and names along.  It holds pair_reps of
 all members, of the positive and of the zero ones, and each call returns a
-new list.  It holds one reducedness scan (_scan), made when first asked
-for: the head table over the weight-zero multiplier ball of radius
-H_RADIUS (the ball itself is not kept), the zero part's membership test
-(_membership: the subgroup graph is folded once, or above the base layer
-the keys of its ball are collected once) and the self-overlaps, found when
-first read.  Each pass of the loop reads the scan of the set it works on;
+new list.  It holds its reducedness scan as three cached properties, each
+made on its first read: the head table over the weight-zero multiplier
+ball of radius H_RADIUS (GenSet._prods; the ball itself is not kept), the
+zero part's membership test (GenSet._member, a _membership: the subgroup
+graph is folded once, or above the base layer the keys of its ball are
+collected once) and the self-overlaps (GenSet._overlaps).  Each pass of
+the loop reads the scan of the set it works on;
 the pass that ends the loop leaves the result's scan held, and is_reduced
 and pregroup.split_level read that scan instead of building their own.
 The closure step starts from the held membership test and makes a new one
 only when it adds elements.
 
 Every ball is one breadth-first walk, _walk, which maps each product to
-its position in ball order.  Over word generators it runs on the word
-tuples (w_inv, w_mul), and ball makes one Elem per word of the walk;
-otherwise it runs on the Elems (invert, multiply), which hash and compare
-by their keys, so both take the same steps.  The scan keeps a word walk: a
-row whose products are words makes Elems only for the candidates its
-lookup finds, and the first row that needs the full row makes the ball's
-Elems, once per scan, for every such row.
+its position in ball order.  ball runs it on the Elems (invert, multiply),
+which hash and compare by their keys.  The scan, over a word zero part,
+runs it on the word tuples (w_inv, w_mul), which take the same steps, and
+keeps the word walk: a row whose products are words makes Elems only for
+the candidates its lookup finds, and the first row that needs the full row
+makes the ball's Elems, once per scan, for every such row.  The engine
+never calls ball over word generators: _membership folds them.
 
 When the loop's last pass finds no (d) record either, its result is
 certified: GenSet.certified, False on every new set, is read and written
@@ -138,7 +140,6 @@ class GenSet:
             (self._zero, [g for g in reps if g.key not in pos]))
         self.witness_log = witness_log
         self.certified = False  # see the module docstring
-        self._held_scan = None  # a _Scan, made by _scan on first use
 
     def __iter__(self):
         return iter(self.elements)
@@ -177,6 +178,24 @@ class GenSet:
             if members is part:
                 return list(reps)
         return self._pair_reps(members)
+
+    # the set's reducedness scan, each part made on its first read (module
+    # docstring)
+    @functools.cached_property
+    def _prods(self):
+        """The head table of _products."""
+        return _products(self)
+
+    @functools.cached_property
+    def _member(self):
+        """The zero part's membership test (_membership)."""
+        return _membership(self.tower, self._zero)
+
+    @functools.cached_property
+    def _overlaps(self):
+        """_self_overlaps of the head table: a pass that finds a mu or nu
+        move never reads them."""
+        return _self_overlaps(self, self._prods)
 
     def _pair_reps(self, members):
         out = []
@@ -347,10 +366,6 @@ def _membership(t, gens):
 def ball(t, gens, radius: int):
     """All products of at most `radius` generators (with inverses), plus
     the identity, deduplicated; deterministic order."""
-    if all(g.level == 1 for g in gens):
-        return [T.word_elem(w) for w in _walk([g.word for g in gens],
-                                              W.w_inv, W.w_mul, W.EPS,
-                                              radius)]
     return list(_walk(gens, functools.partial(T.invert, t),
                       functools.partial(T.multiply, t), EPS, radius))
 
@@ -464,33 +479,6 @@ def nu(Y: GenSet, f: Elem) -> GenSet:
 _MAX_AUGMENT = 8
 
 
-class _Scan:
-    """A set's reducedness scan (see the module docstring)."""
-
-    __slots__ = ("prods", "member", "overlaps")
-
-    def __init__(self, Y):
-        self.prods = _products(Y)
-        self.member = _membership(Y.tower, Y.zero())
-        self.overlaps = None  # read through _overlaps
-
-
-def _scan(Y):
-    """Y's scan, made on first use and held by Y."""
-    if Y._held_scan is None:
-        Y._held_scan = _Scan(Y)
-    return Y._held_scan
-
-
-def _overlaps(Y):
-    """_self_overlaps of Y's scan, found on first use: a pass that finds a
-    mu or nu move never reads them."""
-    s = _scan(Y)
-    if s.overlaps is None:
-        s.overlaps = _self_overlaps(Y, s.prods)
-    return s.overlaps
-
-
 def _products(Y):
     """{g.key: [(h, head of h*g) for h in hs if that head is a positive
     generator's]} over the positive generators g, hs being the weight-zero
@@ -568,11 +556,11 @@ def _augment_closure(Y: GenSet):
     t = Y.tower
     added = []
     zero = Y.zero()
-    member = _scan(Y).member
+    member = Y._member
     held = True
     # reduce_genset calls this only once _find_eta finds no partial
     # overlap, so every x here is f^-1*h*f, of weight zero
-    for f, h, x in _overlaps(Y):
+    for f, h, x in Y._overlaps:
         if member(x):
             continue
         held = False
@@ -606,7 +594,7 @@ def reduce_genset(t, Y) -> GenSet:
     steps = 0
     augments = 0
     while True:
-        cand = _find_mu(Y, _scan(Y).prods)
+        cand = _find_mu(Y, Y._prods)
         if cand is not None:
             Y = mu(Y, *cand)
         else:
@@ -614,7 +602,7 @@ def reduce_genset(t, Y) -> GenSet:
             if cand is not None:
                 Y = nu(Y, cand)
             else:
-                cand = _find_eta(Y, _overlaps(Y))
+                cand = _find_eta(Y, Y._overlaps)
                 if cand is not None:
                     Y = eta(Y, *cand)
                 else:
@@ -654,20 +642,19 @@ def is_reduced(t, Y) -> list[str]:
     if not isinstance(Y, GenSet):
         Y = GenSet(t, Y)
     out = []
-    scan = _scan(Y)
     for f in Y.pair_reps(Y.positive()):
         if not T.is_cyclically_reduced(t, f):
             out.append(f"(a) not cyclically reduced: {render(t, f)}")
     for f in Y.positive():
-        for g, h in _shared_heads(Y, scan.prods, f):
+        for g, h in _shared_heads(Y, Y._prods, f):
             out.append(f"(b) shared head: f={render(t, f)} g={render(t, g)}"
                        f" h={render(t, h)}")
             break
-    for f, h, x in _overlaps(Y):
+    for f, h, x in Y._overlaps:
         if x is None:
             out.append(f"(c) partial self-overlap: f={render(t, f)} "
                        f"h={render(t, h)}")
-        elif not scan.member(x):
+        elif not Y._member(x):
             out.append(f"(d) conjugate escapes the weight-zero part: "
                        f"f={render(t, f)} h={render(t, h)}")
     return out

@@ -272,7 +272,7 @@ def split_level(t, Z) -> LevelSplit:
     # pair, and Z.zero() is closed under inversion and in the render order
     # in which pair_reps keeps the first member of each pair.  The overlaps
     # of each f come in that ball order.
-    overlaps = N._overlaps(Z)
+    overlaps = Z._overlaps
     stable = []
     for y in Z.pair_reps(Z.positive()):
         witness = next((c for f, c, x in overlaps

@@ -131,12 +131,11 @@ head period is c^+-1.  `_settle_word` then takes margin phase 1's steps on
 the tuple: copies of c^+-1 stripped off the right end, as `_peel`'s level-1
 step strips them, and the head period multiplied in where the junction
 cancels, as `_additive` finds it.  `_settle` chooses it for a word margin
-in phase 1, and `_product_heads`, the scan's one settling path, calls it on
-the tuple h*m0 where that is a word.  On a word,
-`abelian_exponents` is `_peel`'s strip reaching the identity: c is
-cyclically reduced, so c^k is c's word k times over.  Each kernel takes the
-general path's steps in the same order, so its answers are the general
-path's.
+in phase 1.  On a word, `abelian_exponents` is `_peel`'s strip reaching the
+identity: c is cyclically reduced, so c^k is c's word k times over.  Each
+kernel takes the general path's steps in the same order, so its answers
+are the general path's.  The scan's lookup rows (`_product_hits`) settle
+nothing at all: they know each hit's margin before they find it.
 
 A block's left and right axes, their inverses, and its head and tail periods
 are constants of its signed letter (Britton's lemma, Lyndon-Schupp IV.2);
@@ -159,28 +158,30 @@ h*g over h in hs (each its first margin with the letter and sign of its
 first block, see `_head`): h*g has g's blocks, and its first margin is h
 times g's settled against g's first block by margin phase 1
 (`_settle`, the loop `_margin_pass` runs too).
-Where h, g's first margin and its first block's head period are words,
-`_product_heads` settles on the tuples: the head's margin is
-`_settle_word` of the word h*m0, the steps `_settle` takes there, and
-no Elem is made for h*m0 or for the settled margin.
 `_product_hits(t, g, hs, index, heads)` is the row over the ball cut to its
 entries in heads, a set of heads, in ball order; hs() gives the ball's
 elements, made on the caller's first call, and index, where they are all
 words, maps each word to its position in the ball and gives the longest
 word's length.  Let every h of the ball, g's first margin m and its first
-block's head period be words, so the left axis is <c> and the period
-c^+-1.  `_settle_word` takes two kinds of step on a word, stripping a copy
-of c^+-1 off its right end and multiplying the period in on the right, so
-the entry of h is the word h*m*c^j for some j.  It equals a head with the
-block's letter and sign and a word margin m_f only if h = m_f*c^k*m^-1,
-k = -j.  c is cyclically reduced, so c^k is c's word |k| times over, and
-c^k = m_f^-1*h*m gives |k|*|c| <= |m_f| + l + |m|, l the length of the
-longest word of the ball.  So every hit is one of the candidates
-m_f*c^k*m^-1 over that range of k, and the row looks each one up in
-index, makes the Elems of the ones it finds, in ball order, settles them
-through `_product_heads` as the full row does and keeps those whose head
-is in heads.  A row with a non-word h, margin or period is the full row
-over hs(), cut.
+block's head period be words, so the left axis is <c>, c cyclically
+reduced, and the period c^+-1.  `_settle_word` takes two kinds of step on
+a word, stripping a copy of c^+-1 off its right end and multiplying the
+period in on the right, so the settled margin of h*m is h*m*c^j for some
+j, and a word it leaves settled neither ends in a copy of c^+-1 nor
+cancels into the period.  So each coset x*<c> holds at most one settled
+word: if two did, one would be the other times a positive power of the
+period (swap them if not), and as the other's last letter does not cancel
+into the period, that product is reduced as written and ends in a copy of
+it.  The heads looked for are positive generators' heads, whose margins
+are settled against blocks of the same letter and sign.  So h*g has the
+head with word margin m_f exactly when h*m lies in m_f*<c>, h =
+m_f*c^k*m^-1, and then h*m settles to m_f.  c^k = m_f^-1*h*m gives
+|k|*|c| <= |m_f| + l + |m|, l the length of the longest word of the ball,
+as c^k is c's word |k| times over.  So the row looks each candidate
+m_f*c^k*m^-1 over that range of k up in index and makes the Elems of the
+ones it finds, in ball order, each paired with the head it was looked up
+under; it settles nothing.  A row with a non-word h, margin or period is
+the full row over hs(), `_product_heads`, cut.
 `_weight_zero_conjugate(t, y, c)`, for c of weight zero, is y^-1*c*y when
 that has weight 0 and None otherwise: it follows the middle of the word
 through y's blocks, one pinch at a time, and stops at the first block whose
@@ -218,6 +219,7 @@ hit, whose reps-th power is the core, as the root.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .lamvec import (
@@ -769,12 +771,10 @@ def _peel(t, e, gens, right: bool, ends=False):
 
 
 def _render_part(t, p) -> str:
-    """A parts-list entry for an error message: a rendered element, a block
-    as (letter, sign, offset), or `no block` for None."""
+    """A parts-list entry for an error message: a rendered element, or a
+    block as (letter, sign, offset)."""
     from .wordexpr import render  # wordexpr imports this module
 
-    if p is None:
-        return "no block"
     if isinstance(p, Block):
         return f"({p.letter}, {p.sign:+d}, {p.offset})"
     return render(t, p)
@@ -789,7 +789,8 @@ def _margin_error(t, side: str, e: Elem, blk: Block) -> EngineError:
 def _settle_word(t, w: W.Word, blk: Block, s: _Side):
     """Margin phase 1 of _settle on a word w, for a block whose head period
     s.head is a word, s being its side record: (w', change of the offset's
-    one component)."""
+    one component).  w' is the one settled word of the coset w*<c>, c the
+    left axis generator (module docstring), so w*c^k settles to w' too."""
     # Heights rise strictly along an axis and a word has height 1, so the
     # left axis is <c>, c = s.left[0], and hp = c^sign.  The loop takes
     # phase 1's steps on the word: _peel's level-1 strip of copies of
@@ -1034,7 +1035,8 @@ def _head(t: GroupTower, x: Elem):
 def _product_heads(t: GroupTower, g: Elem, hs):
     """[_head(t, h*g) for h in hs], for hs of weight zero and g of positive
     weight, without building any h*g: the full row of the reducedness scan's
-    head table, which _product_hits cuts to its hits."""
+    head table, which _product_hits cuts to its hits where its lookup does
+    not apply."""
     # At rank 1 the only element of weight zero is the identity, so this is
     # g's own head.  Above it let g = m0 B1 m1 ... Bk mk; multiply hands
     # build the list [h*m0, B1, m1, ..., Bk, mk], all of whose pinch
@@ -1059,12 +1061,6 @@ def _product_heads(t: GroupTower, g: Elem, hs):
     if t.rank == 1:
         return [_head(t, multiply(t, h, g)) for h in hs]
     m0, blk = g.parts[0], g.parts[1]
-    s = _side(t, blk)
-    if m0.level == 1 and s.head.level == 1 and all(h.level == 1 for h in hs):
-        # _settle's word branch, on the tuples: no Elem is made for h*m0
-        # or for its settled margin, whose key is ("w", word)
-        return [(("w", _settle_word(t, W.w_mul(h.word, m0.word), blk, s)[0]),
-                 blk.letter, blk.sign) for h in hs]
     return [(_settle(t, blk, multiply(t, h, m0))[0].key, blk.letter,
              blk.sign) for h in hs]
 
@@ -1077,13 +1073,12 @@ def _product_hits(t: GroupTower, g: Elem, hs, index, heads):
     call; index is None, or (word -> position in the ball, the longest
     word's length) when the ball's elements are all words.  Where the
     row's products are words the candidates for a hit are found by a
-    lookup, and only their elements are made and settled."""
+    lookup, each under the head it hits, and only their elements are made;
+    nothing is settled."""
     # Where every h, g's first margin m0 and its first block's head period
     # are words, a hit on a head with word margin m is h = m*c^k*m0^-1 with
-    # |k|*|c| <= l + |m| + |m0|, l the longest word of the ball (module
-    # docstring).  The row narrows the ball to the candidates it finds
-    # there; _product_heads settles them, as it settles a full row.
-    row = None
+    # |k|*|c| <= l + |m| + |m0|, l the longest word of the ball, and h*g
+    # has that head (module docstring).
     if t.rank > 1 and index is not None:
         m0, blk = g.parts[0], g.parts[1]
         s = _side(t, blk)
@@ -1102,11 +1097,10 @@ def _product_hits(t: GroupTower, g: Elem, hs, index, heads):
                     h = W.w_mul(mc, m0i)
                     i = at.get(h)
                     if i is not None:
-                        found[i] = h
+                        found[i] = h, (key, letter, sign)
                     mc = W.w_mul(mc, c)
-            row = [word_elem(found[i]) for i in sorted(found)]
-    if row is None:
-        row = hs()
+            return [(word_elem(h), x) for _, (h, x) in sorted(found.items())]
+    row = hs()
     return [(h, x) for h, x in zip(row, _product_heads(t, g, row))
             if x in heads]
 
@@ -1318,72 +1312,66 @@ def subgroup_gens(t: GroupTower, sub: AbelianSubgroup):
 
 
 def validate_tower(t: GroupTower) -> None:
-    """Structural conditions for a valid tower (raises TowerRejection)."""
+    """Structural conditions for a valid tower (raises TowerRejection).
+    Each letter's axis keys, its direction keys and each signed letter's
+    head key are computed once, and the conditions compare them."""
     by_level: dict[int, list[StableLetter]] = {}
     for sl in t.letters.values():
         by_level.setdefault(sl.level, []).append(sl)
     # axis usage count: a centralizer may appear among the other letters'
     # source/target axes at most twice
+    axes = [(sl.name, tuple(sorted(x.key for x in gens)))
+            for sl in t.letters.values()
+            for gens in (sl.source_gens, sl.target_gens)]
     usage: dict[tuple, list[str]] = {}
-    for sl in t.letters.values():
-        for gens in (sl.source_gens, sl.target_gens):
-            k = tuple(sorted(x.key for x in gens))
-            usage.setdefault(k, []).append(sl.name)
-    for sl in t.letters.values():
-        for gens in (sl.source_gens, sl.target_gens):
-            k = tuple(sorted(x.key for x in gens))
-            other_uses = [n for n in usage[k] if n != sl.name]
-            if len(other_uses) > 2:
-                raise TowerRejection("centralizer-overused",
-                                     f"axis of {sl.name} reused by "
-                                     f"{sorted(set(other_uses))}")
+    for name, k in axes:
+        usage.setdefault(k, []).append(name)
+    for name, k in axes:
+        other_uses = [n for n in usage[k] if n != name]
+        if len(other_uses) > 2:
+            raise TowerRejection("centralizer-overused",
+                                 f"axis of {name} reused by "
+                                 f"{sorted(set(other_uses))}")
+
     def side(name, sign):
         return _side(t, Block(name, sign, zero_offset(t, name)))
 
+    # each signed letter's head period, u for +1 and v^-1 for -1, and a
+    # letter's periodic directions, the head and tail periods of both signs
+    dirs, heads = {}, {}
+    for sl in t.letters.values():
+        p, n = side(sl.name, 1), side(sl.name, -1)
+        dirs[sl.name] = {p.head.key, p.tail.key, n.head.key, n.tail.key}
+        heads[sl.name, 1], heads[sl.name, -1] = p.head.key, n.head.key
     # attached-axis: a letter's axis periods may not coincide with the
     # head/tail periods of any lower letter, otherwise neighbors with
     # matching infinite periodic tails defeat margin stabilization
-    def _directions(sl):
-        pos = side(sl.name, 1)
-        return [pos.head, pos.left_inv[-1], pos.tail, pos.right_inv[-1]]
-
     for sl in t.letters.values():
         for lower in t.letters.values():
-            if lower.level >= sl.level:
-                continue
-            for d1 in _directions(sl):
-                for d2 in _directions(lower):
-                    if equals(t, d1, d2):
-                        raise TowerRejection(
-                            "attached-axis",
-                            f"axis period of {sl.name} equals a periodic "
-                            f"direction of lower letter {lower.name}")
+            if lower.level < sl.level and dirs[sl.name] & dirs[lower.name]:
+                raise TowerRejection(
+                    "attached-axis",
+                    f"axis period of {sl.name} equals a periodic "
+                    f"direction of lower letter {lower.name}")
     for level, sls in by_level.items():
         # conjugate axes at one level must be equal
-        tops = []
-        for sl in sls:
-            tops.append((sl.name, sl.u))
-            tops.append((sl.name, sl.v))
-        for i in range(len(tops)):
-            for j in range(i + 1, len(tops)):
-                ui, uj = tops[i][1], tops[j][1]
-                if equals(t, ui, uj):
-                    continue
-                if is_conjugate(t, ui, uj):
-                    raise TowerRejection(
-                        "centralizer-conflict",
-                        "conjugate but unequal axes at one level")
-        # orientation clash: distinct signed letters with equal head periods
+        tops = [x for sl in sls for x in (sl.u, sl.v)]
+        if any(not equals(t, x, y) and is_conjugate(t, x, y)
+               for x, y in itertools.combinations(tops, 2)):
+            raise TowerRejection("centralizer-conflict",
+                                 "conjugate but unequal axes at one level")
+        # orientation clash: distinct signed letters with equal head
+        # periods; the first pair in order is the first key seen twice
         signed = [(sl, s) for sl in sls for s in (1, -1)]
-        heads = {(sl.name, s): side(sl.name, s).head for sl, s in signed}
-        items = list(heads.items())
-        for i in range(len(items)):
-            for j in range(i + 1, len(items)):
-                if equals(t, items[i][1], items[j][1]):
-                    raise TowerRejection(
-                        "orientation-clash",
-                        "shared axis consumed in the same direction by "
-                        f"{items[i][0]} and {items[j][0]}")
+        by_head: dict[tuple, list[tuple]] = {}
+        for sl, s in signed:
+            by_head.setdefault(heads[sl.name, s], []).append((sl.name, s))
+        clash = next((ns for ns in by_head.values() if len(ns) > 1), None)
+        if clash is not None:
+            raise TowerRejection(
+                "orientation-clash",
+                "shared axis consumed in the same direction by "
+                f"{clash[0]} and {clash[1]}")
         # junction cleanliness: tail of one block vs head of the next
         for sl1, s1 in signed:
             for sl2, s2 in signed:

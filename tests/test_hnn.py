@@ -5,7 +5,7 @@ import pytest
 from znfree import factory, hnn, tower as T
 from znfree.hnn import check_admissible, extend_hnn
 from znfree.tower import TowerRejection, gen_elem, multiply, invert
-from znfree.wordexpr import parse_word
+from znfree.wordexpr import parse_word, render
 
 
 def free_ab():
@@ -142,6 +142,20 @@ def test_admissibility_checked_once_across_rotations(monkeypatch):
     t = extend_hnn(t0, "x1", [q], [multiply(t0, x2, x3)])
     assert "x1" in t.letters
     assert len(calls) == 2
+
+
+def test_rotation_loop_passes_over_a_rejected_rotation():
+    # in F(a, b, c) the target a^-1*b*a^-1 has rotations b*a^-2 (by a^-1)
+    # and a^-2*b (by a^-1*b); with the source kept, the raw pair and the
+    # first rotation misalign, and extend_hnn goes on to accept the second
+    t0 = factory.free_tower(["a", "b", "c"])
+    for target in ("a^-1*b*a^-1", "b*a^-2"):
+        with pytest.raises(TowerRejection) as ei:
+            _w(t0, ["a^2*b"], [target], "z", auto_rotate=False)
+        assert ei.value.condition == "junction-misalignment", target
+    t = _w(t0, ["a^2*b"], ["a^-1*b*a^-1"], "z")
+    sl = t.letters["z"]
+    assert [render(t, x) for x in (sl.u, sl.v)] == ["a^2*b", "a^-2*b"]
 
 
 def _w(t, source, target, name="w", **kw):

@@ -280,8 +280,10 @@ def _ball_general(t, gens, radius):
 
 
 def test_word_ball_matches_general_ball(t1, surf2, fa3):
-    # same keys in the same order, on redundant and overlapping word sets;
-    # the level-2 set takes the general path
+    # same keys in the same order, on redundant and overlapping word sets
+    # and a level-2 set: ball walks the Elems, and over words the scan's
+    # walk of the word tuples (_walk, called as _products calls it) lists
+    # the same words
     f3 = factory.free_tower(["a", "b", "c"])
     cases = [(t1, ["a", "a^-2", "b", "b^-2"]), (t1, ["a*b", "b^-1", "a"]),
              (t1, ["a", "a^-1"]), (t1, []), (surf2, ["x2", "x3", "x4"]),
@@ -293,6 +295,11 @@ def test_word_ball_matches_general_ball(t1, surf2, fa3):
             want = _ball_general(t, gs, radius)
             assert [x.key for x in got] == [x.key for x in want], (ss, radius)
             assert all(isinstance(x, T.Elem) for x in got)
+            if all(g.level == 1 for g in gs):
+                at = N._walk([g.word for g in gs], w_inv, w_mul, (), radius)
+                assert [("w", w) for w in at] == [x.key for x in want], (
+                    ss, radius)
+                assert list(at.values()) == list(range(len(at)))
 
 
 _LETTERS = (1, -1, 2, -2, 3, -3)
@@ -650,7 +657,7 @@ def test_weight_zero_conjugators_are_self_overlaps(all_towers):
         for seed in range(6):
             R = N.reduce_genset(t, N.GenSet(t, _sampled_set(t, base, seed)))
             ball = N.ball(t, R.zero(), N.H_RADIUS)
-            overlaps = N._overlaps(R)
+            overlaps = R._overlaps
             for y in R.positive():
                 mine = [h.key for f, h, _ in overlaps if f.key == y.key]
                 assert mine == [c.key for c in ball if c.key in mine]
@@ -690,7 +697,7 @@ def test_self_overlap_is_total_iff_its_conjugate_has_weight_zero(all_towers):
             sets += [(t, Y), (t, N.reduce_genset(t, Y))]
     kinds = {True: 0, False: 0}
     for t, Y in sets:
-        for f, h, x in N._overlaps(N.GenSet(t, Y)):
+        for f, h, x in N.GenSet(t, Y)._overlaps:
             total = (T.lam_len(t, T.com(t, f, T.multiply(t, h, f)))
                      == T.lam_len(t, f))
             assert total == (x is not None), (render(t, f), render(t, h))
@@ -724,7 +731,7 @@ def test_scan_rows_are_the_full_rows_hits(all_towers, monkeypatch):
             pos = Y.positive()
             heads = {T._head(t, g) for g in pos}
             words = all(h.level == 1 for h in Y.zero())
-            prods = N._scan(Y).prods
+            prods = Y._prods
             for g in pos:
                 row = prods[g.key]
                 m_g, blk = g.parts[0], g.parts[1]
@@ -805,10 +812,11 @@ def test_reduced_set_is_scanned_once(all_towers, monkeypatch):
 
 
 def _watch_products(Y, monkeypatch):
-    """(the word Elems made, the lists _product_heads settles) while
-    _products builds Y's head table."""
-    made, settled = [], []
-    real_elem, real_heads = T.word_elem, T._product_heads
+    """(the word Elems made, the lists _product_heads settles, the number
+    of _settle_word calls) while _products builds Y's head table."""
+    made, settled, words = [], [], []
+    real_elem, real_heads, real_word = (T.word_elem, T._product_heads,
+                                        T._settle_word)
 
     def elem(w):
         made.append(w)
@@ -818,31 +826,56 @@ def _watch_products(Y, monkeypatch):
         settled.append(hs)
         return real_heads(t, g, hs)
 
+    def settle_word(*args):
+        words.append(args)
+        return real_word(*args)
+
     with monkeypatch.context() as m:
         m.setattr(T, "word_elem", elem)
         m.setattr(T, "_product_heads", heads)
+        m.setattr(T, "_settle_word", settle_word)
         N._products(Y)
-    return made, settled
+    return made, settled, len(words)
 
 
-def test_word_rows_make_only_their_candidates(t1, surf2, monkeypatch):
-    # over a word zero part the scan's ball stays word tuples: _products
-    # makes no word Elem beyond the candidates its rows find and settle,
-    # which on the larger balls are fewer than the ball holds
-    hits = fewer = 0
+def _lookup_sets(t1, surf2):
+    """Sampled and basis sets of t1 and surf2, whose zero parts, first
+    margins and head periods are words."""
     for t, base in ((t1, _BASES["t1"]), (surf2, _BASES["surf2"])):
         for seed in range(3):
             for Y in (N.GenSet(t, _sampled_set(t, base, seed)),
                       N.GenSet(t, [W(t, s) for s in base])):
                 assert all(h.level == 1 for h in Y.zero())
-                N._products(Y)  # the tower's side records are made once
-                made, settled = _watch_products(Y, monkeypatch)
-                found = sum(map(len, settled))
-                assert len(settled) == len(Y.positive()) > 0
-                assert len(made) <= found, (base, seed)
-                fewer += found < len(N.ball(t, Y.zero(), N.H_RADIUS))
-                hits += sum(map(len, N._products(Y).values()))
+                yield t, Y
+
+
+def test_word_rows_make_only_their_candidates(t1, surf2, monkeypatch):
+    # over a word zero part the scan's ball stays word tuples: _products
+    # makes no word Elem beyond the candidates its rows find, every one of
+    # which is a hit, and on the larger balls they are fewer than the ball
+    # holds
+    hits = fewer = 0
+    for t, Y in _lookup_sets(t1, surf2):
+        N._products(Y)  # the tower's side records are made once
+        made, _, _ = _watch_products(Y, monkeypatch)
+        found = sum(map(len, N._products(Y).values()))
+        assert len(made) <= found, render(t, Y.elements[0])
+        fewer += found < len(N.ball(t, Y.zero(), N.H_RADIUS))
+        hits += found
     assert hits and fewer
+
+
+def test_lookup_rows_settle_nothing(t1, surf2, monkeypatch):
+    # a lookup row pairs each candidate with the head it was looked up
+    # under, so on these sets no row settles a margin: _products calls
+    # neither _product_heads nor _settle_word
+    hits = 0
+    for t, Y in _lookup_sets(t1, surf2):
+        N._products(Y)  # the tower's side records are made once
+        _, settled, words = _watch_products(Y, monkeypatch)
+        assert settled == [] and words == 0, render(t, Y.elements[0])
+        hits += sum(map(len, N._products(Y).values()))
+    assert hits
 
 
 def test_full_rows_share_one_ball(fa3, monkeypatch):
@@ -851,7 +884,7 @@ def test_full_rows_share_one_ball(fa3, monkeypatch):
     Y = gens(fa3, "a", "z3", "z3*a*z3")
     assert all(h.level == 1 for h in Y.zero())
     want = [h.key for h in N.ball(fa3, Y.zero(), N.H_RADIUS)]
-    _, settled = _watch_products(Y, monkeypatch)
+    _, settled, _ = _watch_products(Y, monkeypatch)
     assert len(settled) == len(Y.positive()) > 1
     assert all(hs is settled[0] for hs in settled)
     assert [h.key for h in settled[0]] == want
@@ -964,7 +997,7 @@ def test_closure_error_names_the_set(t1, monkeypatch):
 
 def test_mu_weight_error_names_the_set(t1, monkeypatch):
     Y = gens(t1, "a*z", "b*z")
-    cand = N._find_mu(Y, N._scan(Y).prods)
+    cand = N._find_mu(Y, Y._prods)
     monkeypatch.setattr(N, "lambda_weight", lambda Y: 1)
     with pytest.raises(T.EngineError, match=re.escape(
             "mu did not decrease the weight of {b*z, z*b}")):

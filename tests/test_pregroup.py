@@ -313,6 +313,22 @@ def test_split_level_t_ab(t_ab):
     assert [render(t_ab, g) for g in tgt] == ["a"]
 
 
+def _split_keys(sp):
+    return ([g.key for g in sp.base_gens],
+            [(y.key, [g.key for g in src], [g.key for g in tgt])
+             for y, src, tgt in sp.stable_letters])
+
+
+def test_split_level_takes_a_plain_list(t1, t_ab, surf2):
+    # a list of elements is made into a GenSet and checked as reduced, and
+    # the split is the GenSet's
+    for t, ss in ((t1, ["a", "b", "z"]), (t_ab, ["a", "z"]),
+                  (surf2, ["x2", "x3", "x4", "x1"])):
+        want = _split_keys(P.split_level(t, zset(t, *ss)))
+        assert _split_keys(P.split_level(t, [W(t, s) for s in ss])) == want
+        assert want[1], ss
+
+
 def test_split_level_base_only():
     from znfree import factory
     tf = factory.free_tower(["a", "b"])

@@ -1063,6 +1063,40 @@ def test_settle_word_error_names_its_input(t1, monkeypatch):
         T._settle_word(t1, W(t1, "a*b").word, blk, side)
 
 
+def test_settled_word_is_one_per_coset(all_towers):
+    # the scan's lookup rows settle nothing because each coset w*<c> of a
+    # block's left axis <c> holds one settled word (tower's module
+    # docstring): for every signed letter whose head period is a word,
+    # w*c^k settles to the margin w settles to.  Half the sampled words end
+    # in a piece of c or c^-1, so the steps meet partial periods too
+    rng = random.Random(29)
+    towers = {**all_towers, "surf3": factory.surface_orientable(3)}
+    met = 0
+    for name in ("t1", "t_ab", "surf2", "surf3", "ns3"):
+        t = towers[name]
+        letters = [k for i in range(1, len(t.symbols) + 1) for k in (i, -i)]
+        for letter, sign, side in _side_records(t):
+            if side.head.level != 1:
+                continue
+            blk = T.Block(letter, sign, T.zero_offset(t, letter))
+            c = side.left[0].word
+            ci = Wd.w_inv(c)
+            for _ in range(300):
+                w = ()
+                for _ in range(rng.randrange(7)):
+                    w = Wd.w_mul(w, (rng.choice(letters),))
+                if rng.random() < 0.5:
+                    w = Wd.w_mul(w, rng.choice((c, ci))[
+                        :rng.randrange(len(c) + 1)])
+                want = T._settle_word(t, w, blk, side)[0]
+                for k in range(-4, 5):
+                    wk = Wd.w_mul(w, c * k if k >= 0 else ci * -k)
+                    got = T._settle_word(t, wk, blk, side)[0]
+                    assert got == want, (name, letter, sign, w, k)
+                    met += 1
+    assert met >= 20000, met
+
+
 def test_settle_left_error_names_its_input(fa3, monkeypatch):
     # z3's head period is no word, so the general loop runs
     e = W(fa3, "z2*a^2")
