@@ -195,7 +195,7 @@ class GenSet:
     def _overlaps(self):
         """_self_overlaps of the head table: a pass that finds a mu or nu
         move never reads them."""
-        return _self_overlaps(self, self._prods)
+        return _self_overlaps(self)
 
     def _pair_reps(self, members):
         out = []
@@ -501,9 +501,11 @@ def _products(Y):
     return {g.key: T._product_hits(t, g, hs, index, heads) for g in pos}
 
 
-def _shared_heads(Y, prods, f):
-    """(g, h), g != f positive, with com(f, h*g) of positive weight."""
+def _shared_heads(Y, f):
+    """(g, h), g != f positive, with com(f, h*g) of positive weight, from
+    the set's head table."""
     head = T._head(Y.tower, f)
+    prods = Y._prods
     for g in Y.positive():
         if g.key == f.key:
             continue
@@ -512,12 +514,12 @@ def _shared_heads(Y, prods, f):
                 yield g, h
 
 
-def _self_overlaps(Y, prods):
+def _self_overlaps(Y):
     """(f, h, x), f positive, for each h != 1 with com(f, h*f) of positive
     weight, x = f^-1*h*f when it has weight zero (the overlap is total),
-    else None (module docstring); h = 1 is skipped, as it overlaps f
-    totally and conjugates it trivially."""
-    t = Y.tower
+    else None (module docstring), from the set's head table; h = 1 is
+    skipped, as it overlaps f totally and conjugates it trivially."""
+    t, prods = Y.tower, Y._prods
     out = []
     for f in Y.positive():
         head = T._head(t, f)
@@ -527,10 +529,10 @@ def _self_overlaps(Y, prods):
     return out
 
 
-def _find_mu(Y, prods):
+def _find_mu(Y):
     t, names = Y.tower, Y._names
     return min(((f, g, h) for f in Y.positive()
-                for g, h in _shared_heads(Y, prods, f)),
+                for g, h in _shared_heads(Y, f)),
                key=lambda c: [names[c[0].key], names[c[1].key],
                               render(t, c[2])], default=None)
 
@@ -594,7 +596,7 @@ def reduce_genset(t, Y) -> GenSet:
     steps = 0
     augments = 0
     while True:
-        cand = _find_mu(Y, Y._prods)
+        cand = _find_mu(Y)
         if cand is not None:
             Y = mu(Y, *cand)
         else:
@@ -646,7 +648,7 @@ def is_reduced(t, Y) -> list[str]:
         if not T.is_cyclically_reduced(t, f):
             out.append(f"(a) not cyclically reduced: {render(t, f)}")
     for f in Y.positive():
-        for g, h in _shared_heads(Y, Y._prods, f):
+        for g, h in _shared_heads(Y, f):
             out.append(f"(b) shared head: f={render(t, f)} g={render(t, g)}"
                        f" h={render(t, h)}")
             break

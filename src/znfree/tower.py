@@ -68,11 +68,14 @@ right margins, are mirror images (Britton's lemma, Lyndon-Schupp IV.2) and
 one loop, `_settle`: phase 1 peels the margin's right end by the left axis
 and pulls with margin*head, phase 2 peels its left end by the right axis and
 pulls with tail*margin, and phase 2 alone, given a next block, tests the
-rightward flow.  `_margin_pass` runs phase 1, phase 2, then phase 3, over a
-parts list.  Neither phase takes a step on an identity margin, so both
-return such a margin at once: `_peel` strips nothing off the identity, and
-`_additive` answers that a product with the identity is additive without
-building it, as `multiply` returns the other operand as is.  `build` stops
+rightward flow.  Each pull, and the rightward-flow test, asks `_additive`
+whether lengths add across a junction, and `_additive` reads that off the
+junction letters, building the product only where they cancel (see `com`
+below).  `_margin_pass` runs phase 1, phase 2, then phase 3, over a parts
+list, and skips every identity margin: neither phase takes a step there, for
+`_peel` strips nothing off the identity and a product with the identity is
+additive.  `_settle` still returns an identity margin at once for its other
+callers, `_product_heads` and the rightward-flow claim test.  `build` stops
 after a pass that leaves at most one block, for the next pass would change
 nothing: one block has no Britton triple and no phase 3; phase 1's steps
 read only the margin and the block's letter and sign; with no next block,
@@ -103,21 +106,25 @@ pass.
 
 `multiply` hands `build` the index of its seam, the margin where the two
 operands meet.  Every other part comes from an operand's normal form, which
-comes through one full pass unchanged: the operand's last pass found
-nothing to do.  Each step reads a fixed set of parts.  A Britton triple
-reads its margin, phase 1 the margin left of its block, phase 2 the block
-and the margin right of it, phase 3 the block and the gap after it; the
-block letters and signs they also read change only in a pinch.  A step
-that acts writes a part it reads, so it runs again in the next pass.
-Hence a step none of whose parts was written in this pass or the last one
-has the inputs it had when it last ran, in an operand's build or an earlier
-pass, and it did nothing then; `build` skips it.  The seam counts as
-written before the first pass.  The passes take the steps full passes
-take, in the same order, and a product of normal forms costs margin work at
-its seam only.  A pinch shifts the indices, so from the first one on,
-within that same Britton pass, every step runs, as it does in a build
-without a seam.  The written parts are a bit mask over the indices, -1
-standing for all of them.
+comes through one full pass unchanged: the operand's last pass found nothing
+to do.  Each step reads a fixed set of parts.  A Britton triple reads its
+margin, phase 1 the margin left of its block, phase 2 the block and the
+margin right of it, phase 3 the block and the gap after it; the block
+letters and signs they also read change only in a pinch.  Phase 2 reads its
+block for the rightward flow, whose unit is the offset's lowest nonzero
+generator: on surf2, (x4*x3*x2)^-1 times x1*x2*x3*x1 has phase 1 turn the
+seam's left-axis material into the first block's offset -1, and phase 2 then
+moves the unit (x2*x3*x4)^-1 into the margin x2*x3, which was not written,
+as the next block claims x4^-1.  A step that acts writes a part it reads, so
+it runs again in the next pass.  Hence a step none of whose parts was
+written in this pass or the last one has the inputs it had when it last ran,
+in an operand's build or an earlier pass, and it did nothing then; `build`
+skips it.  The seam counts as written before the first pass.  The passes
+take the steps full passes take, in the same order, and a product of normal
+forms costs margin work at its seam only.  A pinch shifts the indices, so
+from the first one on, within that same Britton pass, every step runs, as it
+does in a build without a seam.  The written parts are a bit mask over the
+indices, -1 standing for all of them.
 
 `build` leaves the length vector unset.  `lenvec` takes the sum over the
 parts on the first read, `block_len` for a block and `lenvec` for an
@@ -200,6 +207,19 @@ letter is its first margin's, or, where that margin is the identity, its
 first block's head period's, down the levels: a stabilized margin does not
 cancel into its block, so lengths add over the two, and a block's value
 begins with its head period.  Two words take `W.w_com`.
+
+The same reading decides whether lengths add in a product.  l(a*b) = l(a) +
+l(b) - 2c(a^-1, b), and as the length function is regular and Z^n discrete,
+c(a^-1, b) is positive exactly when a^-1 and b have a common first letter,
+that is when a's last letter cancels b's first.  So `_additive` answers from
+the two letters at every level and builds the product only where they
+cancel, where it is not additive and its callers use it.  An element's last
+letter (`_last_letter`) is its last margin's, or, where that margin is the
+identity, its last block's tail period's, down the levels.  It is
+-`_first_letter` of the inverse by the reading above: the inverse of ...*B*1
+begins with an identity margin and the mirror block (letter, -sign,
+-offset), whose head period is the inverse of B's tail period whatever B's
+offset.
 
 `prefix_of` cuts an element at a length by one rule.  Lengths add over the
 parts, so the cut falls in one part, and the initial segment is the parts
@@ -589,13 +609,17 @@ def lam_len(t: GroupTower, g: Elem) -> int:
 
 def _additive(t, a: Elem, b: Elem) -> tuple[bool, Elem | None]:
     """Whether lengths add in a*b, and the product when they do not (None
-    may stand for the product when they do)."""
+    stands for the product when they do): they add exactly when a's last
+    base letter does not cancel b's first (module docstring), so the
+    product is built only where it cancels."""
     if is_identity(a) or is_identity(b):
         return True, None  # multiply returns the other operand as is
-    if a.level == 1 and b.level == 1 and a.word[-1] != -b.word[0]:
-        return True, None  # reduced words: only the junction can cancel
-    prod = multiply(t, a, b)
-    return veq(lenvec(prod), vadd(lenvec(a), lenvec(b))), prod
+    if a.level == 1 and b.level == 1:
+        if a.word[-1] != -b.word[0]:
+            return True, None  # reduced words: only the junction can cancel
+    elif _last_letter(t, a) != -_first_letter(t, b):
+        return True, None
+    return False, multiply(t, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -796,7 +820,7 @@ def _settle_word(t, w: W.Word, blk: Block, s: _Side):
     # phase 1's steps on the word: _peel's level-1 strip of copies of
     # c^+-1 off the right end (the end letter picks the sign, as c is
     # cyclically reduced), else, where w's last letter cancels into hp,
-    # w*hp (_additive's junction test), one _GUARD step each.
+    # w*hp (_additive's junction letters), one _GUARD step each.
     c = s.left[0].word
     ci = s.left_inv[0].word
     hw = s.head.word
@@ -832,7 +856,8 @@ def _settle(t, blk: Block, e: Elem, right=False, nxt=None):
     off = list(blk.offset)
     if is_identity(e):
         # no step can fire: _peel strips nothing off the identity, and
-        # _additive answers an identity operand additive
+        # _additive answers an identity operand additive.  _margin_pass
+        # never gets here; _product_heads and the claim test below can.
         return e, off
     s = _side(t, blk)
     if not right and e.level == 1 and s.head.level == 1:
@@ -916,11 +941,13 @@ def _margin_pass(t, parts, hot=-1) -> int:
     written, 0 when nothing changed."""
     wrote = 0
     # phase 1, left margins, reads the margin; then phase 2, right margins,
-    # reads the block and the margin; each left to right
+    # reads the block and the margin; each left to right.  Neither takes a
+    # step on an identity margin (module docstring), so none is settled.
     for right in (False, True):
         for bi in range(1, len(parts), 2):
             mi = bi + 1 if right else bi - 1  # the margin's index
-            if not (hot | wrote) & (1 << mi | right << bi):
+            if (not (hot | wrote) & (1 << mi | right << bi)
+                    or is_identity(parts[mi])):
                 continue
             blk = parts[bi]
             nxt = parts[bi + 2] if right and bi + 2 < len(parts) else None
@@ -1009,6 +1036,16 @@ def _first_letter(t: GroupTower, g: Elem):
         m = g.parts[0]
         g = _side(t, g.parts[1]).head if is_identity(m) else m
     return g.word[0] if g.word else None
+
+
+def _last_letter(t: GroupTower, g: Elem):
+    """The last base letter of g, None for the identity: its last
+    margin's, or the last block's tail period's where that margin is the
+    identity, down the levels; -_first_letter of g's inverse."""
+    while g.level > 1:
+        m = g.parts[-1]
+        g = _side(t, g.parts[-2]).tail if is_identity(m) else m
+    return g.word[-1] if g.word else None
 
 
 def _head(t: GroupTower, x: Elem):

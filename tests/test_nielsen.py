@@ -230,8 +230,7 @@ def test_scan_builds_h_f_only_for_self_overlaps(t1, t_ab, fa3, surf2, ns3,
 
 
 def _total_overlaps(t, Y):
-    return [(f, h) for f, h, x in N._self_overlaps(Y, N._products(Y))
-            if x is not None]
+    return [(f, h) for f, h, x in N._self_overlaps(Y) if x is not None]
 
 
 def test_is_reduced_folds_once_per_scan(t1, surf2, ns3, monkeypatch):
@@ -424,7 +423,7 @@ def test_members_are_never_inverted_again(t1, monkeypatch):
     # a set holds each member's inverse from construction; pair_reps,
     # replace, mu, decompose and pz_product_defined read it
     Y = gens(t1, "a*z", "b*z")
-    f, g, h = N._find_mu(Y, N._products(Y))
+    f, g, h = N._find_mu(Y)
     Z = N.reduce_genset(t1, Y)
     readers = {"pair_reps", "replace", "mu", "decompose",
                "pz_product_defined"}
@@ -997,7 +996,7 @@ def test_closure_error_names_the_set(t1, monkeypatch):
 
 def test_mu_weight_error_names_the_set(t1, monkeypatch):
     Y = gens(t1, "a*z", "b*z")
-    cand = N._find_mu(Y, Y._prods)
+    cand = N._find_mu(Y)
     monkeypatch.setattr(N, "lambda_weight", lambda Y: 1)
     with pytest.raises(T.EngineError, match=re.escape(
             "mu did not decrease the weight of {b*z, z*b}")):

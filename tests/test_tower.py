@@ -821,6 +821,41 @@ def test_additive_on_identity_builds_no_product(all_towers, fa3, t1,
     assert {p.level for _, _, a, b in cases for p in (a, b)} == {1, 2, 3, 4}
 
 
+def test_margin_pass_settles_no_identity_margin(all_towers, fa3, t1,
+                                                monkeypatch):
+    # _settle takes no step on an identity margin, so _margin_pass skips
+    # it: building the parts lists multiply hands build for products of
+    # sampled elements and their inverses, no margin the pass settles is
+    # the identity, and the product has multiply's key
+    calls = []
+    real = T._settle
+
+    def recording(t, blk, e, right=False, nxt=None):
+        if sys._getframe(1).f_code.co_name == "_margin_pass":
+            calls.append(T.is_identity(e))
+        return real(t, blk, e, right, nxt)
+
+    rng = random.Random(31)
+    for tname, t in _pinned_towers(all_towers, fa3, t1).items():
+        gs = sample_elements(t, SampleSpec(seed=32, samples=40))
+        gs += [T.invert(t, g) for g in gs]
+        for _ in range(120):
+            g, h = rng.choice(gs), rng.choice(gs)
+            L = max(g.level, h.level)
+            if L == 1:
+                continue
+            parts = _product_parts(t, g, h, L)
+            want = T.multiply(t, g, h)
+            with monkeypatch.context() as m:
+                m.setattr(T, "_settle", recording)
+                got = T.build(t, L, parts)
+            where = f"{tname}: {render(t, g)} * {render(t, h)}"
+            assert got.key == want.key, where
+            assert True not in calls, where
+        assert calls, tname
+        calls.clear()
+
+
 def _count_passes(m):
     """Patch T.build and T._margin_pass through the monkeypatch m.  Returns
     the list each margin pass appends its build depth to: 1 for a pass of
@@ -1422,13 +1457,21 @@ def test_seam_build_matches_full_passes(name, k, data):
             return
 
 
-def test_hand_made_seams_match_full_passes(fa3):
+def test_hand_made_seams_match_full_passes(fa3, surf2):
     # the seam of z3*z2*z3 times a*z3^-1*z2^-1*z3^-1 pinches three times in
-    # a row, each pinch shifting the parts list's indices; on ns4 the seam
-    # of x1r*x2^-1 times x1r never stabilizes, and both builds say so alike
+    # a row, each pinch shifting the parts list's indices; on surf2 phase 1
+    # at the seam of (x4*x3*x2)^-1 times x1*x2*x3*x1 writes the first
+    # block's offset -1, and phase 2, run because it reads that block, moves
+    # the unit (x2*x3*x4)^-1 into the margin x2*x3, which was not written,
+    # as the next block claims x4^-1; on ns4 the seam of x1r*x2^-1 times
+    # x1r never stabilizes, and both builds say so alike
     g, h = W(fa3, "z3*z2*z3"), W(fa3, "a*z3^-1*z2^-1*z3^-1")
     got = _seam_and_full(lambda: T.multiply(fa3, g, h), "fa3 cascade")
     assert got.key == W(fa3, "a").key
+    g, h = W(surf2, "(x4*x3*x2)^-1"), W(surf2, "x1*x2*x3*x1")
+    got = _seam_and_full(lambda: T.multiply(surf2, g, h), "surf2 flow")
+    assert [p.offset for p in got.parts[1::2]] == [(0,), (-1,)]
+    assert got.key == W(surf2, "x1*x3*x2*x1*(x2*x3*x4)^-1").key
     ns4 = _seam_sample("ns4")[0]
     g, h = W(ns4, "x1r*x2^-1"), W(ns4, "x1r")
     assert _seam_and_full(lambda: T.multiply(ns4, g, h), "ns4") is None
@@ -1533,3 +1576,54 @@ def test_additive_on_words(pair):
     assert add == (T.lenvec(full) == vadd(T.lenvec(a), T.lenvec(b)))
     if not add:
         assert prod.key == full.key
+
+
+def test_additive_reads_the_junction_letters(all_towers, fa3, t1,
+                                             monkeypatch):
+    # on sampled pairs, pairs (g, g^-1) and pairs (g, g^-1*h) of every
+    # pinned tower, fa4 and surf3: _additive's flag is the length test of
+    # the full product, its product where the flag is False is the full
+    # product, and where the junction letters do not cancel it builds no
+    # product; an element's last letter is minus its inverse's first
+    towers = {**_pinned_towers(all_towers, fa3, t1),
+              "fa4": factory.free_abelian(4),
+              "surf3": factory.surface_orientable(3)}
+    products = []
+    real_multiply = T.multiply
+
+    def counting(t, g, h):
+        products.append((g, h))
+        return real_multiply(t, g, h)
+
+    rng = random.Random(53)
+    seen = {True: 0, False: 0}
+    for tname, t in towers.items():
+        gs = sample_elements(t, SampleSpec(seed=54, samples=40))
+        gs += [T.invert(t, g) for g in gs]
+        pairs = [(g, T.invert(t, g)) for g in gs]
+        for _ in range(200):
+            g, h = rng.choice(gs), rng.choice(gs)
+            pairs += [(g, h), (g, T.multiply(t, T.invert(t, g), h))]
+        for g in gs:
+            last = T._last_letter(t, g)
+            first = T._first_letter(t, T.invert(t, g))
+            assert last == (None if first is None else -first), (
+                f"{tname}: {render(t, g)}")
+        for a, b in pairs:
+            where = f"{tname}: {render(t, a)} * {render(t, b)}"
+            full = T.multiply(t, a, b)
+            cancel = (not T.is_identity(a) and not T.is_identity(b)
+                      and T._last_letter(t, a) == -T._first_letter(t, b))
+            products.clear()
+            with monkeypatch.context() as m:
+                m.setattr(T, "multiply", counting)
+                add, prod = T._additive(t, a, b)
+            assert add == (T.lenvec(full) == vadd(T.lenvec(a),
+                                                  T.lenvec(b))), where
+            assert add is not cancel, where
+            if add:
+                assert products == [], where
+            else:
+                assert prod.key == full.key, where
+            seen[add] += 1
+    assert all(seen.values()), seen
