@@ -614,10 +614,7 @@ def _additive(t, a: Elem, b: Elem) -> tuple[bool, Elem | None]:
     product is built only where it cancels."""
     if is_identity(a) or is_identity(b):
         return True, None  # multiply returns the other operand as is
-    if a.level == 1 and b.level == 1:
-        if a.word[-1] != -b.word[0]:
-            return True, None  # reduced words: only the junction can cancel
-    elif _last_letter(t, a) != -_first_letter(t, b):
+    if _last_letter(t, a) != -_first_letter(t, b):
         return True, None
     return False, multiply(t, a, b)
 
