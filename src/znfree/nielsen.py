@@ -48,14 +48,14 @@ others are (d) records where x lies outside the weight-zero subgroup, and
 the scan builds no com and no top-level product for them either.
 
 A GenSet never changes its members, so it holds what it computes about
-them.  It holds each member's inverse from construction (GenSet.inverse).
-pair_reps, replace, mu, the closure step and pregroup read it instead of
-inverting a member again.  It holds each member's rendered name, which its
-sort into render order computes; _find_mu, _find_nu and _render_set read
-the names instead of rendering a member again.  The set replace builds
-takes the kept members' inverses and names along.  It holds pair_reps of
-all members, of the positive and of the zero ones, and each call returns a
-new list.  It holds its reducedness scan as three cached properties, each
+them.  Each member holds its own inverse, from its first inversion
+(tower.invert), and GenSet.inverse reads it there; pair_reps, replace, mu,
+the closure step and pregroup never invert a member twice.  It holds each
+member's rendered name, which its sort into render order computes;
+_find_mu, _find_nu and _render_set read the names instead of rendering a
+member again.  The set replace builds takes the kept members and their
+names along.  It holds pair_reps of all members, of the positive and of the
+zero ones, and each call returns a new list.  It holds its reducedness scan as three cached properties, each
 made on its first read: the head table over the weight-zero multiplier
 ball of radius H_RADIUS (GenSet._prods; the ball itself is not kept), the
 zero part's membership test (GenSet._member, a _membership: the subgroup
@@ -106,34 +106,38 @@ class GenSet:
     """A finite symmetric set of tower elements with a witness log."""
 
     def __init__(self, t, elements):
-        self._fill(t, [(g, T.invert(t, g)) for g in elements
-                       if not T.is_identity(g)], [], {})
+        self._fill(t, [g for g in elements if not T.is_identity(g)], [], {})
 
-    def _fill(self, t, pairs, witness_log, names):
-        """Hold the members of the (g, g^-1) pairs, each one's inverse and
+    def _fill(self, t, members, witness_log, names):
+        """Hold the members with their inverses, key -> member, each one's
         rendered name (taken from names, key -> name, where it is there),
         the members of positive and of zero top weight, and one member per
         inverse pair of all, of the positive and of the zero members (a set
         never changes, so each is computed once)."""
         self.tower = t
         seen = {}
-        inv = {}
-        for g, gi in pairs:
-            seen[g.key] = g
-            seen[gi.key] = gi
-            inv[g.key] = gi.key
-            inv[gi.key] = g.key
+        pairs = []
+        for g in members:
+            if g.key not in seen:  # else its pair is held already
+                gi = T.invert(t, g)
+                seen[g.key] = g
+                seen[gi.key] = gi
+                pairs.append((g, gi))
+        self._members = seen
         self._names = {k: names[k] if k in names else render(t, g)
                        for k, g in seen.items()}
-        self.elements = tuple(sorted(seen.values(),
-                                     key=lambda g: self._names[g.key]))
-        self._inverse = {k: seen[ik] for k, ik in inv.items()}
+
+        def name(g):
+            return self._names[g.key]
+
+        self.elements = tuple(sorted(seen.values(), key=name))
         pos = {g.key for g in self.elements if T.lam_len(t, g) > 0}
         self._positive = tuple(g for g in self.elements if g.key in pos)
         self._zero = tuple(g for g in self.elements if g.key not in pos)
-        # each part is closed under inversion and in render order, so its
-        # pair_reps are the reps of all members that lie in it
-        reps = self._pair_reps(self.elements)
+        # pair_reps: each pair's first member in render order.  Each part
+        # is closed under inversion and in render order, so its pair_reps
+        # are the reps of all members that lie in it
+        reps = sorted((min(p, key=name) for p in pairs), key=name)
         self._held_reps = (
             (self.elements, reps),
             (self._positive, [g for g in reps if g.key in pos]),
@@ -148,15 +152,15 @@ class GenSet:
         return len(self.elements)
 
     def __contains__(self, g):
-        return g.key in self._inverse
+        return g.key in self._members
 
     def inverse(self, g):
-        """The inverse of a member, as held since the set was built."""
-        gi = self._inverse.get(g.key)
-        if gi is None:
+        """The inverse of a member, which the member holds (tower.invert)."""
+        m = self._members.get(g.key)
+        if m is None:
             raise ValueError(
                 f"{render(self.tower, g)} is not a member of the set")
-        return gi
+        return T.invert(self.tower, m)
 
     def positive(self):
         """Members with positive top weight (closed under inversion), in
@@ -201,28 +205,26 @@ class GenSet:
         out = []
         seen = set()
         for g in members:
-            gi = self.inverse(g)
-            if g.key in seen:
+            if g.key in seen:  # the inverse of a member met before
                 continue
             seen.add(g.key)
-            seen.add(gi.key)
+            seen.add(self.inverse(g).key)
             out.append(g)
         return out
 
     def replace(self, removed, added, log_entry):
         """The set without the removed members and their inverses, with the
-        added elements; kept members bring their held inverses and names
-        along."""
-        t = self.tower
+        added elements; kept members bring their names along."""
         gone = set()
         for g in removed:
             gone.add(g.key)
             gone.add(self.inverse(g).key)
         out = GenSet.__new__(GenSet)
-        out._fill(t, [(g, self._inverse[g.key]) for g in self.elements
-                      if g.key not in gone]
-                  + [(g, T.invert(t, g)) for g in added
-                     if not T.is_identity(g)],
+        # in the order they were held, each pair's first member holds the
+        # other as its inverse
+        out._fill(self.tower, [g for g in self._members.values()
+                               if g.key not in gone]
+                  + [g for g in added if not T.is_identity(g)],
                   self.witness_log + [log_entry], self._names)
         return out
 

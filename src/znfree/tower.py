@@ -60,8 +60,8 @@ The inverse of a one-block element m0*B*m1 is its mirror image
 m1^-1*(B's letter, -sign, -offset)*m0^-1, already normal: with one block
 there is no pinch, no phase 3 and no next block, so phase 1 on the mirror
 is phase 2 on the element read backwards, and the other way round.
-`invert` returns it without `build`, with the element's length if that is
-known.
+`_invert` returns it without `build`, with the element's length if that
+is known.
 
 Each margin rule has one owner.  Margin phases 1 and 2, a block's left and
 right margins, are mirror images (Britton's lemma, Lyndon-Schupp IV.2) and
@@ -130,6 +130,18 @@ indices, -1 standing for all of them.
 parts on the first read, `block_len` for a block and `lenvec` for an
 element, keeps it, and drops the tower the element held for it.  Most
 elements made inside a normalization are never measured.
+
+An element holds its inverse in the same way.  `invert` computes it on the
+element's first inversion (`_invert`, which inverts the parts through
+`invert`, so they hold theirs too) and keeps it in `_inv`.  That is sound:
+an `Elem` never changes, and its inverse depends only on its parts and on
+the side and transfer records of their letters.  Every tower that holds the
+element defines those records the same way, for `extend_hnn` only adds
+letters, also when it adds one at `level=t.rank`, and the records of a
+letter, or of a pair of letters, read only those letters' definitions.  The
+link runs one way: the inverse does not point back, so no reference cycle
+forms, and an element nothing else holds is freed at once.  The identity's
+inverse is EPS, and no identity holds a link.
 
 Questions about words are answered on the word tuples.  Heights rise
 strictly along an axis and a word has height 1, so when a margin and its
@@ -292,10 +304,14 @@ class Block:
 
 
 class Elem:
-    """Immutable tower element; build only through the module functions."""
+    """Immutable tower element; build only through the module functions.
+
+    Four fields are filled on first use and never change after: `_len`, the
+    length vector (`lenvec`, which reads `_tower` until then), `_key` and
+    `_hash`, and `_inv`, the inverse (`invert`)."""
 
     __slots__ = ("level", "word", "parts", "_len", "_tower", "_key",
-                 "_hash")
+                 "_hash", "_inv")
 
     def __init__(self, level, word, parts, lenvec, tower=None):
         self.level = level
@@ -305,6 +321,7 @@ class Elem:
         self._tower = tower  # read by lenvec while _len is None
         self._key = None
         self._hash = None
+        self._inv = None
 
     @property
     def key(self):
@@ -559,6 +576,18 @@ def multiply(t: GroupTower, g: Elem, h: Elem) -> Elem:
 
 
 def invert(t: GroupTower, g: Elem) -> Elem:
+    """g^-1, computed on g's first inversion and held by g from then on
+    (module docstring)."""
+    gi = g._inv
+    if gi is None:
+        if is_identity(g):
+            return EPS
+        gi = g._inv = _invert(t, g)
+    return gi
+
+
+def _invert(t: GroupTower, g: Elem) -> Elem:
+    """g^-1 computed afresh; its parts are inverted through `invert`."""
     if g.level == 1:
         return word_elem(W.w_inv(g.word))
     parts = []

@@ -420,21 +420,21 @@ def test_scan_membership_matches_subgroup_contains(t1, t_ab, fa3, surf2, ns3,
 
 
 def test_members_are_never_inverted_again(t1, monkeypatch):
-    # a set holds each member's inverse from construction; pair_reps,
-    # replace, mu, decompose and pz_product_defined read it
-    Y = gens(t1, "a*z", "b*z")
-    f, g, h = N._find_mu(Y)
-    Z = N.reduce_genset(t1, Y)
-    readers = {"pair_reps", "replace", "mu", "decompose",
-               "pz_product_defined"}
-    real = T.invert
+    # each member holds its inverse from its first inversion
+    # (tower.invert): under pair_reps, replace, mu, decompose and
+    # pz_product_defined no member reaches the computing path,
+    # tower._invert, a second time, and elements that are no members do
+    real = T._invert
     calls = []
 
     def counting(t, x):
-        calls.append((sys._getframe(1).f_code.co_name, x.key))
+        calls.append(x)
         return real(t, x)
 
-    monkeypatch.setattr(T, "invert", counting)
+    monkeypatch.setattr(T, "_invert", counting)
+    Y = gens(t1, "a*z", "b*z")
+    f, g, h = N._find_mu(Y)
+    Z = N.reduce_genset(t1, Y)
     uses = [(Y, lambda: Y.pair_reps()),
             (Z, lambda: Z.pair_reps(Z.positive())),
             (Y, lambda: Y.replace([f], [W(t1, "a")], {"op": "test"})),
@@ -445,11 +445,12 @@ def test_members_are_never_inverted_again(t1, monkeypatch):
                                              W(t1, "b^-1*z^-1")))]
     others = 0
     for S, use in uses:
-        calls.clear()
+        start = len(calls)
         use()
-        members = {x.key for x in S}
-        assert [c for c, k in calls if c in readers and k in members] == []
-        others += sum(c in readers for c, _ in calls)
+        for m in S:
+            assert sum(x is m for x in calls) <= 1, render(t1, m)
+        keys = {m.key for m in S}
+        others += sum(x.key not in keys for x in calls[start:])
     assert others  # elements that are no members are still inverted
 
 

@@ -914,11 +914,13 @@ def test_build_stops_after_a_pass_leaving_one_block(all_towers, fa3, t1,
 @contextlib.contextmanager
 def _full_passes():
     """The engine with every build running full passes, multiply's seam
-    dropped: the reference for seam-local builds."""
+    dropped, and every inverse computed afresh: the reference for
+    seam-local builds."""
     real_build = T.build
     with pytest.MonkeyPatch.context() as m:
         m.setattr(T, "build", lambda t, L, parts, seam=None: real_build(
             t, L, parts))
+        m.setattr(T, "invert", T._invert)
         yield
 
 
@@ -1370,11 +1372,15 @@ _SEAM_TOWERS = {
 }
 
 
+# the seam towers (fa5 and a free product among them) and surf3
+_SAMPLED_TOWERS = {**_SEAM_TOWERS, "surf3": _COM_TOWERS["surf3"]}
+
+
 @functools.cache
 def _seam_sample(name):
     """A tower and 30 products of one to four signed generators, made on
     first use.  ns4's products that raise are left out."""
-    t = _SEAM_TOWERS[name]()
+    t = _SAMPLED_TOWERS[name]()
     rng = random.Random(43)
     gens = [T.gen_elem(t, s, e) for s in (*t.symbols, *t.letters)
             for e in (1, -1)]
@@ -1390,10 +1396,11 @@ def _seam_sample(name):
 
 
 def _seam_and_full(fn, where):
-    """fn() with seam-local builds and with full passes: the same key,
-    length and number of outermost margin passes, or the same EngineError
-    text (then None)."""
+    """fn() with seam-local builds and with full passes, each computing
+    every inverse afresh: the same key, length and number of outermost
+    margin passes, or the same EngineError text (then None)."""
     with pytest.MonkeyPatch.context() as m:
+        m.setattr(T, "invert", T._invert)
         passes = _count_passes(m)
         try:
             with _full_passes():
@@ -1516,10 +1523,11 @@ def _mirror(t, x):
 @pytest.mark.parametrize("name", sorted(n for n in _SEAM_TOWERS
                                         if n != "free2"))
 def test_invert_builds_only_elements_of_several_blocks(name, monkeypatch):
-    # invert of a one-block element makes no build at its level (its
+    # an inversion of a one-block element makes no build at its level (its
     # margins' inverses may build below it) and is the mirror image, with
-    # the element's length if that was read and a lazy one if not; invert of
-    # an element of several blocks still builds at its level
+    # the element's length if that was read and a lazy one if not; an
+    # inversion of an element of several blocks still builds at its level.
+    # Each inversion is computed afresh (_invert), not read off the element.
     t, gs = _seam_sample(name)
     real = T.build
     levels = []
@@ -1537,7 +1545,7 @@ def test_invert_builds_only_elements_of_several_blocks(name, monkeypatch):
             one = len(x.parts) == 3
             known = x._len
             levels.clear()
-            got = T.invert(t, x)
+            got = T._invert(t, x)
             where = f"{name}: {render(t, x)}"
             assert (x.level in levels) is not one, where
             seen[one] += 1
@@ -1547,6 +1555,58 @@ def test_invert_builds_only_elements_of_several_blocks(name, monkeypatch):
                 assert got._len is known, where
                 assert T.lenvec(got) == T.lenvec(x), where
     assert seen[True] and seen[False], seen
+
+
+def _never_inverted(t, g):
+    """A copy of g, with g's key, that has not been inverted yet."""
+    if g.level == 1:
+        return T.word_elem(g.word)
+    return T.build(t, g.level, list(g.parts))
+
+
+def _fresh_inverse(t, g):
+    """g^-1 computed afresh, its parts' inverses too."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(T, "invert", T._invert)
+        return T._invert(t, g)
+
+
+@pytest.mark.parametrize("name", sorted(_SAMPLED_TOWERS))
+def test_each_element_holds_its_inverse(name):
+    # invert computes an element's inverse on its first call and holds it:
+    # it has the key and length of an inverse computed afresh, a second
+    # call returns the same object, and the inverse holds no link back, so
+    # no reference cycle forms
+    t, gs = _seam_sample(name)
+    for g in gs:
+        g = _never_inverted(t, g)
+        where = f"{name}: {render(t, g)}"
+        want = _fresh_inverse(t, g)
+        got = T.invert(t, g)
+        assert got._inv is None, where
+        assert T.invert(t, g) is got, where
+        assert got.key == want.key, where
+        assert T.lenvec(got) == T.lenvec(want), where
+
+
+def test_held_inverses_stay_valid_in_extensions():
+    # an element of t1 inverted in t1 keeps that inverse in every extension
+    # of t1, at the default level and at level=t.rank: the inverse it holds
+    # is the one the extension computes afresh
+    t1, gs = _seam_sample("t1")
+    held = []
+    for g in gs:
+        g = _never_inverted(t1, g)
+        held.append((g, T.invert(t1, g)))
+    for source, target, level in (("b*z*a", "z*a*b", None),
+                                  ("a*b^2", "b*a^2", t1.rank)):
+        t = extend_hnn(t1, "w", [W(t1, source)], [W(t1, target)],
+                       level=level)
+        assert t.letters["w"].level == (level or t1.rank + 1)
+        for g, gi in held:
+            where = f"{source} -> {target}: {render(t1, g)}"
+            assert T.invert(t, g) is gi, where
+            assert _fresh_inverse(t, g).key == gi.key, where
 
 
 def _reduced(seq):
