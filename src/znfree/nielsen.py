@@ -55,8 +55,9 @@ member's rendered name, which its sort into render order computes;
 _find_mu, _find_nu and _render_set read the names instead of rendering a
 member again.  The set replace builds takes the kept members and their
 names along.  It holds pair_reps of all members, of the positive and of the
-zero ones, and each call returns a new list.  It holds its reducedness scan as three cached properties, each
-made on its first read: the head table over the weight-zero multiplier
+zero ones, and each call returns a new list.  It holds its reducedness scan
+as three cached properties, each made on its first read: the head table
+over the weight-zero multiplier
 ball of radius H_RADIUS (GenSet._prods; the ball itself is not kept), the
 zero part's membership test (GenSet._member, a _membership: the subgroup
 graph is folded once, or above the base layer the keys of its ball are
@@ -181,7 +182,16 @@ class GenSet:
         for part, reps in self._held_reps:
             if members is part:
                 return list(reps)
-        return self._pair_reps(members)
+        out = []
+        seen = set()
+        for g in members:
+            gi = self.inverse(g)
+            if g.key in seen:
+                continue
+            seen.add(g.key)
+            seen.add(gi.key)
+            out.append(g)
+        return out
 
     # the set's reducedness scan, each part made on its first read (module
     # docstring)
@@ -200,17 +210,6 @@ class GenSet:
         """_self_overlaps of the head table: a pass that finds a mu or nu
         move never reads them."""
         return _self_overlaps(self)
-
-    def _pair_reps(self, members):
-        out = []
-        seen = set()
-        for g in members:
-            if g.key in seen:  # the inverse of a member met before
-                continue
-            seen.add(g.key)
-            seen.add(self.inverse(g).key)
-            out.append(g)
-        return out
 
     def replace(self, removed, added, log_entry):
         """The set without the removed members and their inverses, with the
